@@ -23,7 +23,6 @@ from . import eigen, freeboundary
 from .grids import default_cells
 from .model import ModelParams, derived_constants
 
-SIGN_TOL = 1e-6            # |eigenvalue| certificate target at a threshold
 WIDTH_FRAC = 1e-4          # bracket width <= WIDTH_FRAC * max(1, value)
 MU_BOUNDS = (1e-4, 1e3)    # search limits for the front-response threshold
 MU_MAX_ITERS = 20
@@ -104,24 +103,6 @@ def _jsonable(obj):
 # elementary searches
 # ---------------------------------------------------------------------------
 
-def _bisect_eigen(f: Callable[[float], float], lo: float, hi: float,
-                  f_lo: float, f_hi: float) -> tuple[float, float, tuple[float, float], float, float]:
-    """Sign bisection of a monotone eigenvalue curve with a two-sided stop."""
-    if not (f_lo > 0) != (f_hi > 0):
-        raise RuntimeError("eigenvalue bisection needs a sign change across the bracket")
-    mid, f_mid = lo, f_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if abs(f_mid) < SIGN_TOL and (hi - lo) <= 0.5 * WIDTH_FRAC * max(1.0, mid):
-            break
-    return mid, f_mid, (lo, hi), f_lo, f_hi
-
-
 def _closed_form_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
 
@@ -150,7 +131,7 @@ def find_ell_star(params: ModelParams) -> ThresholdResult:
     if cons.R0 <= 1.0:
         raise ValueError("no threshold, vanishing")
     crit = eigen.critical_length(params, lam_tol=5e-7)
-    if abs(crit.lam_at_value) > SIGN_TOL:
+    if abs(crit.lam_at_value) > eigen.SIGN_BAND:
         raise RuntimeError(
             f"critical length certificate out of tolerance: |lambda| = {abs(crit.lam_at_value):.3e}"
         )
@@ -348,8 +329,9 @@ def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
         if hi > 1e6:
             raise RuntimeError("eigenvalue failed to turn negative at large d1")
         f_hi = lam2(hi)
-    value, f_mid, bracket, f_lo, f_hi = _bisect_eigen(lam2, lo, hi, f_lo, f_hi)
-    if abs(f_mid) > SIGN_TOL:
+    value, f_mid, bracket, f_lo, f_hi = eigen.bisect_sign(lam2, lo, hi, f_lo, f_hi,
+                                                          eigen.SIGN_BAND)
+    if abs(f_mid) > eigen.SIGN_BAND:
         raise RuntimeError(
             f"threshold certificate out of tolerance: |lambda2| = {abs(f_mid):.3e}"
         )
@@ -490,28 +472,19 @@ def find_d_thresholds(params: ModelParams, mode: str,
 # decision tree
 # ---------------------------------------------------------------------------
 
-def _initial_mass(params: ModelParams, num_points: int = 20000) -> float:
-    """Weighted initial mass: integral of u0 + (H'(0)/b) v0 on [0, h0]."""
+def _front_bound(params: ModelParams, num_points: int = 20000) -> dict:
+    """Closed-form ceiling on the front position in the subcritical regime.
+
+    The initial weighted mass (integral of u0 + (H'(0)/b) v0 on [0, h0]) is
+    taken by the midpoint rule.
+    """
     dx = params.h0 / num_points
     x = (np.arange(num_points) + 0.5) * dx
     u0 = np.asarray(params.u0(x), dtype=float)
     v0 = np.asarray(params.v0(x), dtype=float)
-    return float(np.sum(u0 + params.nonlinearity.hp0 / params.b * v0) * dx)
-
-
-def _front_bound(params: ModelParams) -> dict:
-    """Closed-form ceiling on the front position in the subcritical regime."""
-    terms = []
-    if params.mu1 > 0:
-        terms.append(params.d1 / params.mu1)
-    if params.mu2 > 0:
-        terms.append(params.nonlinearity.hp0 * params.d2 / (params.b * params.mu2))
-    mass0 = _initial_mass(params)
-    if terms:
-        h_limit = params.h0 + mass0 / min(terms)
-    else:
-        h_limit = params.h0
-    return {"kind": "front_bound", "mass_initial": mass0, "h_limit": h_limit}
+    mass0 = float(np.sum(u0 + params.nonlinearity.hp0 / params.b * v0) * dx)
+    return {"kind": "front_bound", "mass_initial": mass0,
+            "h_limit": freeboundary._mass_front_bound(params, mass0)}
 
 
 def decision_tree(params: ModelParams) -> dict:

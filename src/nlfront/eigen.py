@@ -7,20 +7,24 @@ The operator acts on pairs (phi1, phi2) on [0, l]:
 
 where K is convolution against the kernel restricted to [0, l] and j(x) is
 the kernel CDF (the mass a point at depth x keeps on its inner side, the
-habitat being unbounded to the right of the front only through j).  With
-a12, a21 > 0 the shifted operator is entrywise nonnegative and irreducible,
-so the principal eigenvalue is found by power iteration on the shifted
-matrix; large or badly conditioned problems fall back to an Arnoldi solve
-on the same operator and are then polished back through the power-iteration
-convergence test.
+habitat being unbounded to the right of the front only through j).  The
+diagonal blocks are symmetric Toeplitz plus diagonal and the couplings are
+multiples of the identity, so with D = diag(I, sqrt(a21/a12) I) the matrix
+D^-1 L D is symmetric.  Its largest eigenvalue is found by one Lanczos
+solve (ARPACK, deterministic start vector), mapped back through D, and
+certified on L itself: sup-norm residual below 1e-10 and a positive
+eigenvector (a12, a21 > 0 make L irreducible, so the principal
+eigenfunction is positive).  Roots of the eigenvalue in a parameter are
+located by one sign bisection with a two-sided stop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grids import KernelConvolver, cell_nodes, default_cells
 from .model import Kernel, ModelParams, derived_constants
@@ -38,6 +42,7 @@ __all__ = [
     "lambda2",
     "lambda1_spec",
     "lambda2_spec",
+    "bisect_sign",
     "critical_length",
     "CriticalLength",
     "sweep",
@@ -45,9 +50,8 @@ __all__ = [
     "SweepResult",
 ]
 
-RAYLEIGH_TOL = 1e-12
+SIGN_BAND = 1e-6  # |eigenvalue| below this is treated as zero (critical)
 RESIDUAL_TOL = 1e-10
-TOTAL_ITER_CAP = 10**6
 
 
 class EigenGridError(ValueError):
@@ -55,7 +59,7 @@ class EigenGridError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Eigensolve ran out of budget; carries the last iterate."""
+    """Eigensolve failed to converge or to certify; carries the last iterate."""
 
     def __init__(self, message: str, lambda_p: float, vector: np.ndarray, iterations: int,
                  residual: float):
@@ -121,11 +125,6 @@ class DiscreteOperator:
         self.j2 = np.asarray(spec.kernel2.cdf(self.x))
         self.diag1 = -spec.d1 * self.j1 + spec.a11
         self.diag2 = -spec.d2 * self.j2 + spec.a22
-        # entrywise-nonnegativity shift for the power iteration
-        self.shift = (
-            spec.d1 * float(self.j1.max()) + spec.d2 * float(self.j2.max())
-            + abs(spec.a11) + abs(spec.a22) + spec.a12 + spec.a21 + 1.0
-        )
 
     @property
     def dim(self) -> int:
@@ -167,93 +166,62 @@ def assemble(spec: OperatorSpec) -> DiscreteOperator:
 
 
 # ---------------------------------------------------------------------------
-# iteration engine
+# eigensolve
 # ---------------------------------------------------------------------------
 
-def _power_loop(matvec, shift, x, budget, iters_so_far):
-    """Power iteration on (A + shift I); returns (lam, x, iters, resid, ok)."""
-    prev = math.inf
-    rq = math.nan
-    resid = math.inf
-    it = iters_so_far
-    for _ in range(budget):
-        y = matvec(x) + shift * x
-        rq = float(x @ y) / float(x @ x)
-        resid = float(np.max(np.abs(y - rq * x)))
-        it += 1
-        if abs(rq - prev) < RAYLEIGH_TOL and resid < RESIDUAL_TOL:
-            return rq - shift, x, it, resid, True
-        prev = rq
-        top = float(np.max(np.abs(y)))
-        if top == 0.0 or not math.isfinite(top):
-            raise EigenConvergenceError("power iterate degenerated", rq - shift, x, it, resid)
-        x = y / top
-    return rq - shift, x, it, resid, False
+def _principal(matvec, scale: np.ndarray, label: str):
+    """Largest eigenvalue of L and its positive eigenvector, sup-norm 1.
 
+    ``scale`` is the diagonal of D with D^-1 L D symmetric; the Lanczos
+    solve runs on that matrix and the pair is certified on L.  Returns
+    (lambda, x, matvecs, residual).
+    """
+    dim = scale.size
+    count = 0
 
-def _arnoldi(matvec, dim, shift, x0):
-    op = LinearOperator((dim, dim), matvec=lambda w: matvec(w) + shift * w)
-    ncv = min(dim, 80)
+    def apply(w: np.ndarray) -> np.ndarray:
+        nonlocal count
+        count += 1
+        return matvec(w)
+
+    sym = LinearOperator((dim, dim), matvec=lambda y: apply(scale * y) / scale, dtype=float)
     try:
-        vals, vecs = eigs(op, k=1, which="LM", v0=x0, ncv=ncv,
-                          maxiter=max(5000, 40 * ncv), tol=1e-12)
-        vec = vecs[:, 0]
+        vals, vecs = eigsh(sym, k=1, which="LA", v0=np.ones(dim))
     except ArpackNoConvergence as exc:
-        if len(exc.eigenvalues):
-            vec = exc.eigenvectors[:, 0]
-        else:
-            return None
-    except ArpackError:
-        return None
-    vec = np.real(vec)
-    peak = vec[np.argmax(np.abs(vec))]
-    if peak < 0:
-        vec = -vec
-    top = float(np.max(np.abs(vec)))
-    return vec / top if top > 0 else None
-
-
-def _dominant_pair(matvec, dim, shift, label: str):
-    """Shared driver: power iteration, Arnoldi rescue, power-certified finish."""
-    x = np.ones(dim)
-    # small well-shifted problems converge fast under plain power iteration;
-    # big or heavily shifted ones go straight to Arnoldi after a warm-up
-    direct = dim <= 2400 and shift <= 40.0
-    budget = 8000 if direct else 300
-    lam, x, iters, resid, ok = _power_loop(matvec, shift, x, budget, 0)
-    if not ok:
-        seed = _arnoldi(matvec, dim, shift, x)
-        if seed is not None:
-            x = seed
-        lam, x, iters, resid, ok = _power_loop(
-            matvec, shift, x, min(120000, TOTAL_ITER_CAP - iters), iters
-        )
-    if not ok:
+        found = len(exc.eigenvalues) > 0
+        lam = float(exc.eigenvalues[0]) if found else math.nan
+        x = scale * exc.eigenvectors[:, 0] if found else scale
         raise EigenConvergenceError(
-            f"{label}: eigensolve exhausted its iteration budget "
-            f"(residual {resid:.3e})", lam, x, iters, resid,
+            f"{label}: Lanczos solve did not converge", lam, x, count, math.inf,
+        ) from exc
+    lam = float(vals[0])
+    x = scale * vecs[:, 0]
+    x = x / x[np.argmax(np.abs(x))]
+    resid = float(np.max(np.abs(apply(x) - lam * x)))
+    if not resid < RESIDUAL_TOL:
+        raise EigenConvergenceError(
+            f"{label}: eigen-residual {resid:.3e} above {RESIDUAL_TOL:g}",
+            lam, x, count, resid,
         )
-    top = float(np.max(np.abs(x)))
-    x = x / top
-    if float(x.min()) <= 0.0:
-        floor = float(x.min())
-        if floor < -1e-10:
-            raise EigenConvergenceError(
-                f"{label}: converged vector is not positive (min {floor:.3e})",
-                lam, x, iters, resid,
-            )
-        x = np.maximum(x, 1e-300)
-    return lam, x, iters, resid
+    floor = float(x.min())
+    if floor < -1e-10:
+        raise EigenConvergenceError(
+            f"{label}: converged vector is not positive (min {floor:.3e})",
+            lam, x, count, resid,
+        )
+    return lam, np.maximum(x, 1e-300), count, resid
 
 
 def principal_eigenpair(spec: OperatorSpec) -> Eigenpair:
     """Principal eigenvalue and positive eigenfunction pair, sup-norm 1.
 
-    Convergence contract: successive Rayleigh quotients agree to 1e-12 and
-    the sup-norm eigen-residual is below 1e-10.
+    Convergence contract: the sup-norm eigen-residual on the assembled
+    operator is below 1e-10; ``iterations`` counts operator applications.
     """
     op = assemble(spec)
-    lam, x, iters, resid = _dominant_pair(op.matvec, op.dim, op.shift, "principal_eigenpair")
+    scale = np.ones(op.dim)
+    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
+    lam, x, iters, resid = _principal(op.matvec, scale, "principal_eigenpair")
     return Eigenpair(
         lambda_p=lam, phi1=x[: op.n], phi2=x[op.n:], x=op.x,
         iterations=iters, residual=resid,
@@ -271,14 +239,12 @@ def scalar_principal(d: float, a_diag: float, kernel: Kernel, l: float,
     dx = l / n
     x = cell_nodes(0.0, dx, n)
     conv = KernelConvolver(kernel, dx, n)
-    j = np.asarray(kernel.cdf(x))
-    diag = -d * j + a_diag
-    shift = d * float(j.max()) + abs(a_diag) + 1.0
+    diag = -d * np.asarray(kernel.cdf(x)) + a_diag
 
     def matvec(u):
         return d * conv.apply(u) + diag * u
 
-    lam, _, _, _ = _dominant_pair(matvec, n, shift, "scalar_principal")
+    lam, _, _, _ = _principal(matvec, np.ones(n), "scalar_principal")
     return lam
 
 
@@ -318,6 +284,29 @@ def lambda2(l: float, params: ModelParams, num_cells: int | None = None) -> floa
     dial for dispersal-rate thresholds.
     """
     return principal_eigenpair(lambda2_spec(l, params, num_cells)).lambda_p
+
+
+def bisect_sign(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
+                f_hi: float, tol: float) -> tuple[float, float, tuple[float, float], float, float]:
+    """Sign bisection of a monotone eigenvalue curve with a two-sided stop.
+
+    Halves [lo, hi] until |f(mid)| < tol and the bracket is at most
+    0.5e-4 max(1, mid) wide.  Returns (mid, f(mid), (lo, hi), f(lo), f(hi)),
+    the bracket ends keeping opposite signs.
+    """
+    if (f_lo > 0) == (f_hi > 0):
+        raise RuntimeError("eigenvalue bisection needs a sign change across the bracket")
+    mid, f_mid = lo, f_lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+        if abs(f_mid) < tol and (hi - lo) <= 0.5e-4 * max(1.0, mid):
+            break
+    return mid, f_mid, (lo, hi), f_lo, f_hi
 
 
 @dataclass(frozen=True)
@@ -361,17 +350,9 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     f_lo, f_hi = lam(lo, cells), lam(hi, cells)
     if f_lo >= 0 or f_hi <= 0:
         raise ValueError("bracket lost after pinning the resolution")
-    mid, f_mid = 0.5 * (lo + hi), math.nan
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = lam(mid, cells)
-        if f_mid > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(f_mid) < lam_tol and (hi - lo) <= 0.5e-4 * max(1.0, mid):
-            break
-    return CriticalLength(value=mid, lam_at_value=f_mid + target, bracket=(lo, hi),
+    mid, f_mid, bracket, _, _ = bisect_sign(lambda l: lam(l, cells), lo, hi, f_lo, f_hi,
+                                            lam_tol)
+    return CriticalLength(value=mid, lam_at_value=f_mid + target, bracket=bracket,
                           num_cells=cells, evaluations=evals)
 
 

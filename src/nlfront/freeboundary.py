@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import eigen
+from .eigen import SIGN_BAND
 from .grids import CdfInterpolant, KernelConvolver, cell_nodes
 from .model import (
     ModelParams,
@@ -44,7 +45,6 @@ __all__ = [
     "symmetrization_mismatch",
 ]
 
-SIGN_BAND = 1e-6
 NEGATIVITY_TOL = 1e-12
 STALL_WINDOW = 10.0
 STALL_TOL = 1e-6
@@ -218,18 +218,22 @@ class _Master:
             flux = float(np.dot(w, acc))
         return fu, fv, flux
 
+    def _fit(self, *stages: np.ndarray) -> list[np.ndarray]:
+        """Stage vectors taken before a grid growth, zero-padded to capacity."""
+        return [np.pad(f, (0, self.cap - f.size)) for f in stages]
+
     def heun(self, dt: float) -> None:
         f1u, f1v, g1 = self.rhs(self.u, self.v, self.h)
         h_star = self.h + dt * g1
         if self.ensure(h_star):
-            f1u = np.concatenate([f1u, np.zeros(self.cap - f1u.size)])
-            f1v = np.concatenate([f1v, np.zeros(self.cap - f1v.size)])
+            f1u, f1v = self._fit(f1u, f1v)
         u_star = self.u + dt * f1u
         v_star = self.v + dt * f1v
         f2u, f2v, g2 = self.rhs(u_star, v_star, h_star)
 
         h_new = self.h + 0.5 * dt * (g1 + g2)
-        self.ensure(h_new)
+        if self.ensure(h_new):
+            f1u, f1v, f2u, f2v = self._fit(f1u, f1v, f2u, f2v)
         u_new = self.u + 0.5 * dt * (f1u + f2u)
         v_new = self.v + 0.5 * dt * (f1v + f2v)
         low = min(float(u_new.min()), float(v_new.min()))
@@ -386,12 +390,11 @@ def simulate(
     )
 
 
-def front_mass_bound(trace: SimulationTrace, params: ModelParams) -> float:
-    """A-priori ceiling on the front position for runs with no net growth.
+def _mass_front_bound(params: ModelParams, mass0: float) -> float:
+    """h0 + mass0 / min(d1/mu1, H'(0) d2 / (b mu2)), infinite for a zero minimum.
 
-    h stays below h0 + M(0) / min(d1/mu1, H'(0) d2 / (b mu2)); entries with
-    a zero expansion rate drop out of the minimum (that channel never moves
-    the front).
+    Entries with a zero expansion rate drop out of the minimum (that channel
+    never moves the front).
     """
     cands = []
     if params.mu1 > 0.0:
@@ -403,7 +406,16 @@ def front_mass_bound(trace: SimulationTrace, params: ModelParams) -> float:
     denom = min(cands)
     if denom == 0.0:
         return math.inf
-    return params.h0 + float(trace.mass[0]) / denom
+    return params.h0 + mass0 / denom
+
+
+def front_mass_bound(trace: SimulationTrace, params: ModelParams) -> float:
+    """A-priori ceiling on the front position for runs with no net growth.
+
+    h stays below h0 + M(0) / min(d1/mu1, H'(0) d2 / (b mu2)), with M(0) the
+    trace's initial weighted mass.
+    """
+    return _mass_front_bound(params, float(trace.mass[0]))
 
 
 def _lambda_front(params: ModelParams, l: float) -> float:

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
+from scipy.optimize import brentq
 
 __all__ = [
     "ModelError",
@@ -401,14 +402,8 @@ def _positive_root(a_eff: float, b_eff: float, nl: Nonlinearity) -> float:
         hi *= 2.0
     else:
         raise NoPositiveEquilibrium("no positive equilibrium: G(H(V)/a) stays above bV")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # the slope condition makes f positive just above the trivial root at 0
+    return float(brentq(f, hi * 2.0**-60, hi, xtol=1e-15, rtol=8.9e-16))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +520,7 @@ def equilibrium(params: ModelParams, sigma: float = 0.0) -> tuple[float, float]:
     """Positive constant state of the sigma-perturbed reaction system.
 
     Reduces to the scalar fixed-point equation G(H(V)/(a+sigma)) = (b+sigma)V,
-    brackets the root by doubling and bisects it to machine precision.
+    brackets the root by doubling and solves it to machine precision.
     """
     nl = params.nonlinearity
     a_eff, b_eff = params.a + sigma, params.b + sigma

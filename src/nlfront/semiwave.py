@@ -14,7 +14,7 @@ rather than fought.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -257,21 +257,7 @@ def solve_semiwave(
         outer_iterations=outer,
         sweeps=sweeps,
     )
-    res = profile_residual(prof, params)
-    return SemiWaveProfile(
-        c=prof.c,
-        x=prof.x,
-        p=prof.p,
-        q=prof.q,
-        sigma=prof.sigma,
-        n=prof.n,
-        L=prof.L,
-        far_field=prof.far_field,
-        residual_profile=res,
-        residual_speed=prof.residual_speed,
-        outer_iterations=prof.outer_iterations,
-        sweeps=prof.sweeps,
-    )
+    return replace(prof, residual_profile=profile_residual(prof, params))
 
 
 def profile_residual(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen
+from .eigen import SIGN_BAND
 from .grids import KernelConvolver, cell_nodes, default_cells
 from .model import ModelParams, NoPositiveEquilibrium, equilibrium
 
@@ -35,7 +36,6 @@ __all__ = [
 
 GAP_TOL = 1e-9
 MAX_SANDWICH_ITERS = 100_000
-SIGN_BAND = 1e-6  # |lambda1| below this is treated as critical
 
 
 class SandwichError(RuntimeError):

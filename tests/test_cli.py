@@ -166,6 +166,19 @@ def test_preset_with_overrides(tmp_path):
     assert json.loads((out / "regime.json").read_text())["verdict"] == "vanishing"
 
 
+def test_preset_without_first_dispersal_reports_unbounded_front(tmp_path, capsys):
+    code, out = run_into(tmp_path, {
+        "preset": "P1-vanish",
+        "params": {"d1": 0.0},
+        "numeric": {"T": 5.0},
+    })
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    regime = json.loads((out / "regime.json").read_text())
+    assert regime["verdict"] == "vanishing"
+    assert regime["certificates"][0]["h_limit"] == float("inf")
+
+
 def test_config_rejections(tmp_path, capsys):
     cases = [
         ({"command": "eigen", "numeric": {"l": 2.0}, "bogus": 1}, "unknown keys"),

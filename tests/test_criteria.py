@@ -141,6 +141,13 @@ def test_decision_tree_vanishing(vanish_params):
     assert abs(cert["h_limit"] - 4.5) < 1e-9
 
 
+def test_decision_tree_vanishing_without_first_dispersal(vanish_params):
+    # d1 = 0 with mu1 > 0 zeroes the d1/mu1 channel: no finite front bound
+    rep = criteria.decision_tree(replace(vanish_params, d1=0.0))
+    assert rep["verdict"] == "vanishing"
+    assert rep["certificates"][0]["h_limit"] == math.inf
+
+
 def test_decision_tree_squeeze_regime(p1_d6):
     rep = criteria.decision_tree(p1_d6)
     assert rep["verdict"] == "mu_dependent"

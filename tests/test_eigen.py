@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import params_with
 from nlfront import eigen
@@ -20,11 +21,14 @@ def test_eigenpair_basics(p1):
 
 
 def test_power_iteration_matches_dense(p1):
-    spec = eigen.lambda1_spec(2.0, p1, num_cells=200)
-    op = eigen.assemble(spec)
-    lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
-    pair = eigen.principal_eigenpair(spec)
-    assert abs(pair.lambda_p - lam_dense) < 1e-10
+    # a12 != a21 exercises the symmetrizing scale; d1 = 0 a diagonal block
+    for params in (p1, params_with(nonlinearity=Nonlinearity("saturating", 4.0, 0.8)),
+                   params_with(d1=0.0)):
+        spec = eigen.lambda1_spec(2.0, params, num_cells=200)
+        op = eigen.assemble(spec)
+        lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
+        pair = eigen.principal_eigenpair(spec)
+        assert abs(pair.lambda_p - lam_dense) < 1e-10
 
 
 def test_comparison_vectors_bound_the_eigenvalue(p1):
@@ -100,6 +104,23 @@ def test_degenerate_row_still_solvable():
     pair = eigen.principal_eigenpair(eigen.lambda1_spec(2.0, params_with(d1=0.0)))
     assert pair.residual < 1e-9
     assert np.all(pair.phi1 > 0.0) and np.all(pair.phi2 > 0.0)
+
+
+def test_failed_solve_raises_with_last_iterate(p1, monkeypatch):
+    spec = eigen.lambda1_spec(2.0, p1)
+    dim = 2 * spec.num_cells
+
+    def stalled(op, **kw):
+        raise ArpackNoConvergence("stalled", np.array([0.5]), np.ones((dim, 1)))
+
+    monkeypatch.setattr(eigen, "eigsh", stalled)
+    with pytest.raises(eigen.EigenConvergenceError, match="did not converge") as err:
+        eigen.principal_eigenpair(spec)
+    assert err.value.lambda_p == 0.5 and err.value.vector.shape == (dim,)
+    # a pair that misses the residual contract on the assembled operator
+    monkeypatch.setattr(eigen, "eigsh", lambda op, **kw: (np.array([0.5]), np.ones((dim, 1))))
+    with pytest.raises(eigen.EigenConvergenceError, match="eigen-residual"):
+        eigen.principal_eigenpair(spec)
 
 
 def test_grid_floor_and_spec_validation(p1, laplace):

@@ -34,6 +34,22 @@ def test_pinned_front_matches_fixed_habitat(p1):
     assert np.max(np.abs(trace.final.v - fixed.v)) < 1e-9
 
 
+def test_grid_growth_between_heun_stages(p1):
+    # the predictor front stays below the capacity edge (25.2 = 504 cells
+    # + 8 spare of 512) and the corrector front crosses it
+    eng = fb._Master(p1, 0.05, 512)
+    eng.h = 25.1995
+    eng.u[:504] = 0.01
+    eng.v[:504] = 0.01
+    dt = steady.stability_timestep(p1)
+    _, _, g1 = eng.rhs(eng.u, eng.v, eng.h)
+    assert eng.cap == 512 and eng.h + dt * g1 < 25.2
+    eng.heun(dt)
+    assert eng.h > 25.2 and eng.cap == 1024
+    assert eng.u.size == eng.v.size == 1024
+    assert np.all(eng.u[505:] == 0.0) and np.all(eng.u[:504] > 0.0)
+
+
 def test_snapshots_and_determinism(p1):
     kw = dict(horizon=8.0, snapshot_times=(2.0, 5.0))
     a = fb.simulate(p1, **kw)
