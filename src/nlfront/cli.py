@@ -265,8 +265,22 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite(obj):
+    """Copy of obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # strict JSON: NaN and Infinity are not JSON values, so they are written
+    # as null (an unbounded front limit, an unmeasured mass, an escaped speed)
+    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 class _Sink:

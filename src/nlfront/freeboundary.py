@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eigen
 from .eigen import SIGN_BAND
-from .grids import CdfInterpolant, KernelConvolver, cell_nodes
+from .grids import CdfInterpolant, ConvolverStack, cell_nodes
 from .model import (
     ModelParams,
     NoPositiveEquilibrium,
@@ -134,7 +134,7 @@ class _Master:
         self.cap = 1 << max(9, int(capacity - 1).bit_length())
         self.t = 0.0
         self.h = params.h0
-        self._convs: dict[tuple[int, int], KernelConvolver] = {}
+        self._stacks: dict[int, ConvolverStack] = {}
         self._alloc()
         k = _active_count(self.h, self.dx)
         self.u = np.zeros(self.cap)
@@ -170,42 +170,36 @@ class _Master:
             grew = True
         return grew
 
-    def _conv(self, which: int, size: int) -> KernelConvolver:
-        key = (which, size)
-        conv = self._convs.get(key)
-        if conv is None:
-            kern = self.params.kernel1 if which == 1 else self.params.kernel2
-            conv = KernelConvolver(kern, self.dx, size)
-            self._convs[key] = conv
-        return conv
+    def _stack(self, size: int) -> ConvolverStack:
+        stack = self._stacks.get(size)
+        if stack is None:
+            stack = ConvolverStack(
+                (self.params.kernel1, self.params.kernel2), self.dx, size
+            )
+            self._stacks[size] = stack
+        return stack
 
     def weights(self, h: float, k: int) -> np.ndarray:
         return np.clip(h - self.edges[:k], 0.0, self.dx)
 
     def rhs(self, u: np.ndarray, v: np.ndarray, h: float):
-        """Full-length field derivatives (zero beyond the front) plus h'."""
+        """Field derivatives on the k cells covered at front h, plus h'."""
         p = self.params
         k = _active_count(h, self.dx)
         w = self.weights(h, k)
         size = 1 << max(8, int(k - 1).bit_length())
         size = min(size, self.cap)
-
-        fu = np.zeros(self.cap)
-        fv = np.zeros(self.cap)
         ua, va = u[:k], v[:k]
 
-        if p.d1 > 0.0:
-            scaled = np.zeros(size)
-            scaled[:k] = ua * (w / self.dx)
-            ku = self._conv(1, size).apply(scaled)[:k]
-            fu[:k] = p.d1 * (ku - self.j1[:k] * ua)
-        if p.d2 > 0.0:
-            scaled = np.zeros(size)
-            scaled[:k] = va * (w / self.dx)
-            kv = self._conv(2, size).apply(scaled)[:k]
-            fv[:k] = p.d2 * (kv - self.j2[:k] * va)
-        fu[:k] += -p.a * ua + self.nl.H(va)
-        fv[:k] += -p.b * va + self.nl.G(ua)
+        scaled = np.empty((2, k))
+        frac = w / self.dx
+        np.multiply(ua, frac, out=scaled[0])
+        np.multiply(va, frac, out=scaled[1])
+        ku, kv = self._stack(size).apply(scaled)
+        fu = p.d1 * (ku - self.j1[:k] * ua) if p.d1 > 0.0 else np.zeros(k)
+        fv = p.d2 * (kv - self.j2[:k] * va) if p.d2 > 0.0 else np.zeros(k)
+        fu += -p.a * ua + self.nl.H(va)
+        fv += -p.b * va + self.nl.G(ua)
 
         flux = 0.0
         if p.mu1 > 0.0 or p.mu2 > 0.0:
@@ -218,33 +212,36 @@ class _Master:
             flux = float(np.dot(w, acc))
         return fu, fv, flux
 
-    def _fit(self, *stages: np.ndarray) -> list[np.ndarray]:
-        """Stage vectors taken before a grid growth, zero-padded to capacity."""
-        return [np.pad(f, (0, self.cap - f.size)) for f in stages]
-
     def heun(self, dt: float) -> None:
+        # the front never recedes (h' >= 0), so the predictor covers at
+        # least the cells the first stage does and every update is confined
+        # to the predictor's k2 cells; beyond them the fields are unchanged
         f1u, f1v, g1 = self.rhs(self.u, self.v, self.h)
+        k1 = f1u.size
         h_star = self.h + dt * g1
-        if self.ensure(h_star):
-            f1u, f1v = self._fit(f1u, f1v)
-        u_star = self.u + dt * f1u
-        v_star = self.v + dt * f1v
+        self.ensure(h_star)
+        k2 = _active_count(h_star, self.dx)
+        u_star = self.u[:k2].copy()
+        v_star = self.v[:k2].copy()
+        u_star[:k1] += dt * f1u
+        v_star[:k1] += dt * f1v
         f2u, f2v, g2 = self.rhs(u_star, v_star, h_star)
 
         h_new = self.h + 0.5 * dt * (g1 + g2)
-        if self.ensure(h_new):
-            f1u, f1v, f2u, f2v = self._fit(f1u, f1v, f2u, f2v)
-        u_new = self.u + 0.5 * dt * (f1u + f2u)
-        v_new = self.v + 0.5 * dt * (f1v + f2v)
+        self.ensure(h_new)
+        f2u[:k1] = f1u + f2u[:k1]
+        f2v[:k1] = f1v + f2v[:k1]
+        u_new = self.u[:k2] + 0.5 * dt * f2u
+        v_new = self.v[:k2] + 0.5 * dt * f2v
         low = min(float(u_new.min()), float(v_new.min()))
         if low < -NEGATIVITY_TOL:
             raise SchemeError(
                 f"negative field value {low:.3e} at t={self.t:.6g}; "
                 "reduce the time step"
             )
-        np.maximum(u_new, 0.0, out=u_new)
-        np.maximum(v_new, 0.0, out=v_new)
-        self.u, self.v, self.h = u_new, v_new, h_new
+        np.maximum(u_new, 0.0, out=self.u[:k2])
+        np.maximum(v_new, 0.0, out=self.v[:k2])
+        self.h = h_new
         self.t += dt
 
     def mass(self) -> float:

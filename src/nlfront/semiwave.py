@@ -6,10 +6,11 @@ traveling with the front, whose loss term is the full kernel mass (the
 half-line restriction disappears in the moving frame) and whose speed is
 reproduced by the flux of mass crossing the front.  The solver discretizes
 (-L, 0] with the far field frozen at the positive equilibrium, relaxes the
-profiles at fixed c, and closes the loop with a damped update of c from
-the flux quadrature.  When a kernel's first moment diverges no finite
-speed exists; the c-iteration escapes upward and the condition is reported
-rather than fought.
+profiles at fixed c, and closes the loop with a secant on the speed gap
+g(c) = F(c) - c, F(c) being the flux quadrature of the profiles relaxed at
+c; where the secant is unusable the damped step c + g(c)/2 is taken.  When
+a kernel's first moment diverges no finite speed exists; the c-iteration
+escapes upward and the condition is reported rather than fought.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import signal
 
-from .grids import KernelConvolver
+from .grids import ConvolverStack
 from .model import (
     Kernel,
     ModelParams,
@@ -150,31 +151,28 @@ def solve_semiwave(
     m = int(round(L / dx))
     L = m * dx
     x = -L + np.arange(m + 1) * dx
-    conv1 = KernelConvolver(k1, dx, m + 1)
-    conv2 = KernelConvolver(k2, dx, m + 1)
+    stack = ConvolverStack((k1, k2), dx, m + 1)
     s_nodes = (np.arange(m + 1) + 0.5) * dx
-    far1 = u_far * np.asarray(k1.mass - k1.cdf(s_nodes))  # mass beyond -L seen at node i
-    far2 = v_far * np.asarray(k2.mass - k2.cdf(s_nodes))
+    # mass beyond -L seen at node i, per species
+    far = np.stack([
+        u_far * np.asarray(k1.mass - k1.cdf(s_nodes)),
+        v_far * np.asarray(k2.mass - k2.cdf(s_nodes)),
+    ])
     # front-crossing tails for the speed quadrature (static, exact CDF)
     cross1 = np.asarray(k1.mass - k1.cdf(-x))
     cross2 = np.asarray(k2.mass - k2.cdf(-x))
     w = np.full(m + 1, dx)
     w[-1] = dx / 2.0
 
-    p = np.full(m + 1, u_far)
-    q = np.full(m + 1, v_far)
-    p[-1] = 0.0
-    q[-1] = 0.0
-
-    def sweep_once(field: np.ndarray, conv_far: np.ndarray, d: float,
-                   decay: float, forcing: np.ndarray, c: float) -> np.ndarray:
+    def sweep_once(conv_far: np.ndarray, d: float, decay: float,
+                   forcing: np.ndarray, c: float) -> np.ndarray:
         # with the convolution lagged, the transport + local part is a
         # two-term backward recurrence from the clamped front value; solving
         # it exactly keeps the sweep count independent of the grid length
         den = d + decay + c / dx
         alpha = (c / dx) / den
         rhs = (d * conv_far[:-1] + forcing) / den
-        out = np.empty_like(field)
+        out = np.empty(m + 1)
         out[-1] = 0.0
         rev = signal.lfilter([1.0], [1.0, -alpha], rhs[::-1])
         out[:-1] = rev[::-1]
@@ -183,34 +181,37 @@ def solve_semiwave(
         np.maximum(out, 0.0, out=out)
         return out
 
-    def relax(c: float) -> int:
+    def relax(c: float) -> tuple[np.ndarray, int]:
         # monotone descent from the constant supersolution: the far-field
         # state maps below itself for every c, and forcing each sweep to
         # be a descent step keeps amplified roundoff from ever feeding back
         # (long grids at supercritical c amplify noise exponentially)
-        nonlocal p, q
-        p = np.full(m + 1, u_far)
-        q = np.full(m + 1, v_far)
-        p[-1] = 0.0
-        q[-1] = 0.0
+        pq = np.empty((2, m + 1))
+        pq[0] = u_far
+        pq[1] = v_far
+        pq[:, -1] = 0.0
         for sweep in range(1, MAX_SWEEPS + 1):
-            cp = conv1.apply(p) + far1
-            cq = conv2.apply(q) + far2
-            p_new = sweep_once(p, cp, params.d1, params.a + sigma, nl.H(q[:-1]), c)
-            q_new = sweep_once(q, cq, params.d2, params.b + sigma, nl.G(p[:-1]), c)
-            np.minimum(p_new, p, out=p_new)
-            np.minimum(q_new, q, out=q_new)
-            delta = max(
-                float(np.max(p - p_new)), float(np.max(q - q_new))
+            p, q = pq
+            cp, cq = stack.apply(pq) + far
+            new = np.empty_like(pq)
+            np.minimum(
+                sweep_once(cp, params.d1, params.a + sigma, nl.H(q[:-1]), c),
+                p, out=new[0],
             )
-            p, q = p_new, q_new
+            np.minimum(
+                sweep_once(cq, params.d2, params.b + sigma, nl.G(p[:-1]), c),
+                q, out=new[1],
+            )
+            delta = float(np.max(pq - new))
+            pq = new
             if delta < RELAX_TOL:
-                return sweep
+                return pq, sweep
         raise RuntimeError(
             f"profile relaxation failed to reach {RELAX_TOL:g} in {MAX_SWEEPS} sweeps"
         )
 
-    def flux() -> float:
+    def flux(pq: np.ndarray) -> float:
+        p, q = pq
         acc = far_flux
         if params.mu1 > 0.0:
             acc += params.mu1 * float(np.dot(w, p * cross1))
@@ -223,14 +224,36 @@ def solve_semiwave(
         raise ValueError("initial speed guess must be >= 0")
     sweeps = 0
     gap = math.inf
+    # secant on g(c) = F(c) - c; the damped fixed-point step c + g/2 is taken
+    # on the first update, when the secant is degenerate, non-finite or
+    # negative, and when it would leave the bracket where g changed sign
+    prev: tuple[float, float] | None = None
+    pos = neg = None  # latest c with g > 0, latest c with g < 0
     for outer in range(1, MAX_OUTER + 1):
-        sweeps += relax(c)
-        c_new = flux()
-        gap = abs(c_new - c)
+        pq, used = relax(c)
+        sweeps += used
+        c_new = flux(pq)
+        g = c_new - c
+        gap = abs(g)
         if gap < C_TOL:
             c = c_new
             break
-        c = c + 0.5 * (c_new - c)
+        if g > 0.0:
+            pos = c
+        else:
+            neg = c
+        step = 0.5 * g
+        if prev is not None and g != prev[1]:
+            secant = -g * (c - prev[0]) / (g - prev[1])
+            target = c + secant
+            inside = (
+                pos is None or neg is None
+                or min(pos, neg) < target < max(pos, neg)
+            )
+            if math.isfinite(target) and target >= 0.0 and inside:
+                step = secant
+        prev = (c, g)
+        c = c + step
         if c > C_CAP:
             raise SpeedEscape(
                 f"speed escape: c exceeded {C_CAP:g} after {outer} updates",
@@ -246,8 +269,8 @@ def solve_semiwave(
     prof = SemiWaveProfile(
         c=float(c),
         x=x,
-        p=p.copy(),
-        q=q.copy(),
+        p=pq[0],
+        q=pq[1],
         sigma=float(sigma),
         n=n,
         L=float(L),
@@ -280,11 +303,10 @@ def profile_residual(
     dx = float(x[1] - x[0])
     u_far, v_far = profile.far_field
     if quadrature == "cells":
-        conv1 = KernelConvolver(k1, dx, m + 1)
-        conv2 = KernelConvolver(k2, dx, m + 1)
         s_nodes = (np.arange(m + 1) + 0.5) * dx
-        cp = conv1.apply(p) + u_far * np.asarray(k1.mass - k1.cdf(s_nodes))
-        cq = conv2.apply(q) + v_far * np.asarray(k2.mass - k2.cdf(s_nodes))
+        cp, cq = ConvolverStack((k1, k2), dx, m + 1).apply(np.stack([p, q]))
+        cp += u_far * np.asarray(k1.mass - k1.cdf(s_nodes))
+        cq += v_far * np.asarray(k2.mass - k2.cdf(s_nodes))
     elif quadrature == "trapezoid":
         diffs = np.subtract.outer(x, x)
         wt = np.full(m + 1, dx)

@@ -176,7 +176,31 @@ def test_preset_without_first_dispersal_reports_unbounded_front(tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
     regime = json.loads((out / "regime.json").read_text())
     assert regime["verdict"] == "vanishing"
-    assert regime["certificates"][0]["h_limit"] == float("inf")
+    # the unbounded limit (math.inf in memory) is written as JSON null
+    assert regime["certificates"][0]["h_limit"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def test_non_finite_results_are_written_as_strict_json(tmp_path):
+    # an unbounded front limit (d1 = 0, mu1 > 0), the unmeasured mass of a
+    # run decided at t = 0, and an escaped truncated speed are all non-finite
+    cases = [
+        ({"preset": "P1-vanish", "params": {"d1": 0.0}, "numeric": {"T": 5.0}},
+         "regime.json", lambda doc: doc["certificates"][0]["h_limit"]),
+        ({"command": "classify", "numeric": {}},
+         "outcome.json", lambda doc: doc["mass"]),
+        ({"command": "semiwave", "params": {"mu1": 1e4, "mu2": 1e4},
+          "numeric": {"sigmas": [0.01], "ns": [20]}},
+         "semiwave.json", lambda doc: doc["rows"][0]["c"]),
+    ]
+    for i, (doc, name, field) in enumerate(cases):
+        code, out = run_into(tmp_path, doc, sub=f"case{i}")
+        assert code == cli.EXIT_OK
+        parsed = json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        assert field(parsed) is None
 
 
 def test_config_rejections(tmp_path, capsys):

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import params_with
-from nlfront import eigen, freeboundary as fb, steady
-from nlfront.model import initial_profile
+from nlfront import eigen, freeboundary as fb, grids, steady
+from nlfront.model import Kernel, initial_profile
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,67 @@ def test_grid_growth_between_heun_stages(p1):
     assert eng.h > 25.2 and eng.cap == 1024
     assert eng.u.size == eng.v.size == 1024
     assert np.all(eng.u[505:] == 0.0) and np.all(eng.u[:504] > 0.0)
+
+
+def _dense_heun(state, params, dt):
+    """One Heun step of the moving-front scheme from dense kernel matrices.
+
+    Cells are weighted by their coverage min(max(h - j dx, 0), dx), fields and
+    derivatives vanish beyond the front, and the front moves by the escaping
+    flux, evaluated with the same CDF table spacing as the stepper.
+    """
+    dx, nl = state.dx, params.nonlinearity
+    n = state.u.size + 8
+    x = (np.arange(n) + 0.5) * dx
+    edges = np.arange(n) * dx
+    mats, loss, tails = [], [], []
+    for kern in (params.kernel1, params.kernel2):
+        mats.append(grids.KernelConvolver(kern, dx, n).dense())
+        loss.append(np.asarray(kern.cdf(x)))
+        tails.append(grids.CdfInterpolant(kern, n * dx + 1.0, dx / 8, x_min=-1.0))
+
+    def deriv(u, v, h):
+        w = np.clip(h - edges, 0.0, dx)
+        fu = params.d1 * (mats[0] @ (u * w / dx) - loss[0] * u) - params.a * u + nl.H(v)
+        fv = params.d2 * (mats[1] @ (v * w / dx) - loss[1] * v) - params.b * v + nl.G(u)
+        m1, m2 = params.kernel1.mass, params.kernel2.mass
+        flux = np.sum(w * (params.mu1 * u * (m1 - tails[0](h - x))
+                           + params.mu2 * v * (m2 - tails[1](h - x))))
+        return fu * (w > 0), fv * (w > 0), flux
+
+    u = np.zeros(n)
+    v = np.zeros(n)
+    u[: state.u.size] = state.u
+    v[: state.v.size] = state.v
+    f1u, f1v, g1 = deriv(u, v, state.h)
+    h_star = state.h + dt * g1
+    f2u, f2v, g2 = deriv(u + dt * f1u, v + dt * f1v, h_star)
+    u_new = np.maximum(u + 0.5 * dt * (f1u + f2u), 0.0)
+    v_new = np.maximum(v + 0.5 * dt * (f1v + f2v), 0.0)
+    return state.h + 0.5 * dt * (g1 + g2), u_new, v_new
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    {"d1": 0.0},
+    {"kernel1": Kernel("gaussian", 0.8), "kernel2": Kernel("cauchy", 1.5, exponent=2.5)},
+], ids=["P1", "no-first-dispersal", "gaussian-cauchy"])
+def test_step_matches_dense_reference(over):
+    # h0 sits just below a cell edge, so the front opens a new cell between
+    # the two stages and the last covered cell is partial throughout
+    p = params_with(h0=2.999, **over)
+    dt = steady.stability_timestep(p)
+    state = fb.initial_state(p, dx=0.05)
+    for _ in range(3):
+        h_ref, u_ref, v_ref = _dense_heun(state, p, dt)
+        nxt = fb.step(state, p, dt)
+        k = nxt.u.size
+        assert abs(nxt.h - h_ref) < 1e-12
+        assert np.max(np.abs(nxt.u - u_ref[:k])) < 1e-12
+        assert np.max(np.abs(nxt.v - v_ref[:k])) < 1e-12
+        assert np.all(u_ref[k:] == 0.0) and np.all(v_ref[k:] == 0.0)
+        state = nxt
+    assert state.u.size > 60
 
 
 def test_snapshots_and_determinism(p1):

@@ -237,6 +237,25 @@ def test_convolver_matches_direct_sum(laplace):
     assert np.max(np.abs(conv.row_sums() - span)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [200, 1201, 2048])
+def test_convolver_stack_rows_equal_single_applies(laplace, n):
+    # the stepper's output must not depend on whether species share an FFT
+    kernels = (laplace, Kernel("cauchy", 1.0, exponent=1.3))
+    stack = grids.ConvolverStack(kernels, 0.05, n)
+    singles = [grids.KernelConvolver(k, 0.05, n) for k in kernels]
+    rng = np.random.default_rng(n)
+    for k in (n, n // 2 + 1):
+        u = rng.uniform(0.0, 1.0, (2, k))
+        padded = np.zeros((2, n))
+        padded[:, :k] = u
+        out = stack.apply(u)
+        assert out.shape == (2, k)
+        for row, conv in enumerate(singles):
+            assert np.array_equal(out[row], conv.apply(padded[row])[:k])
+    with pytest.raises(ValueError, match="stack shape"):
+        stack.apply(np.zeros((2, n + 1)))
+
+
 def test_cdf_interpolant_accuracy(laplace):
     interp = grids.CdfInterpolant(laplace, 30.0, 1e-3)
     xs = np.linspace(0.0, 29.5, 500)

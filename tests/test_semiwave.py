@@ -92,3 +92,17 @@ def test_mixed_tails_still_accelerate(laplace):
     # one heavy channel is enough to break the finite-moment requirement
     pred = semiwave.predicted_speed(params_with(kernel2=HEAVY))
     assert pred.accelerated
+
+
+def test_speed_closure_outer_iterations_on_cutoff_table():
+    # the accelerate preset's cutoff column, warm-started like speed_limits;
+    # damped fixed-point steps c + (F(c) - c)/2 alone take 48 speed updates
+    p = params_with(kernel1=HEAVY, kernel2=HEAVY)
+    warm = None
+    outer = 0
+    for n in (20, 40, 80, 160):
+        w = semiwave.solve_semiwave(p, sigma=0.01, n=n, c0=warm)
+        assert w.residual_speed < semiwave.C_TOL
+        outer += w.outer_iterations
+        warm = w.c
+    assert outer <= 24
