@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grids import KernelConvolver, cell_nodes, default_cells
+from .grids import ConvolverStack, KernelConvolver, cell_nodes, default_cells
 from .model import Kernel, ModelParams, derived_constants
 
 __all__ = [
@@ -111,7 +111,12 @@ class Eigenpair:
 
 
 class DiscreteOperator:
-    """Assembled grid operator with fast matvec on stacked (phi1, phi2)."""
+    """Assembled grid operator with fast matvec on stacked (phi1, phi2).
+
+    Row r of the (2, n) arrays belongs to species r: ``diag`` holds
+    -d_r j_r + a_rr, ``coupling`` the off-diagonal entry that multiplies the
+    other species, ``rates`` the dispersal rate d_r.
+    """
 
     def __init__(self, spec: OperatorSpec):
         n = spec.num_cells
@@ -119,41 +124,27 @@ class DiscreteOperator:
         self.dx = spec.l / n
         self.n = n
         self.x = cell_nodes(0.0, self.dx, n)
-        self.conv1 = KernelConvolver(spec.kernel1, self.dx, n) if spec.d1 > 0 else None
-        self.conv2 = KernelConvolver(spec.kernel2, self.dx, n) if spec.d2 > 0 else None
-        self.j1 = np.asarray(spec.kernel1.cdf(self.x))
-        self.j2 = np.asarray(spec.kernel2.cdf(self.x))
-        self.diag1 = -spec.d1 * self.j1 + spec.a11
-        self.diag2 = -spec.d2 * self.j2 + spec.a22
+        kernels = (spec.kernel1, spec.kernel2)
+        self.stack = ConvolverStack(kernels, self.dx, n)
+        j = np.stack([np.asarray(k.cdf(self.x)) for k in kernels])
+        self.rates = np.array([[spec.d1], [spec.d2]])
+        self.diag = -self.rates * j + np.array([[spec.a11], [spec.a22]])
+        self.coupling = np.array([[spec.a12], [spec.a21]])
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
-        s = self.spec
-        u, v = w[: self.n], w[self.n:]
-        r1 = self.diag1 * u + s.a12 * v
-        if self.conv1 is not None:
-            r1 = r1 + s.d1 * self.conv1.apply(u)
-        r2 = self.diag2 * v + s.a21 * u
-        if self.conv2 is not None:
-            r2 = r2 + s.d2 * self.conv2.apply(v)
-        return np.concatenate([r1, r2])
+        uv = w.reshape(2, self.n)
+        out = self.diag * uv + self.coupling * uv[::-1] + self.rates * self.stack.apply(uv)
+        return out.ravel()
 
     def dense(self) -> np.ndarray:
-        s = self.spec
-        n = self.n
-        m = np.zeros((2 * n, 2 * n))
-        if self.conv1 is not None:
-            m[:n, :n] = s.d1 * self.conv1.dense()
-        if self.conv2 is not None:
-            m[n:, n:] = s.d2 * self.conv2.dense()
-        m[:n, :n] += np.diag(self.diag1)
-        m[n:, n:] += np.diag(self.diag2)
-        m[:n, n:] = s.a12 * np.eye(n)
-        m[n:, :n] = s.a21 * np.eye(n)
-        return m
+        s, n = self.spec, self.n
+        own = [d * KernelConvolver(k, self.dx, n).dense() + np.diag(diag)
+               for d, k, diag in zip((s.d1, s.d2), (s.kernel1, s.kernel2), self.diag)]
+        return np.block([[own[0], s.a12 * np.eye(n)], [s.a21 * np.eye(n), own[1]]])
 
 
 def assemble(spec: OperatorSpec) -> DiscreteOperator:

@@ -8,6 +8,10 @@ the arrays are extended in place (doubling), so fields are never
 re-interpolated.  The front advances by the double-integral flux
 mu1 *: (u mass escaping past h) + mu2 * (v mass escaping past h), with the
 inner integral expressed through the kernel CDF complement.
+
+This engine is the package's only time integrator: the fixed-habitat
+dynamics of `steady.evolve_fixed` are the same system with the front pinned
+(mu1 = mu2 = 0, h = l).
 """
 from __future__ import annotations
 
@@ -27,10 +31,11 @@ from .model import (
     equilibrium,
     initial_profile,
 )
-from .steady import BlowUpError, DecayEstimate, _linear_fit, stability_timestep
 
 __all__ = [
     "SchemeError",
+    "BlowUpError",
+    "DecayEstimate",
     "FreeBoundaryState",
     "Snapshot",
     "SimulationTrace",
@@ -43,6 +48,7 @@ __all__ = [
     "front_mass_bound",
     "MismatchRow",
     "symmetrization_mismatch",
+    "stability_timestep",
 ]
 
 NEGATIVITY_TOL = 1e-12
@@ -55,6 +61,26 @@ DEFAULT_T_MAX = 500.0
 
 class SchemeError(RuntimeError):
     """The explicit update produced an inadmissible value (time step too large)."""
+
+
+class BlowUpError(RuntimeError):
+    """Fields escaped the a-priori bound: a discretization bug, not dynamics."""
+
+
+def stability_timestep(params: ModelParams) -> float:
+    """Positivity-preserving explicit step for the reaction-dispersal system."""
+    nl = params.nonlinearity
+    return 0.4 / (params.d1 + params.d2 + params.a + params.b + nl.hp0 + nl.gp0)
+
+
+def _timestep(params: ModelParams, dt: float | None) -> float:
+    """`dt`, or the stability bound when None; ValueError outside (0, bound]."""
+    limit = stability_timestep(params)
+    if dt is None:
+        return limit
+    if not 0.0 < dt <= limit * (1 + 1e-12):
+        raise ValueError(f"dt must lie in (0, {limit:.3g}]")
+    return dt
 
 
 @dataclass(frozen=True)
@@ -291,24 +317,32 @@ def step(state: FreeBoundaryState, params: ModelParams, dt: float) -> FreeBounda
     covered by the moving front start at zero, matching the boundary
     condition u(t, h(t)) = 0.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    limit = stability_timestep(params)
-    if dt > limit * (1 + 1e-12):
-        raise ValueError(f"dt={dt:.3g} exceeds the stability bound {limit:.3g}")
+    dt = _timestep(params, dt)
     eng = _master_from_state(state, params)
     eng.heun(dt)
     return eng.state()
 
 
-def _ceiling(params: ModelParams, su: float, sv: float) -> float:
-    terms = [su, sv, 1e-12]
+def _march(eng: _Master, dt: float, n_steps: int, stride: int):
+    """Heun-step `eng` n_steps times; after every stride-th step and the last
+    yield (step index, sup u, sup v).
+
+    Raises BlowUpError when a sup-norm passes ten times the larger of the
+    initial sup-norms and the positive equilibrium.
+    """
+    terms = [*eng.sups(), 1e-12]
     try:
-        cu, cv = equilibrium(params)
-        terms += [cu, cv]
+        terms += equilibrium(eng.params)
     except NoPositiveEquilibrium:
         pass
-    return 10.0 * max(terms)
+    ceiling = 10.0 * max(terms)
+    for i in range(1, n_steps + 1):
+        eng.heun(dt)
+        if i % stride == 0 or i == n_steps:
+            su, sv = eng.sups()
+            if max(su, sv) > ceiling:
+                raise BlowUpError(f"field norm exceeded its a-priori bound at t={eng.t:.6g}")
+            yield i, su, sv
 
 
 def simulate(
@@ -329,11 +363,7 @@ def simulate(
         raise ValueError("horizon must be positive")
     if dx <= 0.0:
         raise ValueError("dx must be positive")
-    step_limit = stability_timestep(params)
-    if dt is None:
-        dt = step_limit
-    elif dt <= 0.0 or dt > step_limit * (1 + 1e-12):
-        raise ValueError(f"dt must lie in (0, {step_limit:.3g}]")
+    dt = _timestep(params, dt)
 
     eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
     stride = max(1, round(sample_interval / dt))
@@ -348,7 +378,6 @@ def simulate(
     sus = [su0]
     svs = [sv0]
     masses = [eng.mass()]
-    ceiling = _ceiling(params, su0, sv0)
 
     def maybe_snapshot() -> None:
         while want and eng.t >= want[0] - 1e-9:
@@ -357,20 +386,13 @@ def simulate(
             shots.append(Snapshot(t=eng.t, x=eng.x[: st.u.size].copy(), u=st.u, v=st.v))
 
     maybe_snapshot()
-    for i in range(1, n_steps + 1):
-        eng.heun(dt)
-        if i % stride == 0 or i == n_steps:
-            su, sv = eng.sups()
-            if max(su, sv) > ceiling:
-                raise BlowUpError(
-                    f"field norm exceeded its a-priori bound at t={eng.t:.6g}"
-                )
-            ts.append(eng.t)
-            hs.append(eng.h)
-            sus.append(su)
-            svs.append(sv)
-            masses.append(eng.mass())
-            maybe_snapshot()
+    for _, su, sv in _march(eng, dt, n_steps, stride):
+        ts.append(eng.t)
+        hs.append(eng.h)
+        sus.append(su)
+        svs.append(sv)
+        masses.append(eng.mass())
+        maybe_snapshot()
 
     return SimulationTrace(
         t=np.asarray(ts),
@@ -434,6 +456,7 @@ def classify(
     is certified by a stalled front, near-zero mass and a negative
     eigenvalue at the final length.  Anything else is undecided.
     """
+    dt = _timestep(params, dt)
     lam0 = _lambda_front(params, params.h0)
     if lam0 >= SIGN_BAND:
         return Outcome(
@@ -456,33 +479,17 @@ def classify(
         except (ValueError, eigen.EigenConvergenceError):
             watch = None
 
-    step_limit = stability_timestep(params)
-    if dt is None:
-        dt = step_limit
-    elif dt <= 0.0 or dt > step_limit * (1 + 1e-12):
-        raise ValueError(f"dt must lie in (0, {step_limit:.3g}]")
     eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
     stride = max(1, round(sample_interval / dt))
     per_window = max(1, int(round(STALL_WINDOW / (stride * dt))))
 
-    hist_t: list[float] = [0.0]
     hist_h: list[float] = [eng.h]
-    su0, sv0 = eng.sups()
-    ceiling = _ceiling(params, su0, sv0)
     offset = 1.0
     n_steps = int(math.ceil(t_max / dt - 1e-12))
 
-    for i in range(1, n_steps + 1):
-        eng.heun(dt)
-        if i % stride and i != n_steps:
-            continue
-        su, sv = eng.sups()
-        if max(su, sv) > ceiling:
-            raise BlowUpError(f"field norm exceeded its a-priori bound at t={eng.t:.6g}")
-        hist_t.append(eng.t)
+    for _ in _march(eng, dt, n_steps, stride):
         hist_h.append(eng.h)
         if len(hist_h) > per_window + 1:
-            hist_t.pop(0)
             hist_h.pop(0)
 
         if watch is not None and eng.h >= watch * offset:
@@ -531,6 +538,42 @@ def classify(
     )
 
 
+@dataclass(frozen=True)
+class DecayEstimate:
+    """Late-time behaviour of a vanishing or fixed-domain run.
+
+    mode ``exponential``: fitted rate k of exp(-k t); ``algebraic``: fitted
+    power k of (1+t)^-k; ``none``: the run converges to the positive steady
+    state instead of decaying.
+    """
+
+    mode: str
+    k: float
+    window: tuple[float, float]
+    r_squared: float
+    lambda1: float
+
+
+def _decay_fit(t: np.ndarray, y: np.ndarray, lam: float) -> DecayEstimate:
+    """Least-squares decay fit of log sup-norms y over times t.
+
+    Exponential (y linear in t) when lam < -SIGN_BAND, algebraic (y linear
+    in log(1 + t)) otherwise.
+    """
+    exponential = lam < -SIGN_BAND
+    s = t if exponential else np.log1p(t)
+    slope, intercept = np.polyfit(s, y, 1)
+    ss_res = float(np.sum((y - (slope * s + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return DecayEstimate(
+        mode="exponential" if exponential else "algebraic",
+        k=-float(slope),
+        window=(float(t[0]), float(t[-1])),
+        r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+        lambda1=lam,
+    )
+
+
 def vanishing_rate(trace: SimulationTrace, lam_front: float) -> DecayEstimate:
     """Fit the temporal decay of a vanishing run's sup-norms.
 
@@ -545,21 +588,7 @@ def vanishing_rate(trace: SimulationTrace, lam_front: float) -> DecayEstimate:
             "not a vanishing trace: mass and sup-norms did not decay"
         )
     half = trace.t.size // 2
-    t_w = trace.t[half:]
-    y_w = np.log(np.maximum(total[half:], 1e-300))
-    if lam_front < -SIGN_BAND:
-        slope, r2 = _linear_fit(t_w, y_w)
-        mode = "exponential"
-    else:
-        slope, r2 = _linear_fit(np.log1p(t_w), y_w)
-        mode = "algebraic"
-    return DecayEstimate(
-        mode=mode,
-        k=-slope,
-        window=(float(t_w[0]), float(t_w[-1])),
-        r_squared=r2,
-        lambda1=lam_front,
-    )
+    return _decay_fit(trace.t[half:], np.log(np.maximum(total[half:], 1e-300)), lam_front)
 
 
 @dataclass(frozen=True)

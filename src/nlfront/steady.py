@@ -3,20 +3,22 @@
 On a fixed habitat [0, l] the system has at most one positive steady state,
 reached by squeezing a monotone fixed-point iteration from above (constant
 equilibrium) and below (a small multiple of the principal eigenfunction).
-The time-dependent problem on the same domain is integrated with Heun's
-method and classified by its decay behaviour against the sign of the
-principal eigenvalue.
+The time-dependent problem on the same domain runs on the moving-front
+engine of `freeboundary` with the front pinned (mu1 = mu2 = 0, h = l) and
+is classified by its decay behaviour against the sign of the principal
+eigenvalue.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import eigen
+from . import eigen, freeboundary
 from .eigen import SIGN_BAND
-from .grids import KernelConvolver, cell_nodes, default_cells
+from .freeboundary import BlowUpError, DecayEstimate, stability_timestep
+from .grids import ConvolverStack, cell_nodes, default_cells
 from .model import ModelParams, NoPositiveEquilibrium, equilibrium
 
 __all__ = [
@@ -47,16 +49,6 @@ class SandwichError(RuntimeError):
         self.iterations = iterations
 
 
-class BlowUpError(RuntimeError):
-    """Fields escaped the a-priori bound: a discretization bug, not dynamics."""
-
-
-def stability_timestep(params: ModelParams) -> float:
-    """Positivity-preserving explicit step for the reaction-dispersal system."""
-    nl = params.nonlinearity
-    return 0.4 / (params.d1 + params.d2 + params.a + params.b + nl.hp0 + nl.gp0)
-
-
 class FixedDomain:
     """Discretization of the fixed-habitat system on [0, l]."""
 
@@ -67,8 +59,7 @@ class FixedDomain:
         self.n = n
         self.dx = self.l / n
         self.x = cell_nodes(0.0, self.dx, n)
-        self.conv1 = KernelConvolver(params.kernel1, self.dx, n)
-        self.conv2 = KernelConvolver(params.kernel2, self.dx, n)
+        self.stack = ConvolverStack((params.kernel1, params.kernel2), self.dx, n)
         self.j1 = np.asarray(params.kernel1.cdf(self.x))
         self.j2 = np.asarray(params.kernel2.cdf(self.x))
         self._den1 = params.d1 * self.j1 + params.a
@@ -76,26 +67,30 @@ class FixedDomain:
 
     def rhs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, nl = self.params, self.params.nonlinearity
-        f1 = p.d1 * (self.conv1.apply(u) - self.j1 * u) - p.a * u + nl.H(v)
-        f2 = p.d2 * (self.conv2.apply(v) - self.j2 * v) - p.b * v + nl.G(u)
+        ku, kv = self.stack.apply(np.stack([u, v]))
+        f1 = p.d1 * (ku - self.j1 * u) - p.a * u + nl.H(v)
+        f2 = p.d2 * (kv - self.j2 * v) - p.b * v + nl.G(u)
         return f1, f2
 
     def gamma(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step of the monotone fixed-point map."""
         p, nl = self.params, self.params.nonlinearity
-        g1 = (p.d1 * self.conv1.apply(u) + nl.H(v)) / self._den1
-        g2 = (p.d2 * self.conv2.apply(v) + nl.G(u)) / self._den2
+        ku, kv = self.stack.apply(np.stack([u, v]))
+        g1 = (p.d1 * ku + nl.H(v)) / self._den1
+        g2 = (p.d2 * kv + nl.G(u)) / self._den2
         return g1, g2
 
     def residual(self, u: np.ndarray, v: np.ndarray) -> float:
         f1, f2 = self.rhs(u, v)
         return max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
 
-    def fields_from(self, f, name: str) -> np.ndarray:
-        vals = np.asarray(f(self.x) if callable(f) else f, dtype=float)
-        if vals.shape != self.x.shape:
-            raise ValueError(f"{name} does not match the grid ({vals.shape} vs {self.x.shape})")
-        return vals
+
+def _sample(f, x: np.ndarray, name: str) -> np.ndarray:
+    """A callable evaluated at the nodes x, or an array checked against them."""
+    vals = np.asarray(f(x) if callable(f) else f, dtype=float)
+    if vals.shape != x.shape:
+        raise ValueError(f"{name} does not match the grid ({vals.shape} vs {x.shape})")
+    return vals
 
 
 def gamma_step(u, v, l: float, params: ModelParams,
@@ -201,101 +196,58 @@ class EvolutionTrace:
     num_cells: int
 
 
-@dataclass(frozen=True)
-class DecayEstimate:
-    """Late-time behaviour of a fixed-domain run.
-
-    mode ``exponential``: fitted rate k of exp(-k t); ``algebraic``: fitted
-    power k of (1+t)^-k; ``none``: the run converges to the positive steady
-    state instead of decaying.
-    """
-
-    mode: str
-    k: float
-    window: tuple[float, float]
-    r_squared: float
-    lambda1: float
-
-
-def _linear_fit(ts: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(ts, ys, 1)
-    pred = slope * ts + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
-
-
 def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
                  num_cells: int | None = None, dt: float | None = None,
                  sample_interval: float | None = None,
                  ) -> tuple[EvolutionTrace, DecayEstimate]:
     """Integrate the fixed-habitat system and classify its late-time decay.
 
-    Heun steps under the positivity CFL; sampled sup norms; the decay fit
-    runs over the second half of the horizon.  Fields exceeding ten times
-    the natural a-priori bound abort with BlowUpError.
+    Runs the moving-front engine with the front pinned at h = l (mu1 = mu2
+    = 0): Heun steps under the positivity CFL, the horizon split into equal
+    steps no longer than `dt`, sampled sup norms.  Fields exceeding ten
+    times the natural a-priori bound abort with BlowUpError.  The decay fit
+    runs over the second half of the horizon.
     """
-    dom = FixedDomain(l, params, num_cells)
-    u = dom.fields_from(u0, "u0")
-    v = dom.fields_from(v0, "v0")
+    n = num_cells if num_cells is not None else default_cells(l)
+    dx = l / n
+    x = cell_nodes(0.0, dx, n)
+    u = _sample(u0, x, "u0")
+    v = _sample(v0, x, "v0")
     if np.any(u < 0) or np.any(v < 0):
         raise ValueError("initial fields must be nonnegative")
 
-    step = dt if dt is not None else stability_timestep(params)
+    step = freeboundary._timestep(params, dt)
     n_steps = max(1, int(math.ceil(horizon / step - 1e-12)))
     step = horizon / n_steps
     if sample_interval is None:
         sample_interval = max(step, horizon / 400.0)
     stride = max(1, round(sample_interval / step))
 
-    bound_terms = [float(np.max(u)), float(np.max(v)), 1e-12]
-    try:
-        cu, cv = equilibrium(params)
-        bound_terms += [cu, cv]
-    except NoPositiveEquilibrium:
-        pass
-    ceiling = 10.0 * max(bound_terms)
-
+    eng = freeboundary._master_from_state(
+        freeboundary.FreeBoundaryState(t=0.0, h=float(l), dx=dx, u=u, v=v, front_weight=dx),
+        replace(params, mu1=0.0, mu2=0.0),
+    )
     ts = [0.0]
     nu = [float(np.max(u))]
     nv = [float(np.max(v))]
-    for k in range(1, n_steps + 1):
-        f1, f2 = dom.rhs(u, v)
-        up, vp = u + step * f1, v + step * f2
-        g1, g2 = dom.rhs(up, vp)
-        u = u + 0.5 * step * (f1 + g1)
-        v = v + 0.5 * step * (f2 + g2)
-        if k % stride == 0 or k == n_steps:
-            su, sv = float(np.max(u)), float(np.max(v))
-            if max(su, sv) > ceiling:
-                raise BlowUpError(
-                    f"fields exceeded 10x the a-priori bound at t={k * step:.3f}"
-                )
-            ts.append(k * step)
-            nu.append(su)
-            nv.append(sv)
+    for k, su, sv in freeboundary._march(eng, step, n_steps, stride):
+        ts.append(k * step)
+        nu.append(su)
+        nv.append(sv)
     t_arr = np.array(ts)
     nu_arr, nv_arr = np.array(nu), np.array(nv)
     trace = EvolutionTrace(t=t_arr, norm_u=nu_arr, norm_v=nv_arr,
-                           norm_sum=nu_arr + nv_arr, x=dom.x, u=u, v=v,
-                           dt=step, num_cells=dom.n)
+                           norm_sum=nu_arr + nv_arr, x=x, u=eng.u[:n].copy(),
+                           v=eng.v[:n].copy(), dt=step, num_cells=n)
 
-    lam = eigen.lambda1(l, params, num_cells=dom.n)
+    lam = eigen.lambda1(l, params, num_cells=n)
     half = t_arr >= horizon / 2.0
-    window = (float(t_arr[half][0]), float(t_arr[-1]))
-    vals = trace.norm_sum[half]
     if lam > SIGN_BAND:
-        est = DecayEstimate(mode="none", k=math.nan, window=window,
+        est = DecayEstimate(mode="none", k=math.nan,
+                            window=(float(t_arr[half][0]), float(t_arr[-1])),
                             r_squared=math.nan, lambda1=lam)
-    elif lam < -SIGN_BAND:
-        slope, r2 = _linear_fit(t_arr[half], np.log(vals))
-        est = DecayEstimate(mode="exponential", k=-slope, window=window,
-                            r_squared=r2, lambda1=lam)
     else:
-        slope, r2 = _linear_fit(np.log1p(t_arr[half]), np.log(vals))
-        est = DecayEstimate(mode="algebraic", k=-slope, window=window,
-                            r_squared=r2, lambda1=lam)
+        est = freeboundary._decay_fit(t_arr[half], np.log(trace.norm_sum[half]), lam)
     return trace, est
 
 
@@ -320,8 +272,8 @@ def comparison_check(l: float, params: ModelParams, upper_pair, lower_pair,
     the lower pair with residual >= -slack; anything else raises ValueError.
     """
     dom = FixedDomain(l, params, num_cells)
-    uu, uv = (dom.fields_from(f, n) for f, n in zip(upper_pair, ("upper u", "upper v")))
-    lu, lv = (dom.fields_from(f, n) for f, n in zip(lower_pair, ("lower u", "lower v")))
+    uu, uv = (_sample(f, dom.x, n) for f, n in zip(upper_pair, ("upper u", "upper v")))
+    lu, lv = (_sample(f, dom.x, n) for f, n in zip(lower_pair, ("lower u", "lower v")))
     f1u, f2u = dom.rhs(uu, uv)
     f1l, f2l = dom.rhs(lu, lv)
     up_max = max(float(np.max(f1u)), float(np.max(f2u)))

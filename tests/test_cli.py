@@ -70,6 +70,16 @@ def test_evolve_command(tmp_path):
     assert "mode" in json.loads((out / "decay.json").read_text())
 
 
+def test_evolve_rejects_unstable_timestep(tmp_path, capsys):
+    # 1.0 is twenty times P1's stability bound of 0.05
+    code, out = run_into(
+        tmp_path, {"command": "evolve", "numeric": {"l": 4.0, "T": 20.0, "dt": 1.0}})
+    assert code == cli.EXIT_CONFIG == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError" and "dt must lie in" in error["message"]
+    assert not (out / "decay.json").exists()
+
+
 def test_simulate_command(tmp_path):
     code, out = run_into(tmp_path, {
         "command": "simulate",

@@ -1,10 +1,13 @@
 """Moving-front simulator: front law, verdicts, bounds, decay fits."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import params_with
 from nlfront import eigen, freeboundary as fb, grids, steady
-from nlfront.model import Kernel, initial_profile
+from nlfront.model import Kernel, NoPositiveEquilibrium, Nonlinearity, equilibrium
 
 
 @pytest.fixture(scope="module")
@@ -17,21 +20,6 @@ def test_front_strictly_advances(p1):
     assert np.all(np.diff(trace.h) > 0.0)
     assert trace.h[0] == p1.h0
     assert trace.h[-1] > p1.h0 + 4.0
-
-
-def test_pinned_front_matches_fixed_habitat(p1):
-    frozen = params_with(mu1=0.0, mu2=0.0)
-    dt = 0.04
-    trace = fb.simulate(frozen, horizon=5.0, dx=0.05, dt=dt)
-    assert np.all(trace.h == frozen.h0)
-    # h0 is a whole number of cells, so the pinned run and a fixed-habitat
-    # run live on identical grids and must agree step for step
-    fixed, _ = steady.evolve_fixed(
-        frozen.h0, frozen, frozen.u0, frozen.v0, horizon=5.0,
-        num_cells=round(frozen.h0 / 0.05), dt=dt)
-    assert trace.final.u.size == fixed.u.size
-    assert np.max(np.abs(trace.final.u - fixed.u)) < 1e-9
-    assert np.max(np.abs(trace.final.v - fixed.v)) < 1e-9
 
 
 def test_grid_growth_between_heun_stages(p1):
@@ -109,6 +97,71 @@ def test_step_matches_dense_reference(over):
         assert np.all(u_ref[k:] == 0.0) and np.all(v_ref[k:] == 0.0)
         state = nxt
     assert state.u.size > 60
+
+
+def test_pinned_front_matches_fixed_habitat():
+    # with mu1 = mu2 = 0 the front stays at h0, a whole number of cells, so
+    # the moving-front run and the fixed-habitat run on [0, h0] (which
+    # ignores mu1, mu2) both follow the dense reference step for step
+    dt = 0.04
+    for over in ({}, {"d1": 0.0}):
+        frozen = params_with(mu1=0.0, mu2=0.0, **over)
+        trace = fb.simulate(frozen, horizon=3 * dt, dx=0.05, dt=dt, sample_interval=dt)
+        fixed, _ = steady.evolve_fixed(
+            frozen.h0, params_with(**over), frozen.u0, frozen.v0, horizon=3 * dt,
+            num_cells=round(frozen.h0 / 0.05), dt=dt, sample_interval=dt)
+        assert np.all(trace.h == frozen.h0) and fixed.dt == dt
+        state = fb.initial_state(frozen, dx=0.05)
+        k = state.u.size
+        for i in range(1, 4):
+            h_ref, u_ref, v_ref = _dense_heun(state, frozen, dt)
+            assert h_ref == frozen.h0
+            assert np.all(u_ref[k:] == 0.0) and np.all(v_ref[k:] == 0.0)
+            state = replace(state, h=h_ref, u=u_ref[:k], v=v_ref[:k])
+            for sup_u, sup_v in ((trace.sup_u, trace.sup_v), (fixed.norm_u, fixed.norm_v)):
+                assert abs(sup_u[i] - u_ref.max()) < 1e-12
+                assert abs(sup_v[i] - v_ref.max()) < 1e-12
+        for u, v in ((trace.final.u, trace.final.v), (fixed.u, fixed.v)):
+            assert u.size == k
+            assert np.max(np.abs(u - state.u)) < 1e-12
+            assert np.max(np.abs(v - state.v)) < 1e-12
+
+
+def _kernels():
+    scale = st.floats(0.5, 2.0)
+    base = st.one_of(
+        st.builds(Kernel, st.sampled_from(["laplace", "gaussian"]), scale),
+        st.builds(Kernel, st.just("cauchy"), scale, exponent=st.floats(1.3, 3.0)),
+    )
+    return st.one_of(base, st.builds(lambda k, n: k.truncate(n), base, st.floats(0.5, 4.0)))
+
+
+_NONLINEARITIES = st.one_of(
+    st.builds(Nonlinearity, st.just("saturating"), st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+    st.builds(Nonlinearity, st.just("linear"), beta=st.floats(0.5, 3.0), c=st.floats(0.5, 3.0)),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(kernel1=_kernels(), kernel2=_kernels(), nonlinearity=_NONLINEARITIES,
+       d1=st.floats(0.0, 3.0), d2=st.floats(0.2, 3.0), mu1=st.floats(0.0, 2.0),
+       mu2=st.floats(0.0, 2.0), h0=st.floats(0.5, 3.0))
+def test_stepper_keeps_order_and_bounds(kernel1, kernel2, nonlinearity, d1, d2, mu1, mu2, h0):
+    p = params_with(kernel1=kernel1, kernel2=kernel2, nonlinearity=nonlinearity,
+                    d1=d1, d2=d2, mu1=mu1, mu2=mu2, h0=h0)
+    trace = fb.simulate(p, horizon=4.0, dx=0.1, sample_interval=0.2, snapshot_times=(2.0,))
+    assert np.all(np.diff(trace.h) >= 0.0)
+    for fields in (trace.final, *trace.snapshots):
+        assert np.all(fields.u >= 0.0) and np.all(fields.v >= 0.0)
+
+    fixed, _ = steady.evolve_fixed(h0, p, p.u0, p.v0, horizon=4.0, num_cells=40)
+    terms = [fixed.norm_u[0], fixed.norm_v[0]]
+    try:
+        terms += equilibrium(p)
+    except NoPositiveEquilibrium:
+        pass
+    assert max(fixed.norm_u.max(), fixed.norm_v.max()) <= 10.0 * max(terms)
+    assert np.all(fixed.u >= 0.0) and np.all(fixed.v >= 0.0)
 
 
 def test_snapshots_and_determinism(p1):

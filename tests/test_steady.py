@@ -134,6 +134,16 @@ def test_no_decay_above_threshold(p1_d6):
     assert trace.norm_sum[-1] > 0.1
 
 
+@pytest.mark.parametrize("factor", [2.0, 5.0, 20.0])
+def test_evolve_rejects_unstable_timestep(p1, factor):
+    # the positivity bound is the scheme's step limit (20x it ends in NaN
+    # fields); every step above it is refused before any work
+    tent = initial_profile("tent", 1.0, 4.0)
+    with pytest.raises(ValueError, match="dt must lie in"):
+        steady.evolve_fixed(4.0, p1, tent, tent, 20.0,
+                            dt=factor * steady.stability_timestep(p1))
+
+
 def test_comparison_check_accepts_equilibrium_roof(p1):
     l = 10.0
     U, V = equilibrium(p1)
