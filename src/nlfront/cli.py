@@ -18,7 +18,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -396,6 +396,8 @@ def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
         "horizon": outcome.horizon, "h_front": outcome.h_front,
         "lambda_front": outcome.lambda_front, "mass": outcome.mass,
         "stall_gap": outcome.stall_gap, "message": outcome.message,
+        "certificate": outcome.certificate,
+        "barrier": None if outcome.barrier is None else asdict(outcome.barrier),
     })
     return EXIT_UNDECIDED if outcome.verdict == "undecided" else EXIT_OK
 

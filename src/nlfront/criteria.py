@@ -13,7 +13,7 @@ bracketed by full simulations, so it is the only expensive search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -160,27 +160,17 @@ def _with_mu(params: ModelParams, mu1: float, link: Callable[[float], float]) ->
 def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], float]) -> float:
     """Constructive lower bound on the response sum that forces retreat.
 
-    Builds the decaying barrier from the eigenpair at a slightly enlarged
-    domain: with eps keeping h0(1+eps) below the critical length, decay rate
-    delta from the (negative) eigenvalue there, and M scaling the
-    eigenfunction over the initial data, any mu1 + mu2 below
-    eps*delta*h0 / (M*h1) keeps the front trapped.
+    The comparison barrier `freeboundary._barrier` over the initial data:
+    with eps keeping h0(1+eps) below the critical length, decay rate delta
+    from the (negative) eigenvalue there, and M scaling the eigenfunction
+    over the initial data, any mu1 + mu2 below eps*delta*h0 / (M*h1) keeps
+    the front trapped.  M is taken at least 1, which only lowers the seed.
     """
-    h0 = params.h0
-    eps = min(0.05, 0.5 * (ell / h0 - 1.0))
-    h1 = h0 * (1.0 + eps)
-    cells = default_cells(h1)
-    pair = eigen.principal_eigenpair(eigen.lambda1_spec(h1, params, cells))
-    if pair.lambda_p >= 0.0:
+    bar = freeboundary._barrier(params, params.h0, ell, None, params.u0, params.v0,
+                                m_floor=1.0)
+    if bar is None:
         raise RuntimeError("barrier construction needs a negative eigenvalue above h0")
-    delta = -pair.lambda_p
-    scale = max(float(pair.phi1.max()), float(pair.phi2.max()))
-    phi1 = pair.phi1 / scale
-    phi2 = pair.phi2 / scale
-    u0 = np.asarray(params.u0(pair.x), dtype=float)
-    v0 = np.asarray(params.v0(pair.x), dtype=float)
-    big = max(float(np.max(u0 / phi1)), float(np.max(v0 / phi2)), 1.0)
-    mu_sum = eps * delta * h0 / (big * h1)
+    mu_sum = bar.bound
     if float(link(mu_sum)) <= 0.0:
         raise ValueError("link must be positive on positive inputs")
     # split the sum bound along the link: largest mu1 with mu1 + f(mu1) <= bound
@@ -195,7 +185,8 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
     Requires h0 below the critical length (otherwise spreading happens for
     every positive response and no threshold exists).  Classification runs
     are the only oracle; probes that stay undecided at t_max stop the
-    shrink and leave the honest, wider bracket in the result.
+    shrink and leave the honest, wider bracket in the result.  The
+    certificate lists every classification run in ``probes``, in order.
     """
     if link is None:
         link = lambda s: s
@@ -207,11 +198,16 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
             "spreading for every positive front response"
         )
 
+    probes: list[dict] = []
+
     def verdict(mu1: float) -> freeboundary.Outcome:
         probe = _with_mu(params, mu1, link)
-        return freeboundary.classify(
+        out = freeboundary.classify(
             probe, t_max=t_max, dx=dx, sample_interval=sample_interval
         )
+        probes.append({"mu1": mu1, "verdict": out.verdict,
+                       "t_decided": out.t_decided, "certificate": out.certificate})
+        return out
 
     lo = max(MU_BOUNDS[0], _seed_mu_lower(params, ell.value, link))
     out_lo = verdict(lo)
@@ -258,8 +254,12 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
         "kind": "verdicts",
         "below": below.verdict,
         "above": above.verdict,
-        "probes": (0.9 * value, 1.1 * value),
+        "pair": (0.9 * value, 1.1 * value),
         "t_decided": (below.t_decided, above.t_decided),
+        "certificates": (below.certificate, above.certificate),
+        "barriers": tuple(None if out.barrier is None else asdict(out.barrier)
+                          for out in (below, above)),
+        "probes": probes,
         "t_max": t_max,
     }
     if undecided is not None:

@@ -1,5 +1,6 @@
-"""Moving-boundary dynamics: time integration, outcome classification,
-the pathwise front bound, and the even-extension flux diagnostic.
+"""Moving-boundary dynamics: time integration, outcome classification
+(eigenvalue, comparison-barrier and stall certificates), the pathwise front
+bound, and the even-extension flux diagnostic.
 
 The solver lives on a fixed master grid over [0, X_max) of cells of width
 dx; the front position h cuts the last covered cell, whose quadrature
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import eigen
 from .eigen import SIGN_BAND
-from .grids import CdfInterpolant, ConvolverStack, cell_nodes
+from .grids import CdfInterpolant, ConvolverStack, cell_nodes, default_cells
 from .model import (
     ModelParams,
     NoPositiveEquilibrium,
@@ -40,6 +41,7 @@ __all__ = [
     "Snapshot",
     "SimulationTrace",
     "Outcome",
+    "Barrier",
     "initial_state",
     "step",
     "simulate",
@@ -131,10 +133,33 @@ class SimulationTrace:
 
 
 @dataclass(frozen=True)
+class Barrier:
+    """Comparison barrier on [0, h1], h1 = h (1 + eps), from front position h.
+
+    ``delta`` = -lambda1(h1) is its decay rate, ``M`` scales the principal
+    eigenfunction over the fields, and every mu1 + mu2 <= ``bound`` =
+    eps delta h / (M h1) keeps the front below h1 (see `_barrier`).
+    """
+
+    eps: float
+    delta: float
+    M: float
+    h1: float
+    bound: float
+
+
+@dataclass(frozen=True)
 class Outcome:
-    """Verdict of a classification run, with its certificate values."""
+    """Verdict of a classification run, with its certificate values.
+
+    ``certificate`` names what decided it: ``eigenvalue`` (spreading: a
+    positive principal eigenvalue at the front), ``barrier`` (vanishing: the
+    comparison barrier, recorded in ``barrier``), ``stall`` (vanishing: a
+    stalled front with vanishing mass) or ``none`` (undecided).
+    """
 
     verdict: str
+    certificate: str
     t_decided: float
     horizon: float
     h_front: float
@@ -142,6 +167,7 @@ class Outcome:
     mass: float
     stall_gap: float | None
     message: str = ""
+    barrier: Barrier | None = None
 
 
 def _active_count(h: float, dx: float) -> int:
@@ -173,9 +199,13 @@ class _Master:
         self.edges = np.arange(self.cap) * self.dx
         self.j1 = np.asarray(self.params.kernel1.cdf(self.x))
         self.j2 = np.asarray(self.params.kernel2.cdf(self.x))
+        # flux tail tables, only for the species that move the front
         span = self.cap * self.dx + 1.0
-        self.tail1 = CdfInterpolant(self.params.kernel1, span, self.dx / 8, x_min=-1.0)
-        self.tail2 = CdfInterpolant(self.params.kernel2, span, self.dx / 8, x_min=-1.0)
+        self.tail1, self.tail2 = (
+            CdfInterpolant(kern, span, self.dx / 8, x_min=-1.0) if mu > 0.0 else None
+            for kern, mu in ((self.params.kernel1, self.params.mu1),
+                             (self.params.kernel2, self.params.mu2))
+        )
         self.m1 = float(self.params.kernel1.mass)
         self.m2 = float(self.params.kernel2.mass)
 
@@ -359,8 +389,8 @@ def simulate(
     time units; `snapshot_times` additionally record full field profiles
     at the nearest sample instant.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if dx <= 0.0:
         raise ValueError("dx must be positive")
     dt = _timestep(params, dt)
@@ -441,6 +471,79 @@ def _lambda_front(params: ModelParams, l: float) -> float:
     return eigen.lambda1(l, params)
 
 
+def _cell_minima(pair: eigen.Eigenpair, x: np.ndarray, h: float) -> np.ndarray:
+    """Minimum over each cell [x_k, x_{k+1}) (the last ending at h) of each
+    eigenfunction, linearly interpolated between the eigen nodes; rows
+    phi1, phi2.
+
+    A piecewise-linear function takes its minimum over an interval at an
+    end or at a breakpoint, so it is evaluated at the cell edges and at the
+    eigen nodes between them.
+    """
+    pts = np.sort(np.concatenate([x, [h], pair.x[pair.x < h]]))
+    first = np.searchsorted(pts, x)
+    lows = []
+    for phi in (pair.phi1, pair.phi2):
+        vals = np.interp(pts, pair.x, phi)
+        low = np.minimum.reduceat(vals, first)
+        # each segment stops short of the next cell's left edge, its own right end
+        np.minimum(low[:-1], vals[first[1:]], out=low[:-1])
+        lows.append(low)
+    return np.stack(lows)
+
+
+def _barrier(params: ModelParams, h: float, ell: float, x: np.ndarray | None,
+             u, v, *, m_floor: float = 0.0) -> Barrier | None:
+    """The comparison barrier from front position h, below the length ell.
+
+    With eps = min(0.05, (ell/h - 1)/2), h1 = h (1 + eps), (phi1, phi2) the
+    principal eigenpair on [0, h1] (sup-norm 1) and delta = -lambda1(h1) > 0,
+    the pair
+
+        ubar = M e^{-delta t} phi1,  vbar = M e^{-delta t} phi2,
+        gbar(t) = h (1 + eps - eps e^{-delta t})
+
+    is an upper solution whenever u <= M phi1 and v <= M phi2 on [0, h] and
+    mu1 + mu2 <= bound = eps delta h / (M h1):
+    - interior: H(v) <= H'(0) v and G(u) <= G'(0) u, because H(z)/z and
+      G(z)/z are nonincreasing with H(0) = G(0) = 0 (the sublinearity that
+      `Nonlinearity.check_hypotheses` enforces), so the linearization
+      dominates; and cutting the kernel integral from [0, h1] down to
+      [0, gbar] only lowers it for positive phi, so the eigen-equation on
+      [0, h1] gives ubar_t >= the right-hand side;
+    - front: the escaping flux is at most (mu1 + mu2) M e^{-delta t} gbar
+      (phi <= 1, kernel mass <= 1, gbar < h1), which is at most
+      gbar' = eps delta h e^{-delta t} under the bound.
+    The system is autonomous, so this holds from any instant: h stays below
+    h1 for all later time, and lambda1(h1) < 0 puts h1 below the critical
+    length, so the population vanishes.
+
+    ``u`` and ``v`` are either profiles (callables of position) when ``x``
+    is None, checked at the eigen nodes as `criteria._seed_mu_lower` does
+    for the initial data, or the stepper's cell values, with ``x`` the cells'
+    left edges (the last cell ending at h); then M bounds u / phi over each
+    covered cell, phi interpolated linearly between the eigen nodes
+    (`_cell_minima`), not only at the nodes.  M is at least ``m_floor``.
+    Returns None when there is no barrier: h >= ell, or lambda1(h1) >= 0.
+    """
+    eps = min(0.05, 0.5 * (ell / h - 1.0))
+    if not eps > 0.0:
+        return None
+    h1 = h * (1.0 + eps)
+    pair = eigen.principal_eigenpair(eigen.lambda1_spec(h1, params, default_cells(h1)))
+    if pair.lambda_p >= 0.0:
+        return None
+    delta = -pair.lambda_p
+    if x is None:
+        phi1, phi2 = pair.phi1, pair.phi2
+        u, v = (np.asarray(f(pair.x), dtype=float) for f in (u, v))
+    else:
+        phi1, phi2 = _cell_minima(pair, x, h)
+    big = max(float(np.max(u / phi1)), float(np.max(v / phi2)), m_floor)
+    bound = eps * delta * h / (big * h1) if big > 0.0 else math.inf
+    return Barrier(eps=eps, delta=delta, M=big, h1=h1, bound=bound)
+
+
 def classify(
     params: ModelParams,
     t_max: float = DEFAULT_T_MAX,
@@ -453,14 +556,30 @@ def classify(
     Spreading is certified as soon as the front reaches a length where the
     principal eigenvalue is >= +1e-6 (the eigenvalue is increasing in l, so
     once positive it stays positive and the front cannot stall).  Vanishing
-    is certified by a stalled front, near-zero mass and a negative
-    eigenvalue at the final length.  Anything else is undecided.
+    is certified by the comparison barrier of `_barrier`, applied to the
+    current state once per STALL_WINDOW of model time below the length
+    where the spreading certificate starts, or else by a stalled front,
+    near-zero mass and a negative eigenvalue at the final length.  Anything
+    else is undecided.
+
+    The barrier fires only when mu1 + mu2 <= bound / 2.  Its proof is for
+    the continuous system, while delta and phi come from the discrete
+    eigenpair (at least 200 cells on [0, h1]) and phi is extended as a
+    constant over the half eigen cell at each end of [0, h1]; the factor
+    2 lets delta / M be off by up to half before a verdict could be wrong.
+    On P1 at d = 6, with laplace or gaussian kernels, refining the eigen
+    grid fourfold lowers the bound by 0.22-0.24%, nearly all of it through M.
     """
+    if not dx > 0.0:
+        raise ValueError("dx must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     dt = _timestep(params, dt)
     lam0 = _lambda_front(params, params.h0)
     if lam0 >= SIGN_BAND:
         return Outcome(
             verdict="spreading",
+            certificate="eigenvalue",
             t_decided=0.0,
             horizon=0.0,
             h_front=params.h0,
@@ -487,7 +606,7 @@ def classify(
     offset = 1.0
     n_steps = int(math.ceil(t_max / dt - 1e-12))
 
-    for _ in _march(eng, dt, n_steps, stride):
+    for samples, _ in enumerate(_march(eng, dt, n_steps, stride), start=1):
         hist_h.append(eng.h)
         if len(hist_h) > per_window + 1:
             hist_h.pop(0)
@@ -497,6 +616,7 @@ def classify(
             if lam >= SIGN_BAND:
                 return Outcome(
                     verdict="spreading",
+                    certificate="eigenvalue",
                     t_decided=eng.t,
                     horizon=eng.t,
                     h_front=eng.h,
@@ -507,6 +627,23 @@ def classify(
                 )
             offset *= 1.02
 
+        if watch is not None and samples % per_window == 0:
+            k = _active_count(eng.h, eng.dx)
+            bar = _barrier(params, eng.h, watch, eng.edges[:k], eng.u[:k], eng.v[:k])
+            if bar is not None and params.mu1 + params.mu2 <= 0.5 * bar.bound:
+                return Outcome(
+                    verdict="vanishing",
+                    certificate="barrier",
+                    t_decided=eng.t,
+                    horizon=eng.t,
+                    h_front=eng.h,
+                    lambda_front=_lambda_front(params, eng.h),
+                    mass=eng.mass(),
+                    stall_gap=None,
+                    message="front held below the comparison barrier",
+                    barrier=bar,
+                )
+
         if eng.t >= STALL_WINDOW and len(hist_h) > per_window:
             gap = hist_h[-1] - hist_h[0]
             if gap < STALL_TOL:
@@ -516,6 +653,7 @@ def classify(
                     if lam < 0.0:
                         return Outcome(
                             verdict="vanishing",
+                            certificate="stall",
                             t_decided=eng.t,
                             horizon=eng.t,
                             h_front=eng.h,
@@ -528,6 +666,7 @@ def classify(
     gap = hist_h[-1] - hist_h[0] if len(hist_h) > 1 else 0.0
     return Outcome(
         verdict="undecided",
+        certificate="none",
         t_decided=eng.t,
         horizon=eng.t,
         h_front=eng.h,

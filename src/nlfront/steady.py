@@ -216,6 +216,8 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
     if np.any(u < 0) or np.any(v < 0):
         raise ValueError("initial fields must be nonnegative")
 
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     step = freeboundary._timestep(params, dt)
     n_steps = max(1, int(math.ceil(horizon / step - 1e-12)))
     step = horizon / n_steps

@@ -1,5 +1,6 @@
 """Config handling, command dispatch, artifacts, exit codes."""
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,50 @@ def test_evolve_rejects_unstable_timestep(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ValueError" and "dt must lie in" in error["message"]
     assert not (out / "decay.json").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("evolve", "decay.json"), ("simulate", "trace.csv"),
+])
+@pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf])
+def test_rejects_nonpositive_or_infinite_horizon(tmp_path, capsys, command, artifact,
+                                                 horizon):
+    # json writes inf as Infinity, which the config reader accepts
+    code, out = run_into(
+        tmp_path, {"command": command, "numeric": {"l": 2.0, "T": horizon}})
+    assert code == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ValueError", "message": "horizon must be positive and finite",
+                     "exit_code": 2}
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize("numeric, message", [
+    ({"dx": 0.0}, "dx must be positive"),
+    ({"dx": -0.05}, "dx must be positive"),
+    ({"t_max": 0.0}, "t_max must be positive and finite"),
+    ({"t_max": -10.0}, "t_max must be positive and finite"),
+    ({"t_max": math.inf}, "t_max must be positive and finite"),
+], ids=["dx-zero", "dx-negative", "t_max-zero", "t_max-negative", "t_max-infinite"])
+def test_classify_rejects_invalid_grid_and_horizon(tmp_path, capsys, numeric, message):
+    code, out = run_into(tmp_path, {"command": "classify", "numeric": numeric})
+    assert code == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ValueError", "message": message, "exit_code": 2}
+    assert not (out / "outcome.json").exists()
+
+
+def test_classify_reports_its_certificate(tmp_path):
+    code, out = run_into(tmp_path, {
+        "command": "classify",
+        "params": {"d1": 6.0, "d2": 6.0, "mu1": 0.02, "mu2": 0.02},
+    })
+    assert code == 0
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert outcome["verdict"] == "vanishing" and outcome["certificate"] == "barrier"
+    barrier = outcome["barrier"]
+    assert sorted(barrier) == ["M", "bound", "delta", "eps", "h1"]
+    assert outcome["h_front"] < barrier["h1"] and 0.04 <= 0.5 * barrier["bound"]
 
 
 def test_simulate_command(tmp_path):

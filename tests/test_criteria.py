@@ -42,6 +42,33 @@ def test_spreading_just_above_ell_star(p1_d6):
     assert out.verdict == "spreading"
 
 
+def test_seed_mu_lower_value(p1_d6):
+    # the initial-data barrier through freeboundary._barrier gives the same
+    # seed, bit for bit, as the construction it replaced
+    ell = criteria.find_ell_star(p1_d6).value
+    assert criteria._seed_mu_lower(p1_d6, ell, lambda s: s) == 0.0009201029840212627
+
+
+def test_mu_star_lists_every_probe(p1_d6):
+    # a short horizon leaves the probe at 0.125 undecided, which ends the
+    # bisection early: seed, upper end, three bisection probes, final pair
+    res = criteria.find_mu_star(p1_d6, t_max=30.0)
+    cert = res.certificate
+    probes = cert["probes"]
+    mus = [p["mu1"] for p in probes]
+    assert mus[0] == criteria._seed_mu_lower(p1_d6, criteria.find_ell_star(p1_d6).value,
+                                             lambda s: s)
+    assert mus[-2:] == list(cert["pair"]) and len(probes) == 7
+    assert [p["verdict"] for p in probes[-2:]] == [cert["below"], cert["above"]]
+    assert [p["certificate"] for p in probes[-2:]] == list(cert["certificates"])
+    assert [p["t_decided"] for p in probes[-2:]] == list(cert["t_decided"])
+    assert cert["undecided_at"] == mus[-3]
+    assert probes[0]["certificate"] == "barrier" and probes[1]["certificate"] == "eigenvalue"
+    for p, barrier in zip(probes[-2:], cert["barriers"]):
+        assert (barrier is not None) == (p["certificate"] == "barrier")
+    assert res.to_dict()["certificate"]["probes"][0]["verdict"] == "vanishing"
+
+
 def test_mu_star_preconditions(p1, p1_d6):
     with pytest.raises(ValueError, match="spreading for all h0"):
         criteria.find_mu_star(p1)

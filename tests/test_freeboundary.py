@@ -164,6 +164,67 @@ def test_stepper_keeps_order_and_bounds(kernel1, kernel2, nonlinearity, d1, d2, 
     assert np.all(fixed.u >= 0.0) and np.all(fixed.v >= 0.0)
 
 
+# h0 as a fraction of the critical length at d = 5, the lowest d drawn:
+# the critical length grows with d, so every example starts below it
+_ELL_AT_D5 = {"laplace": 1.7742, "gaussian": 1.1138}
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(family=st.sampled_from(["laplace", "gaussian"]), d=st.floats(5.0, 7.0),
+       frac=st.floats(0.8, 0.95), log_mu=st.floats(-2.3, 0.3))
+def test_barrier_verdicts_hold(family, d, frac, log_mu):
+    # squeeze regime (Rstar < 1 < R0, gammaA = 1): the verdict turns on mu.
+    # A barrier verdict claims the front never passes h1; the run continued
+    # to twice the decision time and at least to t_max must bear that out.
+    # Since h1 lies below the length where classify certifies spreading,
+    # without the barrier it could not have certified spreading by t_max.
+    kernel = Kernel(family, 1.0)
+    mu = 10.0 ** log_mu
+    p = params_with(d1=d, d2=d, mu1=mu, mu2=mu, h0=frac * _ELL_AT_D5[family],
+                    kernel1=kernel, kernel2=kernel)
+    t_max = 60.0
+    out = fb.classify(p, t_max=t_max, dx=0.1)
+    if out.certificate != "barrier":
+        assert (out.barrier is None) and out.certificate in ("eigenvalue", "stall", "none")
+        return
+    bar = out.barrier
+    assert out.verdict == "vanishing" and out.lambda_front < 0.0
+    assert p.mu1 + p.mu2 <= 0.5 * bar.bound and out.h_front < bar.h1
+    assert bar.delta == -eigen.lambda1(bar.h1, p, num_cells=grids.default_cells(bar.h1))
+    trace = fb.simulate(p, horizon=max(2.0 * out.t_decided, t_max), dx=0.1)
+    assert trace.h.max() < bar.h1
+
+
+def test_barrier_scale_covers_every_cell(p1_d6):
+    # M bounds u / phi over each whole stepper cell, phi interpolated
+    # linearly between the eigen nodes, not only at the cell nodes
+    state = fb.simulate(replace(p1_d6, mu1=0.02, mu2=0.02), horizon=5.0).final
+    edges = np.arange(state.u.size) * state.dx
+    ell = eigen.critical_length(p1_d6, target=2e-6).value
+    bar = fb._barrier(p1_d6, state.h, ell, edges, state.u, state.v)
+    pair = eigen.principal_eigenpair(
+        eigen.lambda1_spec(bar.h1, p1_d6, grids.default_cells(bar.h1)))
+    ends = np.append(edges[1:], state.h)
+    ratio = 0.0
+    for lo, hi, u, v in zip(edges, ends, state.u, state.v):
+        xs = np.linspace(lo, hi, 401)
+        ratio = max(ratio, u / np.interp(xs, pair.x, pair.phi1).min(),
+                    v / np.interp(xs, pair.x, pair.phi2).min())
+    assert ratio <= bar.M <= ratio * (1 + 1e-6)
+    nodes = edges + 0.5 * state.dx
+    at_nodes = max(np.max(state.u / np.interp(nodes, pair.x, pair.phi1)),
+                   np.max(state.v / np.interp(nodes, pair.x, pair.phi2)))
+    assert at_nodes < bar.M
+    assert fb._barrier(p1_d6, ell, ell, edges, state.u, state.v) is None
+
+
+def test_pinned_run_builds_no_tail_tables(p1):
+    pinned = fb._Master(replace(p1, mu1=0.0, mu2=0.0), 0.05, 64)
+    assert pinned.tail1 is None and pinned.tail2 is None
+    one = fb._Master(replace(p1, mu2=0.0), 0.05, 64)
+    assert one.tail1 is not None and one.tail2 is None
+
+
 def test_snapshots_and_determinism(p1):
     kw = dict(horizon=8.0, snapshot_times=(2.0, 5.0))
     a = fb.simulate(p1, **kw)
