@@ -199,12 +199,12 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
         )
 
     probes: list[dict] = []
+    # lambda1 does not depend on mu, so every probe shares one watch length
+    watch = freeboundary._watch_length(params)
 
     def verdict(mu1: float) -> freeboundary.Outcome:
         probe = _with_mu(params, mu1, link)
-        out = freeboundary.classify(
-            probe, t_max=t_max, dx=dx, sample_interval=sample_interval
-        )
+        out = freeboundary._classify(probe, t_max, dx, None, sample_interval, lambda: watch)
         probes.append({"mu1": mu1, "verdict": out.verdict,
                        "t_decided": out.t_decided, "certificate": out.certificate})
         return out

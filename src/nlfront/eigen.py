@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grids import ConvolverStack, KernelConvolver, cell_nodes, default_cells
+from .grids import Discretization, KernelConvolver, default_cells
 from .model import Kernel, ModelParams, derived_constants
 
 __all__ = [
@@ -123,12 +123,10 @@ class DiscreteOperator:
         self.spec = spec
         self.dx = spec.l / n
         self.n = n
-        self.x = cell_nodes(0.0, self.dx, n)
-        kernels = (spec.kernel1, spec.kernel2)
-        self.stack = ConvolverStack(kernels, self.dx, n)
-        j = np.stack([np.asarray(k.cdf(self.x)) for k in kernels])
+        self.grid = Discretization((spec.kernel1, spec.kernel2), self.dx, n)
+        self.x = self.grid.x
         self.rates = np.array([[spec.d1], [spec.d2]])
-        self.diag = -self.rates * j + np.array([[spec.a11], [spec.a22]])
+        self.diag = -self.rates * self.grid.j + np.array([[spec.a11], [spec.a22]])
         self.coupling = np.array([[spec.a12], [spec.a21]])
 
     @property
@@ -137,7 +135,8 @@ class DiscreteOperator:
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         uv = w.reshape(2, self.n)
-        out = self.diag * uv + self.coupling * uv[::-1] + self.rates * self.stack.apply(uv)
+        out = (self.diag * uv + self.coupling * uv[::-1]
+               + self.rates * self.grid.stack(self.n).apply(uv))
         return out.ravel()
 
     def dense(self) -> np.ndarray:
@@ -227,13 +226,12 @@ def scalar_principal(d: float, a_diag: float, kernel: Kernel, l: float,
     n = num_cells if num_cells is not None else default_cells(l)
     if n < 8:
         raise EigenGridError(f"refusing to assemble: num_cells={n} is below the minimum of 8")
-    dx = l / n
-    x = cell_nodes(0.0, dx, n)
-    conv = KernelConvolver(kernel, dx, n)
-    diag = -d * np.asarray(kernel.cdf(x)) + a_diag
+    grid = Discretization((kernel,), l / n, n)
+    stack = grid.stack(n)
+    diag = -d * grid.j[0] + a_diag
 
     def matvec(u):
-        return d * conv.apply(u) + diag * u
+        return d * stack.apply(u[None])[0] + diag * u
 
     lam, _, _, _ = _principal(matvec, np.ones(n), "scalar_principal")
     return lam
@@ -317,7 +315,8 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     The resolution policy jumps with l, and near the root those jumps exceed
     the certificate tolerance, so once the bracket is fixed every evaluation
     uses one resolution (the policy at the upper bracket end).  Raises
-    ValueError with a regime message when no sign change exists.
+    ValueError with a regime message when no sign change exists, and
+    RuntimeError (a solver failure) when the pinned resolution loses it.
     """
     evals = 0
 
@@ -340,7 +339,7 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     cells = num_cells if num_cells is not None else default_cells(hi)
     f_lo, f_hi = lam(lo, cells), lam(hi, cells)
     if f_lo >= 0 or f_hi <= 0:
-        raise ValueError("bracket lost after pinning the resolution")
+        raise RuntimeError("bracket lost after pinning the resolution")
     mid, f_mid, bracket, _, _ = bisect_sign(lambda l: lam(l, cells), lo, hi, f_lo, f_hi,
                                             lam_tol)
     return CriticalLength(value=mid, lam_at_value=f_mid + target, bracket=bracket,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import eigen
 from .eigen import SIGN_BAND
-from .grids import CdfInterpolant, ConvolverStack, cell_nodes, default_cells
+from .grids import Discretization, default_cells
 from .model import (
     ModelParams,
     NoPositiveEquilibrium,
@@ -177,126 +177,89 @@ def _active_count(h: float, dx: float) -> int:
 
 
 class _Master:
-    """Mutable stepping engine on the master grid (internal)."""
+    """Mutable stepping engine on the master grid (internal).
+
+    The fields live in one (2, cap) array ``uv``, row r species r, with
+    ``u`` and ``v`` its row views; fresh engines start at t = 0, h = h0 and
+    zero fields.
+    """
 
     def __init__(self, params: ModelParams, dx: float, capacity: int):
         self.params = params
         self.dx = float(dx)
         self.nl = params.nonlinearity
+        self.rates = np.array([[params.d1], [params.d2]])
         self.cap = 1 << max(9, int(capacity - 1).bit_length())
         self.t = 0.0
         self.h = params.h0
-        self._stacks: dict[int, ConvolverStack] = {}
+        self.grid = Discretization((params.kernel1, params.kernel2), self.dx, self.cap)
         self._alloc()
-        k = _active_count(self.h, self.dx)
-        self.u = np.zeros(self.cap)
-        self.v = np.zeros(self.cap)
-        self.u[:k] = np.asarray(params.u0(self.x[:k]), dtype=float)
-        self.v[:k] = np.asarray(params.v0(self.x[:k]), dtype=float)
 
     def _alloc(self) -> None:
-        self.x = cell_nodes(0.0, self.dx, self.cap)
+        self.x = self.grid.x
         self.edges = np.arange(self.cap) * self.dx
-        self.j1 = np.asarray(self.params.kernel1.cdf(self.x))
-        self.j2 = np.asarray(self.params.kernel2.cdf(self.x))
-        # flux tail tables, only for the species that move the front
-        span = self.cap * self.dx + 1.0
-        self.tail1, self.tail2 = (
-            CdfInterpolant(kern, span, self.dx / 8, x_min=-1.0) if mu > 0.0 else None
-            for kern, mu in ((self.params.kernel1, self.params.mu1),
-                             (self.params.kernel2, self.params.mu2))
-        )
-        self.m1 = float(self.params.kernel1.mass)
-        self.m2 = float(self.params.kernel2.mass)
+        self.uv = np.zeros((2, self.cap))
+        self.u, self.v = self.uv
 
     def grow(self) -> None:
-        old = self.cap
+        old = self.uv
         self.cap *= 2
-        u, v = self.u, self.v
+        self.grid = self.grid.extended(self.cap)
         self._alloc()
-        self.u = np.zeros(self.cap)
-        self.v = np.zeros(self.cap)
-        self.u[:old] = u
-        self.v[:old] = v
+        self.uv[:, :old.shape[1]] = old
 
-    def ensure(self, h: float) -> bool:
-        grew = False
+    def ensure(self, h: float) -> None:
         while _active_count(h, self.dx) + 8 > self.cap:
             self.grow()
-            grew = True
-        return grew
-
-    def _stack(self, size: int) -> ConvolverStack:
-        stack = self._stacks.get(size)
-        if stack is None:
-            stack = ConvolverStack(
-                (self.params.kernel1, self.params.kernel2), self.dx, size
-            )
-            self._stacks[size] = stack
-        return stack
 
     def weights(self, h: float, k: int) -> np.ndarray:
         return np.clip(h - self.edges[:k], 0.0, self.dx)
 
-    def rhs(self, u: np.ndarray, v: np.ndarray, h: float):
-        """Field derivatives on the k cells covered at front h, plus h'."""
+    def rhs(self, uv: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+        """Field derivatives (2, k) on the k cells covered at front h, plus h'."""
         p = self.params
         k = _active_count(h, self.dx)
         w = self.weights(h, k)
-        size = 1 << max(8, int(k - 1).bit_length())
-        size = min(size, self.cap)
-        ua, va = u[:k], v[:k]
-
-        scaled = np.empty((2, k))
-        frac = w / self.dx
-        np.multiply(ua, frac, out=scaled[0])
-        np.multiply(va, frac, out=scaled[1])
-        ku, kv = self._stack(size).apply(scaled)
-        fu = p.d1 * (ku - self.j1[:k] * ua) if p.d1 > 0.0 else np.zeros(k)
-        fv = p.d2 * (kv - self.j2[:k] * va) if p.d2 > 0.0 else np.zeros(k)
-        fu += -p.a * ua + self.nl.H(va)
-        fv += -p.b * va + self.nl.G(ua)
+        ua, va = act = uv[:, :k]
+        f = self.grid.dispersal(self.rates, act, w / self.dx)
+        f[0] += -p.a * ua + self.nl.H(va)
+        f[1] += -p.b * va + self.nl.G(ua)
 
         flux = 0.0
         if p.mu1 > 0.0 or p.mu2 > 0.0:
             s = h - self.x[:k]
             acc = np.zeros(k)
-            if p.mu1 > 0.0:
-                acc += p.mu1 * ua * (self.m1 - self.tail1(s))
-            if p.mu2 > 0.0:
-                acc += p.mu2 * va * (self.m2 - self.tail2(s))
+            # only a species that moves the front asks for (and so builds) a tail table
+            for r, mu in enumerate((p.mu1, p.mu2)):
+                if mu > 0.0:
+                    acc += mu * act[r] * (self.grid.mass[r] - self.grid.tail(r)(s))
             flux = float(np.dot(w, acc))
-        return fu, fv, flux
+        return f, flux
 
     def heun(self, dt: float) -> None:
         # the front never recedes (h' >= 0), so the predictor covers at
         # least the cells the first stage does and every update is confined
         # to the predictor's k2 cells; beyond them the fields are unchanged
-        f1u, f1v, g1 = self.rhs(self.u, self.v, self.h)
-        k1 = f1u.size
+        f1, g1 = self.rhs(self.uv, self.h)
+        k1 = f1.shape[1]
         h_star = self.h + dt * g1
         self.ensure(h_star)
         k2 = _active_count(h_star, self.dx)
-        u_star = self.u[:k2].copy()
-        v_star = self.v[:k2].copy()
-        u_star[:k1] += dt * f1u
-        v_star[:k1] += dt * f1v
-        f2u, f2v, g2 = self.rhs(u_star, v_star, h_star)
+        star = self.uv[:, :k2].copy()
+        star[:, :k1] += dt * f1
+        f2, g2 = self.rhs(star, h_star)
 
         h_new = self.h + 0.5 * dt * (g1 + g2)
         self.ensure(h_new)
-        f2u[:k1] = f1u + f2u[:k1]
-        f2v[:k1] = f1v + f2v[:k1]
-        u_new = self.u[:k2] + 0.5 * dt * f2u
-        v_new = self.v[:k2] + 0.5 * dt * f2v
-        low = min(float(u_new.min()), float(v_new.min()))
+        f2[:, :k1] = f1 + f2[:, :k1]
+        new = self.uv[:, :k2] + 0.5 * dt * f2
+        low = float(new.min())
         if low < -NEGATIVITY_TOL:
             raise SchemeError(
                 f"negative field value {low:.3e} at t={self.t:.6g}; "
                 "reduce the time step"
             )
-        np.maximum(u_new, 0.0, out=self.u[:k2])
-        np.maximum(v_new, 0.0, out=self.v[:k2])
+        np.maximum(new, 0.0, out=self.uv[:, :k2])
         self.h = h_new
         self.t += dt
 
@@ -317,18 +280,16 @@ class _Master:
         )
 
     def sups(self) -> tuple[float, float]:
-        return float(self.u.max()), float(self.v.max())
+        su, sv = self.uv.max(axis=1)
+        return float(su), float(sv)
 
 
-def _master_from_state(state: FreeBoundaryState, params: ModelParams) -> _Master:
-    k = state.u.size
-    eng = _Master(params, state.dx, k + 64)
-    eng.t = state.t
-    eng.h = state.h
-    eng.u[:] = 0.0
-    eng.v[:] = 0.0
-    eng.u[:k] = state.u
-    eng.v[:k] = state.v
+def _start(params: ModelParams, dx: float) -> _Master:
+    """Engine at t = 0 with the initial profiles sampled on the cells below h0."""
+    eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
+    k = _active_count(eng.h, eng.dx)
+    eng.u[:k] = np.asarray(params.u0(eng.x[:k]), dtype=float)
+    eng.v[:k] = np.asarray(params.v0(eng.x[:k]), dtype=float)
     return eng
 
 
@@ -336,8 +297,7 @@ def initial_state(params: ModelParams, dx: float = DEFAULT_DX) -> FreeBoundarySt
     """Sample the initial data onto the master grid at front position h0."""
     if dx <= 0.0:
         raise ValueError("dx must be positive")
-    eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
-    return eng.state()
+    return _start(params, dx).state()
 
 
 def step(state: FreeBoundaryState, params: ModelParams, dt: float) -> FreeBoundaryState:
@@ -348,7 +308,10 @@ def step(state: FreeBoundaryState, params: ModelParams, dt: float) -> FreeBounda
     condition u(t, h(t)) = 0.
     """
     dt = _timestep(params, dt)
-    eng = _master_from_state(state, params)
+    k = state.u.size
+    eng = _Master(params, state.dx, k + 64)
+    eng.t, eng.h = state.t, state.h
+    eng.uv[:, :k] = state.u, state.v
     eng.heun(dt)
     return eng.state()
 
@@ -395,7 +358,7 @@ def simulate(
         raise ValueError("dx must be positive")
     dt = _timestep(params, dt)
 
-    eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
+    eng = _start(params, dx)
     stride = max(1, round(sample_interval / dt))
     n_steps = int(math.ceil(horizon / dt - 1e-12))
 
@@ -465,10 +428,6 @@ def front_mass_bound(trace: SimulationTrace, params: ModelParams) -> float:
     trace's initial weighted mass.
     """
     return _mass_front_bound(params, float(trace.mass[0]))
-
-
-def _lambda_front(params: ModelParams, l: float) -> float:
-    return eigen.lambda1(l, params)
 
 
 def _cell_minima(pair: eigen.Eigenpair, x: np.ndarray, h: float) -> np.ndarray:
@@ -570,12 +529,32 @@ def classify(
     On P1 at d = 6, with laplace or gaussian kernels, refining the eigen
     grid fourfold lowers the bound by 0.22-0.24%, nearly all of it through M.
     """
+    return _classify(params, t_max, dx, dt, sample_interval, lambda: _watch_length(params))
+
+
+def _watch_length(params: ModelParams) -> float | None:
+    """Length at which a positive-eigenvalue certificate becomes available;
+    None when the large-domain limit of the eigenvalue is <= 2e-6 or the
+    search fails.  It does not depend on mu1, mu2."""
+    if derived_constants(params).gammaA <= 2 * SIGN_BAND:
+        return None
+    try:
+        return eigen.critical_length(params, target=2 * SIGN_BAND).value
+    except (ValueError, RuntimeError):
+        return None
+
+
+def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
+              sample_interval: float, watch_length: Callable[[], float | None]) -> Outcome:
+    """`classify`, asking ``watch_length`` for the watch length only when the
+    run gets past the initial eigenvalue check; a search over mu computes it
+    once for all its probes."""
     if not dx > 0.0:
         raise ValueError("dx must be positive")
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     dt = _timestep(params, dt)
-    lam0 = _lambda_front(params, params.h0)
+    lam0 = eigen.lambda1(params.h0, params)
     if lam0 >= SIGN_BAND:
         return Outcome(
             verdict="spreading",
@@ -589,16 +568,8 @@ def classify(
             message="eigenvalue already positive at the initial length",
         )
 
-    # length at which a positive-eigenvalue certificate becomes available;
-    # none exists when the large-domain limit of the eigenvalue is <= 0
-    watch: float | None = None
-    if derived_constants(params).gammaA > 2 * SIGN_BAND:
-        try:
-            watch = eigen.critical_length(params, target=2 * SIGN_BAND).value
-        except (ValueError, eigen.EigenConvergenceError):
-            watch = None
-
-    eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
+    watch = watch_length()
+    eng = _start(params, dx)
     stride = max(1, round(sample_interval / dt))
     per_window = max(1, int(round(STALL_WINDOW / (stride * dt))))
 
@@ -606,75 +577,42 @@ def classify(
     offset = 1.0
     n_steps = int(math.ceil(t_max / dt - 1e-12))
 
+    def decided(verdict: str, certificate: str, lam: float, message: str,
+                stall_gap: float | None = None, barrier: Barrier | None = None) -> Outcome:
+        return Outcome(verdict=verdict, certificate=certificate, t_decided=eng.t,
+                       horizon=eng.t, h_front=eng.h, lambda_front=lam, mass=eng.mass(),
+                       stall_gap=stall_gap, message=message, barrier=barrier)
+
     for samples, _ in enumerate(_march(eng, dt, n_steps, stride), start=1):
         hist_h.append(eng.h)
         if len(hist_h) > per_window + 1:
             hist_h.pop(0)
 
         if watch is not None and eng.h >= watch * offset:
-            lam = _lambda_front(params, eng.h)
+            lam = eigen.lambda1(eng.h, params)
             if lam >= SIGN_BAND:
-                return Outcome(
-                    verdict="spreading",
-                    certificate="eigenvalue",
-                    t_decided=eng.t,
-                    horizon=eng.t,
-                    h_front=eng.h,
-                    lambda_front=lam,
-                    mass=eng.mass(),
-                    stall_gap=None,
-                    message="front crossed the positive-eigenvalue length",
-                )
+                return decided("spreading", "eigenvalue", lam,
+                               "front crossed the positive-eigenvalue length")
             offset *= 1.02
 
         if watch is not None and samples % per_window == 0:
             k = _active_count(eng.h, eng.dx)
             bar = _barrier(params, eng.h, watch, eng.edges[:k], eng.u[:k], eng.v[:k])
             if bar is not None and params.mu1 + params.mu2 <= 0.5 * bar.bound:
-                return Outcome(
-                    verdict="vanishing",
-                    certificate="barrier",
-                    t_decided=eng.t,
-                    horizon=eng.t,
-                    h_front=eng.h,
-                    lambda_front=_lambda_front(params, eng.h),
-                    mass=eng.mass(),
-                    stall_gap=None,
-                    message="front held below the comparison barrier",
-                    barrier=bar,
-                )
+                return decided("vanishing", "barrier", eigen.lambda1(eng.h, params),
+                               "front held below the comparison barrier", barrier=bar)
 
         if eng.t >= STALL_WINDOW and len(hist_h) > per_window:
             gap = hist_h[-1] - hist_h[0]
-            if gap < STALL_TOL:
-                m = eng.mass()
-                if m < MASS_TOL:
-                    lam = _lambda_front(params, eng.h)
-                    if lam < 0.0:
-                        return Outcome(
-                            verdict="vanishing",
-                            certificate="stall",
-                            t_decided=eng.t,
-                            horizon=eng.t,
-                            h_front=eng.h,
-                            lambda_front=lam,
-                            mass=m,
-                            stall_gap=gap,
-                            message="front stalled with vanishing mass",
-                        )
+            if gap < STALL_TOL and eng.mass() < MASS_TOL:
+                lam = eigen.lambda1(eng.h, params)
+                if lam < 0.0:
+                    return decided("vanishing", "stall", lam,
+                                   "front stalled with vanishing mass", stall_gap=gap)
 
     gap = hist_h[-1] - hist_h[0] if len(hist_h) > 1 else 0.0
-    return Outcome(
-        verdict="undecided",
-        certificate="none",
-        t_decided=eng.t,
-        horizon=eng.t,
-        h_front=eng.h,
-        lambda_front=_lambda_front(params, eng.h),
-        mass=eng.mass(),
-        stall_gap=gap,
-        message=f"no certificate reached by t={t_max:g}",
-    )
+    return decided("undecided", "none", eigen.lambda1(eng.h, params),
+                   f"no certificate reached by t={t_max:g}", stall_gap=gap)
 
 
 @dataclass(frozen=True)

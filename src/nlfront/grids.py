@@ -4,6 +4,11 @@ All spatial operators in the package live on uniform cell-centered grids.
 Convolution against an even kernel is a symmetric Toeplitz matrix whose
 entries are exact per-cell kernel masses (CDF differences); applying it is
 done through a cached circulant embedding and real FFTs.
+
+`Discretization` is the one discretization of the truncated nonlocal
+operator d_r (∫ J_r(x - y) u_r(y) dy - j_r(x) u_r(x)) that every solver
+builds on: exact cell masses, the retained mass j = CDF at the cell nodes,
+and the escaping tail mass - CDF.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ __all__ = [
     "KernelConvolver",
     "ConvolverStack",
     "CdfInterpolant",
+    "Discretization",
     "default_cells",
 ]
 
@@ -119,3 +125,62 @@ class CdfInterpolant:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.x, self.y, left=float(self.y[0]), right=float(self.y[-1]))
+
+
+class Discretization:
+    """One kernel per row on n cells of width dx, the first starting at 0.
+
+    Owns the cell nodes ``x``, the retained masses ``j`` (row r: kernel r's
+    CDF at the nodes, the mass a node keeps on its inner side), the kernel
+    masses, one convolver stack per size and, built on first use, each
+    row's flux-tail table.
+    """
+
+    def __init__(self, kernels, dx: float, n: int):
+        self.kernels = tuple(kernels)
+        self.dx = float(dx)
+        self.n = int(n)
+        self.x = cell_nodes(0.0, self.dx, self.n)
+        self.j = np.stack([np.asarray(k.cdf(self.x)) for k in self.kernels])
+        self.mass = tuple(float(k.mass) for k in self.kernels)
+        self._stacks: dict[int, ConvolverStack] = {}
+        self._tails: list[CdfInterpolant | None] = [None] * len(self.kernels)
+
+    def extended(self, n: int) -> "Discretization":
+        """The same kernels and width on n >= self.n cells; the convolver
+        stacks carry over, since a stack does not depend on the cell count."""
+        out = Discretization(self.kernels, self.dx, n)
+        out._stacks = self._stacks
+        return out
+
+    def stack(self, k: int) -> ConvolverStack:
+        """Convolver stack for the first k cells.
+
+        Sized to the next power of two >= k (at least 256) but at most n, so
+        k = n always gets size n and a growing front reuses a few sizes.
+        """
+        size = min(1 << max(8, int(k - 1).bit_length()), self.n)
+        stack = self._stacks.get(size)
+        if stack is None:
+            stack = self._stacks[size] = ConvolverStack(self.kernels, self.dx, size)
+        return stack
+
+    def tail(self, r: int) -> CdfInterpolant:
+        """Row r's CDF table on [-1, n dx + 1] at step dx/8, for the flux
+        through a front inside the grid (arguments h - x change every step)."""
+        table = self._tails[r]
+        if table is None:
+            table = self._tails[r] = CdfInterpolant(
+                self.kernels[r], self.n * self.dx + 1.0, self.dx / 8, x_min=-1.0)
+        return table
+
+    def dispersal(self, rates: np.ndarray, uv: np.ndarray,
+                  frac: np.ndarray | None = None) -> np.ndarray:
+        """rates * (K(frac uv) - j uv) on the first k = uv.shape[-1] cells.
+
+        ``rates`` is a (rows, 1) column, ``frac`` each cell's covered
+        fraction (all cells whole when None).
+        """
+        k = uv.shape[-1]
+        conv = self.stack(k).apply(uv if frac is None else uv * frac)
+        return rates * (conv - self.j[:, :k] * uv)

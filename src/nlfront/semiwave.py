@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import signal
 
-from .grids import ConvolverStack
+from .grids import Discretization
 from .model import (
     Kernel,
     ModelParams,
@@ -85,6 +85,13 @@ def _effective_rates(params: ModelParams, sigma: float, k1: Kernel, k2: Kernel):
     return a_eff, b_eff
 
 
+def _kernels(params: ModelParams, n: int | None) -> tuple[Kernel, Kernel]:
+    """Both kernels, truncated at n when n is given."""
+    if n is None:
+        return params.kernel1, params.kernel2
+    return params.kernel1.truncate(n), params.kernel2.truncate(n)
+
+
 def _far_tail_integral(kernel: Kernel, s0: float) -> float:
     """∫_{s0}^∞ (mass − CDF(s)) ds, the far-field reach past distance s0."""
     fm = first_moment(kernel)
@@ -112,8 +119,7 @@ def solve_semiwave(
         raise ValueError("sigma must be >= 0")
     if dx <= 0.0 or L <= dx:
         raise ValueError("need 0 < dx < L")
-    k1 = params.kernel1 if n is None else params.kernel1.truncate(n)
-    k2 = params.kernel2 if n is None else params.kernel2.truncate(n)
+    k1, k2 = _kernels(params, n)
     if n is not None:
         L = max(L, 2.0 * n + 10.0)
 
@@ -151,13 +157,9 @@ def solve_semiwave(
     m = int(round(L / dx))
     L = m * dx
     x = -L + np.arange(m + 1) * dx
-    stack = ConvolverStack((k1, k2), dx, m + 1)
-    s_nodes = (np.arange(m + 1) + 0.5) * dx
-    # mass beyond -L seen at node i, per species
-    far = np.stack([
-        u_far * np.asarray(k1.mass - k1.cdf(s_nodes)),
-        v_far * np.asarray(k2.mass - k2.cdf(s_nodes)),
-    ])
+    grid = Discretization((k1, k2), dx, m + 1)
+    stack = grid.stack(m + 1)
+    far = _far_reach(grid, (u_far, v_far))
     # front-crossing tails for the speed quadrature (static, exact CDF)
     cross1 = np.asarray(k1.mass - k1.cdf(-x))
     cross2 = np.asarray(k2.mass - k2.cdf(-x))
@@ -295,47 +297,40 @@ def profile_residual(
     with trapezoid weights, an independent check that the answer is not an
     artifact of the solver's own quadrature.
     """
-    k1 = params.kernel1 if profile.n is None else params.kernel1.truncate(profile.n)
-    k2 = params.kernel2 if profile.n is None else params.kernel2.truncate(profile.n)
+    k1, k2 = _kernels(params, profile.n)
     nl = params.nonlinearity
     x, p, q = profile.x, profile.p, profile.q
     m = x.size - 1
     dx = float(x[1] - x[0])
-    u_far, v_far = profile.far_field
+    own = np.stack([p, q])
     if quadrature == "cells":
-        s_nodes = (np.arange(m + 1) + 0.5) * dx
-        cp, cq = ConvolverStack((k1, k2), dx, m + 1).apply(np.stack([p, q]))
-        cp += u_far * np.asarray(k1.mass - k1.cdf(s_nodes))
-        cq += v_far * np.asarray(k2.mass - k2.cdf(s_nodes))
+        grid = Discretization((k1, k2), dx, m + 1)
+        conv = grid.stack(m + 1).apply(own) + _far_reach(grid, profile.far_field)
     elif quadrature == "trapezoid":
-        diffs = np.subtract.outer(x, x)
+        diffs = np.abs(np.subtract.outer(x, x))
         wt = np.full(m + 1, dx)
         wt[0] = wt[-1] = dx / 2.0
-        cp = np.asarray(k1.pdf(np.abs(diffs))) @ (wt * p)
-        cq = np.asarray(k2.pdf(np.abs(diffs))) @ (wt * q)
         # the node quadrature spans [-L, 0] exactly, so the frozen far field
         # starts at -L here (not at the cell-partition cut -L - dx/2)
-        cp += u_far * np.asarray(k1.mass - k1.cdf(x + profile.L))
-        cq += v_far * np.asarray(k2.mass - k2.cdf(x + profile.L))
+        conv = np.stack([
+            np.asarray(k.pdf(diffs)) @ (wt * f) + far * np.asarray(k.mass - k.cdf(x + profile.L))
+            for k, f, far in zip((k1, k2), own, profile.far_field)
+        ])
     else:
         raise ValueError("quadrature must be 'cells' or 'trapezoid'")
 
-    c = profile.c
-    dp = (p[1:] - p[:-1]) / dx
-    dq = (q[1:] - q[:-1]) / dx
-    f1 = (
-        params.d1 * (cp[:-1] - p[:-1])
-        + c * dp
-        - (params.a + profile.sigma) * p[:-1]
-        + nl.H(q[:-1])
-    )
-    f2 = (
-        params.d2 * (cq[:-1] - q[:-1])
-        + c * dq
-        - (params.b + profile.sigma) * q[:-1]
-        + nl.G(p[:-1])
-    )
-    return float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))
+    # row r: d_r (conv - own) + c own' - (decay_r + sigma) own + reaction
+    f = (np.array([[params.d1], [params.d2]]) * (conv[:, :-1] - own[:, :-1])
+         + profile.c * (np.diff(own) / dx)
+         - (np.array([[params.a], [params.b]]) + profile.sigma) * own[:, :-1]
+         + np.stack([nl.H(q[:-1]), nl.G(p[:-1])]))
+    return float(np.max(np.abs(f)))
+
+
+def _far_reach(grid: Discretization, far_field: tuple[float, float]) -> np.ndarray:
+    """Mass beyond -L seen at each node, per species: the frozen far field
+    times each kernel's mass escaping past the grid's left cell edge."""
+    return np.array(far_field)[:, None] * (np.array(grid.mass)[:, None] - grid.j)
 
 
 @dataclass(frozen=True)

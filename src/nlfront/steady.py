@@ -18,7 +18,7 @@ import numpy as np
 from . import eigen, freeboundary
 from .eigen import SIGN_BAND
 from .freeboundary import BlowUpError, DecayEstimate, stability_timestep
-from .grids import ConvolverStack, cell_nodes, default_cells
+from .grids import Discretization, default_cells
 from .model import ModelParams, NoPositiveEquilibrium, equilibrium
 
 __all__ = [
@@ -58,26 +58,23 @@ class FixedDomain:
         self.params = params
         self.n = n
         self.dx = self.l / n
-        self.x = cell_nodes(0.0, self.dx, n)
-        self.stack = ConvolverStack((params.kernel1, params.kernel2), self.dx, n)
-        self.j1 = np.asarray(params.kernel1.cdf(self.x))
-        self.j2 = np.asarray(params.kernel2.cdf(self.x))
-        self._den1 = params.d1 * self.j1 + params.a
-        self._den2 = params.d2 * self.j2 + params.b
+        self.grid = Discretization((params.kernel1, params.kernel2), self.dx, n)
+        self.x = self.grid.x
+        self.rates = np.array([[params.d1], [params.d2]])
+        self._den = self.rates * self.grid.j + np.array([[params.a], [params.b]])
 
     def rhs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, nl = self.params, self.params.nonlinearity
-        ku, kv = self.stack.apply(np.stack([u, v]))
-        f1 = p.d1 * (ku - self.j1 * u) - p.a * u + nl.H(v)
-        f2 = p.d2 * (kv - self.j2 * v) - p.b * v + nl.G(u)
+        disp = self.grid.dispersal(self.rates, np.stack([u, v]))
+        f1 = disp[0] - p.a * u + nl.H(v)
+        f2 = disp[1] - p.b * v + nl.G(u)
         return f1, f2
 
     def gamma(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step of the monotone fixed-point map."""
-        p, nl = self.params, self.params.nonlinearity
-        ku, kv = self.stack.apply(np.stack([u, v]))
-        g1 = (p.d1 * ku + nl.H(v)) / self._den1
-        g2 = (p.d2 * kv + nl.G(u)) / self._den2
+        nl = self.params.nonlinearity
+        conv = self.grid.stack(self.n).apply(np.stack([u, v]))
+        g1, g2 = (self.rates * conv + np.stack([nl.H(v), nl.G(u)])) / self._den
         return g1, g2
 
     def residual(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -209,12 +206,15 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
     runs over the second half of the horizon.
     """
     n = num_cells if num_cells is not None else default_cells(l)
-    dx = l / n
-    x = cell_nodes(0.0, dx, n)
+    eng = freeboundary._Master(replace(params, mu1=0.0, mu2=0.0), l / n, n + 64)
+    eng.h = float(l)
+    x = eng.x[:n].copy()
     u = _sample(u0, x, "u0")
     v = _sample(v0, x, "v0")
     if np.any(u < 0) or np.any(v < 0):
         raise ValueError("initial fields must be nonnegative")
+    eng.u[:n] = u
+    eng.v[:n] = v
 
     if not 0.0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
@@ -225,10 +225,6 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
         sample_interval = max(step, horizon / 400.0)
     stride = max(1, round(sample_interval / step))
 
-    eng = freeboundary._master_from_state(
-        freeboundary.FreeBoundaryState(t=0.0, h=float(l), dx=dx, u=u, v=v, front_weight=dx),
-        replace(params, mu1=0.0, mu2=0.0),
-    )
     ts = [0.0]
     nu = [float(np.max(u))]
     nv = [float(np.max(v))]

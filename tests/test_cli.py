@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlfront import cli
+from nlfront import cli, eigen
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> Path:
@@ -185,6 +185,27 @@ def test_threshold_command(tmp_path):
     assert code == 0
     payload = json.loads((out / "threshold.json").read_text())
     assert abs(payload["value"] - 2.187040) < 5e-6
+
+
+def test_lost_bracket_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # the re-evaluation at the pinned resolution loses the sign change
+    solve = eigen.lambda1
+
+    def pinned_negative(l, params, num_cells=None):
+        lam = solve(l, params, num_cells)
+        return lam if num_cells is None else -abs(lam)
+
+    monkeypatch.setattr(eigen, "lambda1", pinned_negative)
+    code, out = run_into(tmp_path, {
+        "command": "threshold",
+        "params": {"d1": 6.0, "d2": 6.0},
+        "threshold": {"name": "ell_star"},
+    })
+    assert code == cli.EXIT_SOLVER == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "RuntimeError", "exit_code": 3,
+                     "message": "bracket lost after pinning the resolution"}
+    assert not (out / "threshold.json").exists()
 
 
 def test_sweep_command(tmp_path):

@@ -69,6 +69,26 @@ def test_mu_star_lists_every_probe(p1_d6):
     assert res.to_dict()["certificate"]["probes"][0]["verdict"] == "vanishing"
 
 
+def test_mu_star_searches_the_watch_length_once(p1_d6, monkeypatch):
+    # lambda1 does not depend on mu, so the search finds classify's watch
+    # length once; each probe still matches a classify run that finds it anew
+    targets = []
+    search = eigen.critical_length
+
+    def counted(params, *args, **kwargs):
+        targets.append(kwargs.get("target", 0.0))
+        return search(params, *args, **kwargs)
+
+    monkeypatch.setattr(eigen, "critical_length", counted)
+    probes = criteria.find_mu_star(p1_d6, t_max=30.0).certificate["probes"]
+    assert targets.count(2e-6) == 1
+    for probe in probes:
+        out = fb.classify(replace(p1_d6, mu1=probe["mu1"], mu2=probe["mu1"]), t_max=30.0)
+        assert (out.verdict, out.t_decided, out.certificate) == (
+            probe["verdict"], probe["t_decided"], probe["certificate"])
+    assert targets.count(2e-6) == 1 + len(probes)
+
+
 def test_mu_star_preconditions(p1, p1_d6):
     with pytest.raises(ValueError, match="spreading for all h0"):
         criteria.find_mu_star(p1)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import params_with
@@ -169,3 +170,25 @@ def test_sweep_direction_and_errors(p1):
     assert len(bad.errors) == 1 and bad.errors[0][0] == -1.0
     with pytest.raises(ValueError, match="cannot sweep"):
         eigen.sweep(spec, "kernel1", [1.0])
+
+
+_KERNELS = st.one_of(
+    st.builds(Kernel, st.sampled_from(["laplace", "gaussian"]), st.floats(0.5, 2.0)),
+    st.builds(Kernel, st.just("cauchy"), st.floats(0.5, 2.0), exponent=st.floats(1.5, 3.0)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kernel1=_KERNELS, kernel2=_KERNELS, d1=st.floats(0.1, 5.0), d2=st.floats(0.1, 5.0),
+       a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), hp=st.floats(0.5, 3.0),
+       gp=st.floats(0.5, 3.0), l=st.floats(0.1, 12.0))
+def test_growth_rate_between_closed_form_limits(kernel1, kernel2, d1, d2, a, b, hp, gp, l):
+    # gammaB <= lambda1(l) <= gammaA at every length, and lambda2 shares the
+    # sign of lambda1 wherever lambda1 is clear of the critical band
+    p = params_with(kernel1=kernel1, kernel2=kernel2, d1=d1, d2=d2, a=a, b=b,
+                    nonlinearity=Nonlinearity("saturating", hp, gp))
+    dc = derived_constants(p)
+    lam1 = eigen.lambda1(l, p)
+    assert dc.gammaB - 1e-6 <= lam1 <= dc.gammaA + 1e-6
+    if abs(lam1) > eigen.SIGN_BAND:
+        assert (eigen.lambda2(l, p) > 0.0) == (lam1 > 0.0)

@@ -30,7 +30,7 @@ def test_grid_growth_between_heun_stages(p1):
     eng.u[:504] = 0.01
     eng.v[:504] = 0.01
     dt = steady.stability_timestep(p1)
-    _, _, g1 = eng.rhs(eng.u, eng.v, eng.h)
+    _, g1 = eng.rhs(eng.uv, eng.h)
     assert eng.cap == 512 and eng.h + dt * g1 < 25.2
     eng.heun(dt)
     assert eng.h > 25.2 and eng.cap == 1024
@@ -219,10 +219,22 @@ def test_barrier_scale_covers_every_cell(p1_d6):
 
 
 def test_pinned_run_builds_no_tail_tables(p1):
-    pinned = fb._Master(replace(p1, mu1=0.0, mu2=0.0), 0.05, 64)
-    assert pinned.tail1 is None and pinned.tail2 is None
-    one = fb._Master(replace(p1, mu2=0.0), 0.05, 64)
-    assert one.tail1 is not None and one.tail2 is None
+    # tail tables are built on first use, so look after one Heun step
+    pinned = fb._start(replace(p1, mu1=0.0, mu2=0.0), 0.05)
+    pinned.heun(0.01)
+    assert pinned.grid._tails == [None, None]
+    one = fb._start(replace(p1, mu2=0.0), 0.05)
+    one.heun(0.01)
+    assert one.grid._tails[0] is not None and one.grid._tails[1] is None
+
+
+def test_watch_length_falls_back_when_the_bracket_is_lost(p1_d6, monkeypatch):
+    solve = eigen.lambda1
+    monkeypatch.setattr(eigen, "lambda1", lambda l, params, num_cells=None: (
+        solve(l, params, num_cells) if num_cells is None else -1.0))
+    with pytest.raises(RuntimeError, match="bracket lost"):
+        eigen.critical_length(p1_d6, target=2e-6)
+    assert fb._watch_length(p1_d6) is None
 
 
 def test_snapshots_and_determinism(p1):

@@ -1,10 +1,11 @@
 """Fixed-habitat steady states, monotone iteration, and decay classification."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import params_with
 from nlfront import eigen, steady
-from nlfront.model import equilibrium, initial_profile
+from nlfront.model import Kernel, Nonlinearity, equilibrium, initial_profile
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +171,20 @@ def test_comparison_check_rejects_growing_roof(p1):
 def test_timestep_policy(p1):
     dt = steady.stability_timestep(p1)
     assert abs(dt - 0.4 / 8.0) < 1e-15
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(family=st.sampled_from(["laplace", "gaussian", "cauchy"]), d1=st.floats(0.1, 4.0),
+       d2=st.floats(0.1, 4.0), hp=st.floats(1.0, 3.0), gp=st.floats(1.0, 3.0),
+       l=st.floats(0.5, 10.0))
+def test_steady_state_stays_below_the_equilibrium(family, d1, d2, hp, gp, l):
+    # the squeeze descends from the constant equilibrium, so a positive
+    # steady state never exceeds it
+    kernel = Kernel(family, 1.0)
+    p = params_with(kernel1=kernel, kernel2=kernel, d1=d1, d2=d2,
+                    nonlinearity=Nonlinearity("saturating", hp, gp))
+    assume(eigen.lambda1(l, p, num_cells=100) > 0.05)
+    s = steady.solve_steady(l, p, num_cells=100)
+    U, V = equilibrium(p)
+    assert not s.is_zero
+    assert np.all(s.u <= U + 1e-9) and np.all(s.v <= V + 1e-9)
