@@ -193,6 +193,8 @@ class _Master:
         self.t = 0.0
         self.h = params.h0
         self.grid = Discretization((params.kernel1, params.kernel2), self.dx, self.cap)
+        self._same_kernels = params.kernel1 == params.kernel2
+        self._front_h: float | None = None
         self._alloc()
 
     def _alloc(self) -> None:
@@ -215,13 +217,23 @@ class _Master:
     def weights(self, h: float, k: int) -> np.ndarray:
         return np.clip(h - self.edges[:k], 0.0, self.dx)
 
+    def front(self, h: float) -> tuple[int, np.ndarray, np.ndarray]:
+        """Covered cell count k, cell weights w and covered fractions w / dx
+        at front h, recomputed only when h changes (a pinned front never
+        does)."""
+        if h != self._front_h:
+            k = _active_count(h, self.dx)
+            w = self.weights(h, k)
+            self._front = (k, w, w / self.dx)
+            self._front_h = h
+        return self._front
+
     def rhs(self, uv: np.ndarray, h: float) -> tuple[np.ndarray, float]:
         """Field derivatives (2, k) on the k cells covered at front h, plus h'."""
         p = self.params
-        k = _active_count(h, self.dx)
-        w = self.weights(h, k)
+        k, w, frac = self.front(h)
         ua, va = act = uv[:, :k]
-        f = self.grid.dispersal(self.rates, act, w / self.dx)
+        f = self.grid.dispersal(self.rates, act, frac)
         f[0] += -p.a * ua + self.nl.H(va)
         f[1] += -p.b * va + self.nl.G(ua)
 
@@ -229,10 +241,14 @@ class _Master:
         if p.mu1 > 0.0 or p.mu2 > 0.0:
             s = h - self.x[:k]
             acc = np.zeros(k)
-            # only a species that moves the front asks for (and so builds) a tail table
+            escape = None
+            # only a species that moves the front asks for (and so builds) a
+            # tail table; equal kernels share one escaping-mass evaluation
             for r, mu in enumerate((p.mu1, p.mu2)):
                 if mu > 0.0:
-                    acc += mu * act[r] * (self.grid.mass[r] - self.grid.tail(r)(s))
+                    if escape is None or not self._same_kernels:
+                        escape = self.grid.mass[r] - self.grid.tail(r)(s)
+                    acc += mu * act[r] * escape
             flux = float(np.dot(w, acc))
         return f, flux
 
@@ -264,8 +280,7 @@ class _Master:
         self.t += dt
 
     def mass(self) -> float:
-        k = _active_count(self.h, self.dx)
-        w = self.weights(self.h, k)
+        k, w, _ = self.front(self.h)
         return float(np.dot(w, self.u[:k] + (self.nl.hp0 / self.params.b) * self.v[:k]))
 
     def state(self) -> FreeBoundaryState:

@@ -282,7 +282,8 @@ def solve_semiwave(
         outer_iterations=outer,
         sweeps=sweeps,
     )
-    return replace(prof, residual_profile=profile_residual(prof, params))
+    conv = stack.apply(pq) + far
+    return replace(prof, residual_profile=_residual(prof, params, conv, dx))
 
 
 def profile_residual(
@@ -292,17 +293,17 @@ def profile_residual(
 ) -> float:
     """Sup-norm of the discrete profile equations at the converged triple.
 
-    `quadrature="cells"` reuses the solver's exact per-cell kernel masses;
-    `"trapezoid"` rebuilds the convolution from pointwise kernel values
-    with trapezoid weights, an independent check that the answer is not an
-    artifact of the solver's own quadrature.
+    `quadrature="cells"` uses the solver's exact per-cell kernel masses
+    (on a grid rebuilt from the profile's nodes; the solver itself reuses
+    its own); `"trapezoid"` rebuilds the convolution from pointwise kernel
+    values with trapezoid weights, an independent check that the answer is
+    not an artifact of the solver's own quadrature.
     """
     k1, k2 = _kernels(params, profile.n)
-    nl = params.nonlinearity
-    x, p, q = profile.x, profile.p, profile.q
+    x = profile.x
     m = x.size - 1
     dx = float(x[1] - x[0])
-    own = np.stack([p, q])
+    own = np.stack([profile.p, profile.q])
     if quadrature == "cells":
         grid = Discretization((k1, k2), dx, m + 1)
         conv = grid.stack(m + 1).apply(own) + _far_reach(grid, profile.far_field)
@@ -318,12 +319,20 @@ def profile_residual(
         ])
     else:
         raise ValueError("quadrature must be 'cells' or 'trapezoid'")
+    return _residual(profile, params, conv, dx)
 
+
+def _residual(profile: SemiWaveProfile, params: ModelParams, conv: np.ndarray,
+              dx: float) -> float:
+    """Sup-norm of the profile equations given the (2, m + 1) convolutions
+    (far field included) of the profiles on nodes spaced dx."""
+    nl = params.nonlinearity
+    own = np.stack([profile.p, profile.q])
     # row r: d_r (conv - own) + c own' - (decay_r + sigma) own + reaction
     f = (np.array([[params.d1], [params.d2]]) * (conv[:, :-1] - own[:, :-1])
          + profile.c * (np.diff(own) / dx)
          - (np.array([[params.a], [params.b]]) + profile.sigma) * own[:, :-1]
-         + np.stack([nl.H(q[:-1]), nl.G(p[:-1])]))
+         + np.stack([nl.H(profile.q[:-1]), nl.G(profile.p[:-1])]))
     return float(np.max(np.abs(f)))
 
 

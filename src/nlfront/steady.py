@@ -205,6 +205,8 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
     times the natural a-priori bound abort with BlowUpError.  The decay fit
     runs over the second half of the horizon.
     """
+    if not 0.0 < l < math.inf:
+        raise ValueError("domain length must be positive and finite")
     n = num_cells if num_cells is not None else default_cells(l)
     eng = freeboundary._Master(replace(params, mu1=0.0, mu2=0.0), l / n, n + 64)
     eng.h = float(l)

@@ -81,6 +81,16 @@ def test_evolve_rejects_unstable_timestep(tmp_path, capsys):
     assert not (out / "decay.json").exists()
 
 
+@pytest.mark.parametrize("l", [0.0, -1.0, math.inf])
+def test_evolve_rejects_nonpositive_or_infinite_length(tmp_path, capsys, l):
+    code, out = run_into(tmp_path, {"command": "evolve", "numeric": {"l": l, "T": 5.0}})
+    assert code == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ValueError",
+                     "message": "domain length must be positive and finite", "exit_code": 2}
+    assert not (out / "decay.json").exists()
+
+
 @pytest.mark.parametrize("command, artifact", [
     ("evolve", "decay.json"), ("simulate", "trace.csv"),
 ])

@@ -228,6 +228,66 @@ def test_pinned_run_builds_no_tail_tables(p1):
     assert one.grid._tails[0] is not None and one.grid._tails[1] is None
 
 
+def test_pinned_engine_computes_its_weights_once(p1, monkeypatch):
+    calls = []
+    weights = fb._Master.weights
+    monkeypatch.setattr(fb._Master, "weights",
+                        lambda self, h, k: calls.append(h) or weights(self, h, k))
+    steady.evolve_fixed(2.0, p1, p1.u0, p1.v0, horizon=1.0)
+    assert calls == [2.0]
+
+
+def test_growing_front_builds_the_dense_block_once(p1, monkeypatch):
+    built = []
+    toeplitz = grids._toeplitz
+    monkeypatch.setattr(grids, "_toeplitz", lambda col: built.append(col.size) or toeplitz(col))
+    eng = fb._start(p1, 0.05)
+    dt = steady.stability_timestep(p1)
+    eng.heun(dt)
+    block = eng.grid.block()
+    for _ in range(2):
+        eng.grow()
+        eng.heun(dt)
+    assert eng.cap == 2048 and eng.grid.block() is block
+    assert built == [grids.DENSE_MAX] * 2  # one Toeplitz matrix per kernel row
+
+
+def test_equal_kernels_share_one_tail_evaluation(p1, monkeypatch):
+    calls = []
+    call = grids.CdfInterpolant.__call__
+    monkeypatch.setattr(grids.CdfInterpolant, "__call__",
+                        lambda self, x: calls.append(x.size) or call(self, x))
+    shared = fb._start(p1, 0.05)
+    f, g = shared.rhs(shared.uv, shared.h)
+    assert len(calls) == 1
+    split = fb._start(p1, 0.05)
+    split._same_kernels = False
+    f_split, g_split = split.rhs(split.uv, split.h)
+    assert len(calls) == 3
+    assert np.array_equal(f, f_split) and g == g_split
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(family=st.sampled_from(["laplace", "gaussian"]), scale=st.floats(0.5, 2.0),
+       saturating=st.booleans(), a=st.floats(0.5, 3.0), b=st.floats(0.5, 3.0),
+       hp=st.floats(0.5, 3.0), r0=st.floats(0.1, 1.0), d1=st.floats(0.0, 3.0),
+       d2=st.floats(0.2, 3.0), mu1=st.floats(0.0, 3.0), mu2=st.floats(0.0, 3.0),
+       h0=st.floats(0.5, 4.0))
+def test_front_stays_below_the_mass_bound(family, scale, saturating, a, b, hp, r0, d1, d2,
+                                          mu1, mu2, h0):
+    # R0 = H'(0) G'(0) / (a b) <= 1: the weighted mass u + H'(0) v / b never
+    # grows, so the front, fed by that mass, stays below front_mass_bound
+    gp = r0 * a * b / hp
+    nl = (Nonlinearity("saturating", hp, gp) if saturating
+          else Nonlinearity("linear", beta=gp, c=hp))
+    kernel = Kernel(family, scale)
+    p = params_with(kernel1=kernel, kernel2=kernel, nonlinearity=nl, a=a, b=b,
+                    d1=d1, d2=d2, mu1=mu1, mu2=mu2, h0=h0)
+    trace = fb.simulate(p, horizon=10.0, dx=0.1, sample_interval=0.5)
+    assert trace.final.u.size <= grids.DENSE_MAX
+    assert np.all(trace.h <= fb.front_mass_bound(trace, p) + 1e-9)
+
+
 def test_watch_length_falls_back_when_the_bracket_is_lost(p1_d6, monkeypatch):
     solve = eigen.lambda1
     monkeypatch.setattr(eigen, "lambda1", lambda l, params, num_cells=None: (

@@ -256,6 +256,30 @@ def test_convolver_stack_rows_equal_single_applies(laplace, n):
         stack.apply(np.zeros((2, n + 1)))
 
 
+@pytest.mark.parametrize("k", [1, 2, 44, 200, grids.DENSE_MAX, grids.DENSE_MAX + 1])
+def test_dense_dispersal_matches_fft_and_dense_reference(laplace, k):
+    # up to DENSE_MAX cells dispersal applies the dense block, beyond it the
+    # stacked FFT; both are the same linear map as KernelConvolver.dense(),
+    # here with a partial last cell as under a moving front
+    dx = 0.05
+    kernels = (laplace, Kernel("gaussian", 0.8))
+    grid = grids.Discretization(kernels, dx, 2 * grids.DENSE_MAX)
+    rng = np.random.default_rng(k)
+    uv = rng.uniform(0.0, 1.0, (2, k))
+    frac = np.ones(k)
+    frac[-1] = 0.3
+    rates = np.array([[1.5], [0.7]])
+    out = grid.dispersal(rates, uv, frac)
+    loss = grid.j[:, :k] * uv
+    fft = rates * (grid.stack(k).apply(uv * frac) - loss)
+    dense = np.stack([grids.KernelConvolver(kern, dx, k).dense() @ (row * frac)
+                      for kern, row in zip(kernels, uv)])
+    ref = rates * (dense - loss)
+    scale = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(out - fft)) <= 1e-14 * scale
+    assert np.max(np.abs(out - ref)) <= 1e-14 * scale
+
+
 def test_cdf_interpolant_accuracy(laplace):
     interp = grids.CdfInterpolant(laplace, 30.0, 1e-3)
     xs = np.linspace(0.0, 29.5, 500)

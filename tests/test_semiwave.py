@@ -41,6 +41,13 @@ def test_residuals_small(p1, wave_p1):
         semiwave.profile_residual(wave_p1, p1, quadrature="simpson")
 
 
+def test_solver_residual_matches_the_public_check(p1, wave_p1):
+    # the solver evaluates its residual on its own grid, profile_residual on
+    # one rebuilt from the nodes; the two differ only in rounding
+    assert wave_p1.residual_profile == pytest.approx(
+        semiwave.profile_residual(wave_p1, p1), rel=1e-6, abs=1e-13)
+
+
 def test_initial_guess_does_not_matter(p1, wave_p1):
     alt = semiwave.solve_semiwave(p1, c0=1.5)
     assert abs(alt.c - wave_p1.c) < 1e-5
