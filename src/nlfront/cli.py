@@ -25,14 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import criteria, eigen, freeboundary, semiwave, steady
-from .grids import default_cells
-from .model import (
-    Kernel,
-    ModelError,
-    ModelParams,
-    Nonlinearity,
-    initial_profile,
-)
+from .model import Kernel, ModelParams, Nonlinearity, initial_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,31 +37,6 @@ COMMANDS = (
     "semiwave", "threshold", "sweep", "report",
 )
 
-_TOP_KEYS = {
-    "command", "preset", "params", "numeric", "output",
-    "threshold", "sweep", "report", "front_compare", "seed",
-}
-_PARAM_KEYS = {
-    "d1", "d2", "a", "b", "mu1", "mu2", "h0",
-    "kernel1", "kernel2", "nonlinearity", "u0", "v0",
-}
-_KERNEL_KEYS = {"family", "scale", "exponent", "points"}
-_NONLINEARITY_KEYS = {"family", "alpha", "beta", "c"}
-_PROFILE_KEYS = {"kind", "amplitude"}
-_NUMERIC_KEYS = {
-    "N", "dx", "dt", "T", "L", "l", "sigma", "n", "sigmas", "ns",
-    "t_max", "sample_interval", "snapshot_times", "c0", "multi_start",
-}
-_OUTPUT_KEYS = {"directory", "formats", "sample_schedule"}
-_THRESHOLD_KEYS = {"name", "mode", "link", "t_max", "dx"}
-_LINK_KEYS = {"type", "factor"}
-_SWEEP_KEYS = {"variable", "values"}
-_REPORT_KEYS = {"mismatch", "decision_tree", "decay_rates"}
-_MISMATCH_KEYS = {"h0_values", "num_points"}
-_DECAY_KEYS = {"lengths", "horizon"}
-_FRONT_COMPARE_KEYS = {"horizon", "window", "dx"}
-
-
 class ConfigError(ValueError):
     """Configuration rejected before any computation ran."""
 
@@ -77,58 +45,98 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _list_of(cast: Callable) -> Callable[[object], list]:
+    def typed(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a JSON list, got {value!r}")
+        return [cast(v) for v in value]
+    return typed
+
+
+_floats = _list_of(float)
+
+
+def _points(value) -> tuple:
+    return tuple((x, j) for x, j in _list_of(_floats)(value))
+
+
+# every config key: the function that types its value, or a nested block's table
+_KERNEL = {"family": _string, "scale": float, "exponent": float, "points": _points}
+_PROFILE = {"kind": _string, "amplitude": float}
+_SCHEMA: dict = {
+    "command": _string, "preset": _string, "seed": int,
+    "params": {
+        "d1": float, "d2": float, "a": float, "b": float,
+        "mu1": float, "mu2": float, "h0": float,
+        "kernel1": _KERNEL, "kernel2": _KERNEL,
+        "nonlinearity": {"family": _string, "alpha": float, "beta": float, "c": float},
+        "u0": _PROFILE, "v0": _PROFILE,
+    },
+    "numeric": {
+        "N": int, "dx": float, "dt": float, "T": float, "L": float, "l": float,
+        "sigma": float, "n": int, "sigmas": _floats, "ns": _list_of(int),
+        "t_max": float, "sample_interval": float, "snapshot_times": _floats,
+        "c0": float, "multi_start": int,
+    },
+    "output": {"directory": _string, "formats": _list_of(_string),
+               "sample_schedule": _floats},
+    "threshold": {"name": _string, "mode": _string, "t_max": float, "dx": float,
+                  "link": {"type": _string, "factor": float}},
+    "sweep": {"variable": _string, "values": _floats},
+    "report": {
+        "mismatch": {"h0_values": _floats, "num_points": int},
+        "decision_tree": _flag,
+        "decay_rates": {"lengths": _floats, "horizon": float},
+    },
+    "front_compare": {"horizon": float, "window": float, "dx": float},
+}
+
+
+def _typed(block, schema: dict, where: str = "config") -> dict:
+    """Copy of block with unknown keys rejected and every value typed."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - allowed)
+    unknown = sorted(set(block) - set(schema))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _build_kernel(block: dict, where: str) -> Kernel:
-    _check_keys(block, _KERNEL_KEYS, where)
-    kw = {}
-    if "exponent" in block:
-        kw["exponent"] = float(block["exponent"])
-    if "points" in block:
-        kw["points"] = tuple((float(x), float(j)) for x, j in block["points"])
-    return Kernel(str(block.get("family", "laplace")), float(block.get("scale", 1.0)), **kw)
-
-
-def _build_nonlinearity(block: dict) -> Nonlinearity:
-    _check_keys(block, _NONLINEARITY_KEYS, "params.nonlinearity")
-    return Nonlinearity(
-        str(block.get("family", "saturating")),
-        alpha=float(block.get("alpha", 2.0)),
-        beta=float(block.get("beta", 2.0)),
-        c=float(block.get("c", 1.0)),
-    )
-
-
-def _build_profile(block: dict, h0: float, where: str):
-    _check_keys(block, _PROFILE_KEYS, where)
-    return initial_profile(
-        str(block.get("kind", "tent")), float(block.get("amplitude", 1.0)), h0
-    )
+    typed = {}
+    for key, value in block.items():
+        path = key if where == "config" else f"{where}.{key}"
+        cast = schema[key]
+        try:
+            typed[key] = _typed(value, cast, path) if isinstance(cast, dict) else cast(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {path}: {exc}") from None
+    return typed
 
 
 def build_params(block: dict) -> ModelParams:
-    """ModelParams from the config's params block (P1 baseline defaults)."""
-    _check_keys(block, _PARAM_KEYS, "params")
-    h0 = float(block.get("h0", 2.0))
+    """ModelParams from a typed params block; the P1 baseline fills the rest."""
+    p = _p1_params()
+    for key, value in block.items():
+        p[key] = {**p[key], **value} if isinstance(value, dict) else value
+    scalars = {k: p[k] for k in ("d1", "d2", "a", "b", "mu1", "mu2", "h0")}
     return ModelParams(
-        d1=float(block.get("d1", 1.0)),
-        d2=float(block.get("d2", 1.0)),
-        a=float(block.get("a", 1.0)),
-        b=float(block.get("b", 1.0)),
-        mu1=float(block.get("mu1", 1.0)),
-        mu2=float(block.get("mu2", 1.0)),
-        h0=h0,
-        kernel1=_build_kernel(block.get("kernel1", {}), "params.kernel1"),
-        kernel2=_build_kernel(block.get("kernel2", {}), "params.kernel2"),
-        nonlinearity=_build_nonlinearity(block.get("nonlinearity", {})),
-        u0=_build_profile(block.get("u0", {"amplitude": 1.0}), h0, "params.u0"),
-        v0=_build_profile(block.get("v0", {"amplitude": 0.5}), h0, "params.v0"),
+        **scalars,
+        kernel1=Kernel(**p["kernel1"]),
+        kernel2=Kernel(**p["kernel2"]),
+        nonlinearity=Nonlinearity(**p["nonlinearity"]),
+        u0=initial_profile(p["u0"]["kind"], p["u0"]["amplitude"], p["h0"]),
+        v0=initial_profile(p["v0"]["kind"], p["v0"]["amplitude"], p["h0"]),
     )
 
 
@@ -147,27 +155,20 @@ class ScenarioConfig:
 
 
 def _merge_preset(cfg: dict) -> dict:
-    name = cfg.get("preset")
-    if name is None:
+    if "preset" not in cfg:
         return cfg
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
-    merged = copy.deepcopy(_PRESETS[name])
+    merged = preset_config(cfg["preset"])
     for key, value in cfg.items():
-        if key == "preset":
-            continue
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key] = {**merged[key], **value}
         else:
             merged[key] = value
-    merged["preset"] = name
     return merged
 
 
 def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
-    """Strict-key validation of a raw config dict, presets already merged."""
-    _check_keys(cfg, _TOP_KEYS, "config")
-    cfg = _merge_preset(cfg)
+    """Strict-key, typed validation of a raw config dict; merges its preset."""
+    cfg = _merge_preset(_typed(cfg, _SCHEMA))
     declared = cfg.get("command")
     if declared is not None and declared not in COMMANDS:
         raise ConfigError(f"unknown command {declared!r}; choose one of {', '.join(COMMANDS)}")
@@ -179,49 +180,23 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
     if resolved is None:
         raise ConfigError("no command given on the command line or in the config")
 
-    numeric = cfg.get("numeric", {})
-    _check_keys(numeric, _NUMERIC_KEYS, "numeric")
     output = cfg.get("output", {})
-    _check_keys(output, _OUTPUT_KEYS, "output")
-    formats = output.get("formats", ["csv", "json"])
-    bad = sorted(set(formats) - {"csv", "json"})
+    bad = sorted(set(output.get("formats", ["csv", "json"])) - {"csv", "json"})
     if bad:
         raise ConfigError(f"unknown output formats: {', '.join(bad)}")
-
-    threshold = cfg.get("threshold")
-    if threshold is not None:
-        _check_keys(threshold, _THRESHOLD_KEYS, "threshold")
-        if "link" in threshold:
-            _check_keys(threshold["link"], _LINK_KEYS, "threshold.link")
-    sweep = cfg.get("sweep")
-    if sweep is not None:
-        _check_keys(sweep, _SWEEP_KEYS, "sweep")
-    report = cfg.get("report")
-    if report is not None:
-        _check_keys(report, _REPORT_KEYS, "report")
-        if "mismatch" in report:
-            _check_keys(report["mismatch"], _MISMATCH_KEYS, "report.mismatch")
-        if "decay_rates" in report:
-            _check_keys(report["decay_rates"], _DECAY_KEYS, "report.decay_rates")
-    front_compare = cfg.get("front_compare")
-    if front_compare is not None:
-        _check_keys(front_compare, _FRONT_COMPARE_KEYS, "front_compare")
-
     seed = cfg.get("seed")
-    if seed is not None:
-        seed = int(seed)
-        if seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+    if seed is not None and seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
 
     return ScenarioConfig(
         command=resolved,
         params=build_params(cfg.get("params", {})),
-        numeric=dict(numeric),
-        output=dict(output),
-        threshold=copy.deepcopy(threshold),
-        sweep=copy.deepcopy(sweep),
-        report=copy.deepcopy(report),
-        front_compare=copy.deepcopy(front_compare),
+        numeric=cfg.get("numeric", {}),
+        output=output,
+        threshold=cfg.get("threshold"),
+        sweep=cfg.get("sweep"),
+        report=cfg.get("report"),
+        front_compare=cfg.get("front_compare"),
         seed=seed,
         preset=cfg.get("preset"),
     )
@@ -230,14 +205,14 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
 def _require(numeric: dict, key: str, command: str) -> float:
     if key not in numeric:
         raise ConfigError(f"command {command!r} needs numeric.{key}")
-    return float(numeric[key])
+    return numeric[key]
 
 
 def _build_link(block: dict | None) -> Callable[[float], float]:
     if block is None or block.get("type", "identity") == "identity":
         return lambda s: s
     if block["type"] == "scale":
-        factor = float(block.get("factor", 1.0))
+        factor = block.get("factor", 1.0)
         if factor <= 0:
             raise ConfigError("threshold.link.factor must be positive")
         return lambda s: factor * s
@@ -308,11 +283,11 @@ class _Sink:
 
 def _cmd_eigen(cfg: ScenarioConfig, sink: _Sink) -> int:
     l = _require(cfg.numeric, "l", "eigen")
-    cells = int(cfg.numeric.get("N", default_cells(l)))
-    pair = eigen.principal_eigenpair(eigen.lambda1_spec(l, cfg.params, cells))
-    lam2 = eigen.lambda2(l, cfg.params, num_cells=cells)
+    spec = eigen.lambda1_spec(l, cfg.params, cfg.numeric.get("N"))
+    pair = eigen.principal_eigenpair(spec)
+    lam2 = eigen.lambda2(l, cfg.params, num_cells=spec.num_cells)
     sink.json("eigen.json", {
-        "l": l, "num_cells": cells,
+        "l": l, "num_cells": spec.num_cells,
         "lambda1": pair.lambda_p, "lambda2": lam2,
         "iterations": pair.iterations, "residual": pair.residual,
     })
@@ -323,8 +298,7 @@ def _cmd_eigen(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 def _cmd_steady(cfg: ScenarioConfig, sink: _Sink) -> int:
     l = _require(cfg.numeric, "l", "steady")
-    cells = cfg.numeric.get("N")
-    st = steady.solve_steady(l, cfg.params, None if cells is None else int(cells))
+    st = steady.solve_steady(l, cfg.params, cfg.numeric.get("N"))
     sink.csv("steady_state.csv", "x,u,v", zip(st.x, st.u, st.v))
     sink.json("steady.json", {
         "l": st.l, "lambda1": st.lambda1, "residual": st.residual,
@@ -336,12 +310,9 @@ def _cmd_steady(cfg: ScenarioConfig, sink: _Sink) -> int:
 def _cmd_evolve(cfg: ScenarioConfig, sink: _Sink) -> int:
     l = _require(cfg.numeric, "l", "evolve")
     horizon = _require(cfg.numeric, "T", "evolve")
-    cells = cfg.numeric.get("N")
-    dt = cfg.numeric.get("dt")
     trace, decay = steady.evolve_fixed(
         l, cfg.params, cfg.params.u0, cfg.params.v0, horizon,
-        num_cells=None if cells is None else int(cells),
-        dt=None if dt is None else float(dt),
+        num_cells=cfg.numeric.get("N"), dt=cfg.numeric.get("dt"),
         sample_interval=cfg.numeric.get("sample_interval"),
     )
     sink.csv("trajectory.csv", "t,norm_u,norm_v,norm_sum",
@@ -355,20 +326,16 @@ def _cmd_evolve(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _snapshot_times(cfg: ScenarioConfig):
-    times = cfg.numeric.get("snapshot_times")
-    if times is None:
-        times = cfg.output.get("sample_schedule", ())
-    return tuple(float(t) for t in times)
+    return tuple(cfg.numeric.get("snapshot_times", cfg.output.get("sample_schedule", ())))
 
 
 def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
     horizon = _require(cfg.numeric, "T", "simulate")
-    dt = cfg.numeric.get("dt")
     trace = freeboundary.simulate(
         cfg.params, horizon,
-        dx=float(cfg.numeric.get("dx", freeboundary.DEFAULT_DX)),
-        dt=None if dt is None else float(dt),
-        sample_interval=float(cfg.numeric.get("sample_interval", 1.0)),
+        dx=cfg.numeric.get("dx", freeboundary.DEFAULT_DX),
+        dt=cfg.numeric.get("dt"),
+        sample_interval=cfg.numeric.get("sample_interval", 1.0),
         snapshot_times=_snapshot_times(cfg),
     )
     sink.csv("trace.csv", "t,h,sup_u,sup_v,mass",
@@ -383,13 +350,12 @@ def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
-    dt = cfg.numeric.get("dt")
     outcome = freeboundary.classify(
         cfg.params,
-        t_max=float(cfg.numeric.get("t_max", freeboundary.DEFAULT_T_MAX)),
-        dx=float(cfg.numeric.get("dx", freeboundary.DEFAULT_DX)),
-        dt=None if dt is None else float(dt),
-        sample_interval=float(cfg.numeric.get("sample_interval", 1.0)),
+        t_max=cfg.numeric.get("t_max", freeboundary.DEFAULT_T_MAX),
+        dx=cfg.numeric.get("dx", freeboundary.DEFAULT_DX),
+        dt=cfg.numeric.get("dt"),
+        sample_interval=cfg.numeric.get("sample_interval", 1.0),
     )
     sink.json("outcome.json", {
         "verdict": outcome.verdict, "t_decided": outcome.t_decided,
@@ -404,10 +370,10 @@ def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 def _front_compare_rows(cfg: ScenarioConfig, c_ref: float):
     block = cfg.front_compare
-    horizon = float(block.get("horizon", 200.0))
-    window = float(block.get("window", 25.0))
+    horizon = block.get("horizon", 200.0)
+    window = block.get("window", 25.0)
     trace = freeboundary.simulate(
-        cfg.params, horizon, dx=float(block.get("dx", freeboundary.DEFAULT_DX))
+        cfg.params, horizon, dx=block.get("dx", freeboundary.DEFAULT_DX)
     )
     rows = []
     start = 0.0
@@ -422,14 +388,14 @@ def _front_compare_rows(cfg: ScenarioConfig, c_ref: float):
 
 def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
     num = cfg.numeric
-    L = float(num.get("L", semiwave.DEFAULT_L))
-    dx = float(num.get("dx", semiwave.DEFAULT_DX))
+    L = num.get("L", semiwave.DEFAULT_L)
+    dx = num.get("dx", semiwave.DEFAULT_DX)
 
     if "sigmas" in num or "ns" in num:
         table = semiwave.speed_limits(
             cfg.params,
-            sigmas=[float(s) for s in num.get("sigmas", [0.0])],
-            ns=[int(n) for n in num.get("ns", [])],
+            sigmas=num.get("sigmas", [0.0]),
+            ns=num.get("ns", []),
             L=L, dx=dx,
         )
         sink.csv("convergence.csv", "sigma,n,c",
@@ -441,7 +407,7 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         })
         return EXIT_OK
 
-    sigma = float(num.get("sigma", 0.0))
+    sigma = num.get("sigma", 0.0)
     n = num.get("n")
     if sigma == 0.0 and n is None:
         predicted = semiwave.predicted_speed(cfg.params, L=L, dx=dx)
@@ -451,8 +417,7 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         prof = predicted.profile
     else:
         prof = semiwave.solve_semiwave(
-            cfg.params, sigma=sigma, n=None if n is None else int(n),
-            L=L, dx=dx, c0=num.get("c0"),
+            cfg.params, sigma=sigma, n=n, L=L, dx=dx, c0=num.get("c0"),
         )
     result = {
         "accelerated": False, "c": prof.c, "sigma": prof.sigma, "n": prof.n,
@@ -461,14 +426,13 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         "residual_speed": prof.residual_speed,
         "outer_iterations": prof.outer_iterations, "sweeps": prof.sweeps,
     }
-    starts = int(num.get("multi_start", 0))
+    starts = num.get("multi_start", 0)
     if starts > 0:
         rng = np.random.default_rng(cfg.seed or 0)
         speeds = [prof.c]
         for factor in rng.uniform(0.2, 3.0, size=starts):
             speeds.append(semiwave.solve_semiwave(
-                cfg.params, sigma=sigma, n=None if n is None else int(n),
-                L=L, dx=dx, c0=prof.c * float(factor),
+                cfg.params, sigma=sigma, n=n, L=L, dx=dx, c0=prof.c * float(factor),
             ).c)
         result["multi_start"] = {
             "speeds": speeds, "spread": max(speeds) - min(speeds),
@@ -487,26 +451,20 @@ def _cmd_threshold(cfg: ScenarioConfig, sink: _Sink) -> int:
         raise ConfigError("command 'threshold' needs a threshold block with a name")
     name = block["name"]
     link = _build_link(block.get("link"))
-    t_max = float(block.get("t_max", 500.0))
-    dx = float(block.get("dx", freeboundary.DEFAULT_DX))
+    t_max = block.get("t_max", 500.0)
+    dx = block.get("dx", freeboundary.DEFAULT_DX)
     if name == "ell_star":
         payload = criteria.find_ell_star(cfg.params).to_dict()
-    elif name == "mu1_star":
-        payload = criteria.find_mu_star(
-            cfg.params, link, t_max=t_max, dx=dx
-        ).to_dict()
+    elif name in ("mu1_star", "dichotomy"):
+        payload = criteria.find_mu_star(cfg.params, link, t_max=t_max, dx=dx).to_dict()
+        if name == "dichotomy":
+            payload = {"ell_star": criteria.find_ell_star(cfg.params).to_dict(),
+                       "mu1_star": payload}
     elif name == "d_thresholds":
         mode = block.get("mode")
         if mode is None:
             raise ConfigError("threshold name 'd_thresholds' needs a mode")
         payload = criteria.find_d_thresholds(cfg.params, mode, link).to_dict()
-    elif name == "dichotomy":
-        payload = {
-            "ell_star": criteria.find_ell_star(cfg.params).to_dict(),
-            "mu1_star": criteria.find_mu_star(
-                cfg.params, link, t_max=t_max, dx=dx
-            ).to_dict(),
-        }
     else:
         raise ConfigError(
             f"unknown threshold name {name!r}; choose ell_star, mu1_star, "
@@ -520,11 +478,9 @@ def _cmd_sweep(cfg: ScenarioConfig, sink: _Sink) -> int:
     block = cfg.sweep
     if block is None or "variable" not in block or "values" not in block:
         raise ConfigError("command 'sweep' needs a sweep block with variable and values")
-    l = float(cfg.numeric.get("l", cfg.params.h0))
-    cells = cfg.numeric.get("N")
-    spec = eigen.lambda1_spec(l, cfg.params, None if cells is None else int(cells))
-    result = eigen.sweep(spec, str(block["variable"]),
-                         [float(v) for v in block["values"]])
+    spec = eigen.lambda1_spec(cfg.numeric.get("l", cfg.params.h0), cfg.params,
+                              cfg.numeric.get("N"))
+    result = eigen.sweep(spec, block["variable"], block["values"])
     sink.csv("sweep.csv", "variable,value,lambda_p,iterations,residual",
              ((p.variable, p.value, p.lambda_p, p.iterations, p.residual)
               for p in result.points))
@@ -543,11 +499,9 @@ def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
     summary = {}
     if "mismatch" in block:
         sub = block["mismatch"]
-        h0_values = sub.get("h0_values")
         rows = freeboundary.symmetrization_mismatch(
-            cfg.params,
-            h0_values=None if h0_values is None else [float(v) for v in h0_values],
-            num_points=int(sub.get("num_points", 20000)),
+            cfg.params, h0_values=sub.get("h0_values"),
+            num_points=sub.get("num_points", 20000),
         )
         sink.csv("mismatch.csv", "h0,two_sided,one_sided,residual",
                  ((r.h0, r.two_sided, r.one_sided, r.residual) for r in rows))
@@ -563,9 +517,9 @@ def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
         sub = block["decay_rates"]
         if "lengths" not in sub:
             raise ConfigError("report.decay_rates needs lengths")
-        horizon = float(sub.get("horizon", 150.0))
+        horizon = sub.get("horizon", 150.0)
         rows = []
-        for l in [float(v) for v in sub["lengths"]]:
+        for l in sub["lengths"]:
             _, est = steady.evolve_fixed(
                 l, cfg.params,
                 initial_profile("tent", 1.0, l),
@@ -692,30 +646,18 @@ def run(config_path: str | Path, command: str | None = None,
     """Execute one scenario; returns the exit status, artifacts on disk."""
     try:
         raw = json.loads(Path(config_path).read_text())
-    except FileNotFoundError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    try:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         if seed is not None:
             raw["seed"] = seed
         cfg = validate_config(raw, command)
-    except (ConfigError, ModelError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, exc)
-
-    target = Path(out_dir) if out_dir is not None else Path(cfg.output.get("directory", "."))
-    target.mkdir(parents=True, exist_ok=True)
-    sink = _Sink(target, cfg.output.get("formats", ["csv", "json"]))
-    try:
+        target = Path(out_dir if out_dir is not None else cfg.output.get("directory", "."))
+        target.mkdir(parents=True, exist_ok=True)
+        sink = _Sink(target, cfg.output.get("formats", ["csv", "json"]))
         code = _HANDLERS[cfg.command](cfg, sink)
-    except ConfigError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError and ModelError too
         return _fail(EXIT_CONFIG, exc)
-    except (ModelError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, exc)
-    except (steady.BlowUpError, freeboundary.SchemeError, semiwave.SpeedEscape,
-            eigen.EigenConvergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:  # the base of every solver failure type
         return _fail(EXIT_SOLVER, exc)
     print(json.dumps({"status": "ok", "exit_code": code,
                       "artifacts": sink.written, "directory": str(target)}))

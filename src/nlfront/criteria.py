@@ -178,8 +178,7 @@ def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], floa
 
 
 def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = None,
-                 *, t_max: float = 500.0, dx: float = 0.05,
-                 sample_interval: float = 1.0) -> ThresholdResult:
+                 *, t_max: float = 500.0, dx: float = 0.05) -> ThresholdResult:
     """Critical front response along mu2 = link(mu1), by verdict bisection.
 
     Requires h0 below the critical length (otherwise spreading happens for
@@ -204,7 +203,7 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
 
     def verdict(mu1: float) -> freeboundary.Outcome:
         probe = _with_mu(params, mu1, link)
-        out = freeboundary._classify(probe, t_max, dx, None, sample_interval, lambda: watch)
+        out = freeboundary._classify(probe, t_max, dx, None, 1.0, lambda: watch)
         probes.append({"mu1": mu1, "verdict": out.verdict,
                        "t_decided": out.t_decided, "certificate": out.certificate})
         return out

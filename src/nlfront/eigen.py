@@ -90,8 +90,8 @@ class OperatorSpec:
     num_cells: int | None = None
 
     def __post_init__(self):
-        if not (self.l > 0):
-            raise EigenGridError("domain length must be positive")
+        if not 0.0 < self.l < math.inf:
+            raise EigenGridError("domain length must be positive and finite")
         if self.d1 < 0 or self.d2 < 0 or self.d1 + self.d2 <= 0:
             raise EigenGridError("need d1, d2 >= 0 and d1 + d2 > 0")
         if self.a12 <= 0 or self.a21 <= 0:

@@ -139,7 +139,6 @@ class CdfInterpolant:
     def __init__(self, kernel: Kernel, x_max: float, step: float, x_min: float = 0.0):
         self.x = np.arange(x_min, x_max + 2 * step, step)
         self.y = np.asarray(kernel.cdf(self.x))
-        self.top = float(kernel.mass)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.x, self.y, left=float(self.y[0]), right=float(self.y[-1]))

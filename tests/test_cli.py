@@ -92,6 +92,18 @@ def test_evolve_rejects_nonpositive_or_infinite_length(tmp_path, capsys, l):
 
 
 @pytest.mark.parametrize("command, artifact", [
+    ("eigen", "eigen.json"), ("steady", "steady.json"),
+])
+def test_eigen_and_steady_reject_infinite_length(tmp_path, capsys, command, artifact):
+    code, out = run_into(tmp_path, {"command": command, "numeric": {"l": math.inf}})
+    assert code == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "EigenGridError", "exit_code": 2,
+                     "message": "domain length must be positive and finite"}
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize("command, artifact", [
     ("evolve", "decay.json"), ("simulate", "trace.csv"),
 ])
 @pytest.mark.parametrize("horizon", [0.0, -5.0, math.inf])
@@ -321,3 +333,31 @@ def test_main_entry_point(tmp_path, capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
     assert (tmp_path / "m" / "eigen.json").exists()
+
+
+def _schema_leaves(schema, path=()):
+    for key, cast in schema.items():
+        if isinstance(cast, dict):
+            yield from _schema_leaves(cast, path + (key,))
+        else:
+            yield path + (key,), cast
+
+
+def test_every_wrong_typed_config_value_exits_2(tmp_path, capsys):
+    # one wrong-typed value per schema leaf, on an otherwise valid eigen
+    # config: typing refuses each before any solver runs
+    failures = []
+    for i, (path, cast) in enumerate(_schema_leaves(cli._SCHEMA)):
+        wrong = [None, {}, [None]] + ([] if cast is cli._string else ["not a number"])
+        for j, value in enumerate(wrong):
+            doc = {"command": "eigen", "numeric": {"l": 2.0}}
+            block = doc
+            for key in path[:-1]:
+                block = block.setdefault(key, {})
+            block[path[-1]] = value
+            code, _ = run_into(tmp_path, doc, sub=f"fuzz{i}_{j}")
+            lines = capsys.readouterr().out.splitlines()
+            error = json.loads(lines[0]).get("error", {}) if len(lines) == 1 else {}
+            if code != cli.EXIT_CONFIG or ".".join(path) not in error.get("message", ""):
+                failures.append((".".join(path), value, code, lines))
+    assert failures == []
