@@ -208,9 +208,15 @@ def _require(numeric: dict, key: str, command: str) -> float:
     return numeric[key]
 
 
-def _build_link(block: dict | None) -> Callable[[float], float]:
+def _given(block: dict, *keys: str) -> dict:
+    """The entries of block among keys; the callee's defaults fill the rest."""
+    return {key: block[key] for key in keys if key in block}
+
+
+def _build_link(block: dict | None) -> Callable[[float], float] | None:
+    """The configured link; None stands for the identity."""
     if block is None or block.get("type", "identity") == "identity":
-        return lambda s: s
+        return None
     if block["type"] == "scale":
         factor = block.get("factor", 1.0)
         if factor <= 0:
@@ -332,10 +338,7 @@ def _snapshot_times(cfg: ScenarioConfig):
 def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
     horizon = _require(cfg.numeric, "T", "simulate")
     trace = freeboundary.simulate(
-        cfg.params, horizon,
-        dx=cfg.numeric.get("dx", freeboundary.DEFAULT_DX),
-        dt=cfg.numeric.get("dt"),
-        sample_interval=cfg.numeric.get("sample_interval", 1.0),
+        cfg.params, horizon, **_given(cfg.numeric, "dx", "dt", "sample_interval"),
         snapshot_times=_snapshot_times(cfg),
     )
     sink.csv("trace.csv", "t,h,sup_u,sup_v,mass",
@@ -351,12 +354,7 @@ def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
     outcome = freeboundary.classify(
-        cfg.params,
-        t_max=cfg.numeric.get("t_max", freeboundary.DEFAULT_T_MAX),
-        dx=cfg.numeric.get("dx", freeboundary.DEFAULT_DX),
-        dt=cfg.numeric.get("dt"),
-        sample_interval=cfg.numeric.get("sample_interval", 1.0),
-    )
+        cfg.params, **_given(cfg.numeric, "t_max", "dx", "dt", "sample_interval"))
     sink.json("outcome.json", {
         "verdict": outcome.verdict, "t_decided": outcome.t_decided,
         "horizon": outcome.horizon, "h_front": outcome.h_front,
@@ -368,13 +366,13 @@ def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
     return EXIT_UNDECIDED if outcome.verdict == "undecided" else EXIT_OK
 
 
-def _front_compare_rows(cfg: ScenarioConfig, c_ref: float):
-    block = cfg.front_compare
-    horizon = block.get("horizon", 200.0)
-    window = block.get("window", 25.0)
-    trace = freeboundary.simulate(
-        cfg.params, horizon, dx=block.get("dx", freeboundary.DEFAULT_DX)
-    )
+_FRONT_COMPARE = {"horizon": 200.0, "window": 25.0}
+
+
+def _front_compare_rows(params: ModelParams, block: dict, c_ref: float):
+    """Front speed over consecutive windows of a simulation, next to c_ref."""
+    horizon, window = block["horizon"], block["window"]
+    trace = freeboundary.simulate(params, horizon, **_given(block, "dx"))
     rows = []
     start = 0.0
     while start + window <= horizon + 1e-9:
@@ -388,16 +386,14 @@ def _front_compare_rows(cfg: ScenarioConfig, c_ref: float):
 
 def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
     num = cfg.numeric
-    L = num.get("L", semiwave.DEFAULT_L)
-    dx = num.get("dx", semiwave.DEFAULT_DX)
+    grid = _given(num, "L", "dx")
+    compare = None if cfg.front_compare is None else {**_FRONT_COMPARE, **cfg.front_compare}
+    if compare is not None and not compare["window"] > 0.0:
+        raise ConfigError("front_compare.window must be positive")
 
     if "sigmas" in num or "ns" in num:
         table = semiwave.speed_limits(
-            cfg.params,
-            sigmas=num.get("sigmas", [0.0]),
-            ns=num.get("ns", []),
-            L=L, dx=dx,
-        )
+            cfg.params, sigmas=num.get("sigmas", [0.0]), ns=num.get("ns", []), **grid)
         sink.csv("convergence.csv", "sigma,n,c",
                  ((r.sigma, r.n, r.c) for r in table.rows))
         sink.json("semiwave.json", {
@@ -410,15 +406,13 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
     sigma = num.get("sigma", 0.0)
     n = num.get("n")
     if sigma == 0.0 and n is None:
-        predicted = semiwave.predicted_speed(cfg.params, L=L, dx=dx)
+        predicted = semiwave.predicted_speed(cfg.params, **grid)
         if predicted.accelerated:
             sink.json("semiwave.json", {"accelerated": True, "c": None})
             return EXIT_OK
         prof = predicted.profile
     else:
-        prof = semiwave.solve_semiwave(
-            cfg.params, sigma=sigma, n=n, L=L, dx=dx, c0=num.get("c0"),
-        )
+        prof = semiwave.solve_semiwave(cfg.params, sigma=sigma, n=n, c0=num.get("c0"), **grid)
     result = {
         "accelerated": False, "c": prof.c, "sigma": prof.sigma, "n": prof.n,
         "L": prof.L, "far_field": list(prof.far_field),
@@ -432,16 +426,15 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         speeds = [prof.c]
         for factor in rng.uniform(0.2, 3.0, size=starts):
             speeds.append(semiwave.solve_semiwave(
-                cfg.params, sigma=sigma, n=n, L=L, dx=dx, c0=prof.c * float(factor),
-            ).c)
+                cfg.params, sigma=sigma, n=n, c0=prof.c * float(factor), **grid).c)
         result["multi_start"] = {
             "speeds": speeds, "spread": max(speeds) - min(speeds),
         }
     sink.csv("profile.csv", "x,p,q", zip(prof.x, prof.p, prof.q))
     sink.json("semiwave.json", result)
-    if cfg.front_compare is not None:
+    if compare is not None:
         sink.csv("front_compare.csv", "t_start,t_end,front_speed,c_tilde",
-                 _front_compare_rows(cfg, prof.c))
+                 _front_compare_rows(cfg.params, compare, prof.c))
     return EXIT_OK
 
 
@@ -451,12 +444,10 @@ def _cmd_threshold(cfg: ScenarioConfig, sink: _Sink) -> int:
         raise ConfigError("command 'threshold' needs a threshold block with a name")
     name = block["name"]
     link = _build_link(block.get("link"))
-    t_max = block.get("t_max", 500.0)
-    dx = block.get("dx", freeboundary.DEFAULT_DX)
     if name == "ell_star":
         payload = criteria.find_ell_star(cfg.params).to_dict()
     elif name in ("mu1_star", "dichotomy"):
-        payload = criteria.find_mu_star(cfg.params, link, t_max=t_max, dx=dx).to_dict()
+        payload = criteria.find_mu_star(cfg.params, link, **_given(block, "t_max", "dx")).to_dict()
         if name == "dichotomy":
             payload = {"ell_star": criteria.find_ell_star(cfg.params).to_dict(),
                        "mu1_star": payload}
@@ -500,9 +491,7 @@ def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
     if "mismatch" in block:
         sub = block["mismatch"]
         rows = freeboundary.symmetrization_mismatch(
-            cfg.params, h0_values=sub.get("h0_values"),
-            num_points=sub.get("num_points", 20000),
-        )
+            cfg.params, **_given(sub, "h0_values", "num_points"))
         sink.csv("mismatch.csv", "h0,two_sided,one_sided,residual",
                  ((r.h0, r.two_sided, r.one_sided, r.residual) for r in rows))
         summary["mismatch"] = {

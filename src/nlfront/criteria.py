@@ -107,12 +107,16 @@ def _closed_form_root(g: Callable[[float], float], lo: float, hi: float) -> floa
     return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
 
 
-def _validate_link(link: Callable[[float], float]) -> None:
+def _validate_link(link: Callable[[float], float] | None) -> Callable[[float], float]:
+    """The link, or the identity when None, checked to fix 0 and increase."""
+    if link is None:
+        return lambda s: s
     if abs(float(link(0.0))) > 0.0:
         raise ValueError("link must map 0 to 0")
     probes = [float(link(s)) for s in (0.5, 1.0, 2.0)]
     if not (0.0 < probes[0] < probes[1] < probes[2]):
         raise ValueError("link must be strictly increasing and positive")
+    return link
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,8 @@ def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], floa
 
 
 def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = None,
-                 *, t_max: float = 500.0, dx: float = 0.05) -> ThresholdResult:
+                 *, t_max: float = freeboundary.DEFAULT_T_MAX,
+                 dx: float = freeboundary.DEFAULT_DX) -> ThresholdResult:
     """Critical front response along mu2 = link(mu1), by verdict bisection.
 
     Requires h0 below the critical length (otherwise spreading happens for
@@ -187,9 +192,7 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
     shrink and leave the honest, wider bracket in the result.  The
     certificate lists every classification run in ``probes``, in order.
     """
-    if link is None:
-        link = lambda s: s
-    _validate_link(link)
+    link = _validate_link(link)
     ell = find_ell_star(params)
     if params.h0 >= ell.value:
         raise ValueError(
@@ -368,6 +371,19 @@ def _d2_under_threshold(params: ModelParams, kappa: float, Lam: float) -> Thresh
     return ThresholdResult("d2_under", root, (root - pad, root + pad), cert)
 
 
+_ROOT_NOTE = "spreading up to the eigenvalue root; beyond it the front response rates decide"
+
+
+def _d1_root_report(params: ModelParams, mode: str, name: str, Lam: float,
+                    d2_of: Callable[[float], float]) -> DThresholdReport:
+    """Reproduction boundary in d1 along d2 = d2_of(d1), then the eigenvalue root above it."""
+    d1_repro = _reproduction_root(params, d2_of)
+    root = _d1_eigen_threshold(params, name, d1_repro, d2_of)
+    return DThresholdReport(mode=mode, thresholds=(root,),
+                            extras={"d1_reproduction": d1_repro, "Lambda": Lam},
+                            note=_ROOT_NOTE)
+
+
 def find_d_thresholds(params: ModelParams, mode: str,
                       link: Callable[[float], float] | None = None) -> DThresholdReport:
     """Dispersal-rate thresholds in one of the four regime modes.
@@ -384,54 +400,24 @@ def find_d_thresholds(params: ModelParams, mode: str,
     if cons.R0 <= 1.0:
         raise ValueError("dispersal thresholds need reproduction ratio above 1")
     Lam = cons.Lambda
-
     if mode == "linked":
-        if link is None:
-            link = lambda s: s
-        _validate_link(link)
-        d1_repro = _reproduction_root(params, link)
-        star = _d1_eigen_threshold(params, "d1_star", d1_repro, link)
-        return DThresholdReport(
-            mode=mode,
-            thresholds=(star,),
-            extras={"d1_reproduction": d1_repro, "Lambda": Lam},
-            note="spreading up to the eigenvalue root; beyond it the front "
-                 "response rates decide",
-        )
-
+        return _d1_root_report(params, mode, "d1_star", Lam, _validate_link(link))
     d2 = params.d2
+    if mode == "fixed_d2_small" and d2 < Lam:
+        return _d1_root_report(params, mode, "d1_hat", Lam, lambda _d: d2)
+
+    # every other fixed-mode outcome, a mismatch included, needs d2_under
     kappa = eigen.scalar_principal(1.0, 0.0, params.kernel2, params.h0)
-
-    def correct_mode() -> str:
-        if d2 < Lam:
-            return "fixed_d2_small"
-        d2u = _d2_under_threshold(params, kappa, Lam).value
-        return "fixed_d2_mid" if d2 < d2u else "fixed_d2_large"
-
-    if mode == "fixed_d2_small":
-        if not d2 < Lam:
-            raise ValueError(
-                f"mode fixed_d2_small needs d2 < {Lam:.6g}, got d2 = {d2:g}; "
-                f"use {correct_mode()}"
-            )
-        d1_repro = _reproduction_root(params, lambda _d: d2)
-        hat = _d1_eigen_threshold(params, "d1_hat", d1_repro, lambda _d: d2)
-        return DThresholdReport(
-            mode=mode,
-            thresholds=(hat,),
-            extras={"d1_reproduction": d1_repro, "Lambda": Lam},
-            note="spreading up to the eigenvalue root; beyond it the front "
-                 "response rates decide",
-        )
-
     under = _d2_under_threshold(params, kappa, Lam)
-
+    regime = ("fixed_d2_small" if d2 < Lam
+              else "fixed_d2_mid" if d2 < under.value else "fixed_d2_large")
+    if mode != regime:
+        needs = {"fixed_d2_small": f"d2 < {Lam:.6g}",
+                 "fixed_d2_mid": f"{Lam:.6g} <= d2 < {under.value:.6g}",
+                 "fixed_d2_large": f"d2 >= {under.value:.6g}"}[mode]
+        raise ValueError(f"mode {mode} needs {needs}, got d2 = {d2:g}; use {regime}")
+    extras = {"Lambda": Lam, "kappa1": kappa}
     if mode == "fixed_d2_mid":
-        if not (Lam <= d2 < under.value):
-            raise ValueError(
-                f"mode fixed_d2_mid needs {Lam:.6g} <= d2 < {under.value:.6g}, "
-                f"got d2 = {d2:g}; use {correct_mode()}"
-            )
         lo = 1e-3
         while eigen.lambda2(params.h0, replace(params, d1=lo),
                             num_cells=default_cells(params.h0)) <= 0.0:
@@ -439,20 +425,8 @@ def find_d_thresholds(params: ModelParams, mode: str,
             if lo < 1e-8:
                 raise RuntimeError("no positive eigenvalue at small d1")
         tilde = _d1_eigen_threshold(params, "d1_tilde", lo, lambda _d: d2)
-        return DThresholdReport(
-            mode=mode,
-            thresholds=(under, tilde),
-            extras={"Lambda": Lam, "kappa1": kappa},
-            note="spreading up to the eigenvalue root; beyond it the front "
-                 "response rates decide",
-        )
-
-    # fixed_d2_large
-    if not d2 >= under.value:
-        raise ValueError(
-            f"mode fixed_d2_large needs d2 >= {under.value:.6g}, got d2 = {d2:g}; "
-            f"use {correct_mode()}"
-        )
+        return DThresholdReport(mode=mode, thresholds=(under, tilde), extras=extras,
+                                note=_ROOT_NOTE)
     samples = tuple(
         (d1, eigen.lambda1(params.h0, replace(params, d1=d1)))
         for d1 in (0.01, 1.0, 100.0)
@@ -460,7 +434,7 @@ def find_d_thresholds(params: ModelParams, mode: str,
     return DThresholdReport(
         mode=mode,
         thresholds=(under,),
-        extras={"Lambda": Lam, "kappa1": kappa},
+        extras=extras,
         note="eigenvalue negative for all d1; outcome governed by the front "
              "response rates",
         samples=samples,

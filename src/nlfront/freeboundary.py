@@ -85,6 +85,36 @@ def _timestep(params: ModelParams, dt: float | None) -> float:
     return dt
 
 
+def _schedule(params: ModelParams, horizon: float, dt: float | None,
+              sample_interval: float | None, name: str = "horizon", *,
+              equal: bool = False) -> tuple[float, int, int]:
+    """Step, step count and sampling stride of a run to `horizon`.
+
+    The step is `_timestep(params, dt)`, and the last one may pass the
+    horizon; with ``equal`` the horizon is instead split into equal steps
+    (at least one) no longer than that.  A ``sample_interval`` of None
+    samples about 400 times.  ValueError unless the horizon is positive and
+    finite and both counts are finite.
+    """
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    dt = _timestep(params, dt)
+    count = horizon / dt
+    if not math.isfinite(count):
+        raise ValueError(f"{name} / dt = {horizon:g} / {dt:.3g} is not a finite step count")
+    n_steps = int(math.ceil(count - 1e-12))
+    if equal:
+        n_steps = max(1, n_steps)
+        dt = horizon / n_steps
+    if sample_interval is None:
+        sample_interval = max(dt, horizon / 400.0)
+    per_sample = sample_interval / dt
+    if not math.isfinite(per_sample):
+        raise ValueError(f"sample_interval / dt = {sample_interval:g} / {dt:.3g} "
+                         "is not a finite step count")
+    return dt, n_steps, max(1, round(per_sample))
+
+
 @dataclass(frozen=True)
 class FreeBoundaryState:
     """Fields on the active cells at one instant.
@@ -367,15 +397,10 @@ def simulate(
     time units; `snapshot_times` additionally record full field profiles
     at the nearest sample instant.
     """
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    if dx <= 0.0:
+    dt, n_steps, stride = _schedule(params, horizon, dt, sample_interval)
+    if not dx > 0.0:
         raise ValueError("dx must be positive")
-    dt = _timestep(params, dt)
-
     eng = _start(params, dx)
-    stride = max(1, round(sample_interval / dt))
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
 
     want = sorted(float(s) for s in snapshot_times)
     shots: list[Snapshot] = []
@@ -566,9 +591,7 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
     once for all its probes."""
     if not dx > 0.0:
         raise ValueError("dx must be positive")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
-    dt = _timestep(params, dt)
+    dt, n_steps, stride = _schedule(params, t_max, dt, sample_interval, "t_max")
     lam0 = eigen.lambda1(params.h0, params)
     if lam0 >= SIGN_BAND:
         return Outcome(
@@ -585,12 +608,10 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
 
     watch = watch_length()
     eng = _start(params, dx)
-    stride = max(1, round(sample_interval / dt))
     per_window = max(1, int(round(STALL_WINDOW / (stride * dt))))
 
     hist_h: list[float] = [eng.h]
     offset = 1.0
-    n_steps = int(math.ceil(t_max / dt - 1e-12))
 
     def decided(verdict: str, certificate: str, lam: float, message: str,
                 stall_gap: float | None = None, barrier: Barrier | None = None) -> Outcome:
@@ -712,6 +733,10 @@ def symmetrization_mismatch(
     kernel = params.kernel1
     if h0_values is None:
         h0_values = (params.h0,)
+    if len(h0_values) == 0:
+        raise ValueError("h0_values must not be empty")
+    if num_points < 1:
+        raise ValueError(f"num_points must be at least 1, got {num_points}")
     if profile is None:
         profile = lambda h0: initial_profile("tent", 1.0, h0)  # noqa: E731
 

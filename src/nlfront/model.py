@@ -55,6 +55,14 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _check_finite(obj, *names: str) -> None:
+    """ModelError naming the first of obj's fields that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -73,7 +81,8 @@ class Kernel:
     exponent:
         Tail exponent of the ``cauchy`` family, ``J ~ |x|**-exponent``;
         the default 2.0 is the standard Cauchy density 1/(pi(1+x^2)).
-        Must exceed 1 for integrability.  Ignored by other families.
+        Must be finite, and above 1 for integrability.  Ignored by other
+        families.
     points:
         ``table`` family only: ((x0, J0), (x1, J1), ...) with x0 = 0,
         strictly increasing abscissae, values >= 0, linearly interpolated
@@ -96,10 +105,11 @@ class Kernel:
             raise ModelError(f"unknown kernel family {self.family!r}")
         if not (self.scale > 0) or not math.isfinite(self.scale):
             raise ModelError("kernel scale must be positive and finite")
+        _check_finite(self, "exponent")
         if self.family == "cauchy" and self.exponent <= 1.0:
             raise ModelError("cauchy tail exponent must exceed 1 for integrability")
-        if self.n is not None and not (self.n > 0):
-            raise ModelError("truncation index must be positive")
+        if self.n is not None and not 0 < self.n < math.inf:
+            raise ModelError("truncation index must be positive and finite")
         if self.family == "table":
             self._init_table()
         elif self.points is not None:
@@ -110,6 +120,8 @@ class Kernel:
             raise ModelError("table kernel needs at least two (x, J) pairs")
         xs = np.array([p[0] for p in self.points], dtype=float)
         ys = np.array([p[1] for p in self.points], dtype=float)
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ModelError("table points must be finite")
         if xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
             raise ModelError("table abscissae must start at 0 and increase strictly")
         if np.any(ys < 0) or ys[0] <= 0:
@@ -136,6 +148,18 @@ class Kernel:
 
     # -- base family pieces (no truncation) ---------------------------------
 
+    @property
+    def _cauchy_c(self) -> float:
+        """Normalizing constant c of the cauchy density c / (1 + (r/s)**g)."""
+        g = self.exponent
+        return 1.0 / (2.0 * self.scale * (math.pi / g) / math.sin(math.pi / g))
+
+    def _knot(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u capped at the table's last knot, and the index of its knot segment."""
+        xs = self._tx
+        u = np.minimum(u, xs[-1])
+        return u, np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 2)
+
     def _base_pdf(self, r: np.ndarray) -> np.ndarray:
         s = self.scale
         if self.family == "laplace":
@@ -143,9 +167,7 @@ class Kernel:
         if self.family == "gaussian":
             return np.exp(-((r / s) ** 2)) / (s * math.sqrt(math.pi))
         if self.family == "cauchy":
-            g = self.exponent
-            c = 1.0 / (2.0 * s * (math.pi / g) / math.sin(math.pi / g))
-            return c / (1.0 + (r / s) ** g)
+            return self._cauchy_c / (1.0 + (r / s) ** self.exponent)
         # table
         return np.interp(r, self._tx, self._ty, right=0.0)
 
@@ -158,15 +180,11 @@ class Kernel:
             return special.erf(u / s) / 2.0
         if self.family == "cauchy":
             g = self.exponent
-            c = 1.0 / (2.0 * s * (math.pi / g) / math.sin(math.pi / g))
             t = u / s
-            return c * s * t * special.hyp2f1(1.0, 1.0 / g, 1.0 + 1.0 / g, -(t**g))
-        xs, ys, cum, slopes = self._tx, self._ty, self._tcum, self._tslope
-        u = np.minimum(u, xs[-1])
-        i = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 2)
-        x0 = xs[i]
-        du = u - x0
-        return cum[i] + ys[i] * du + slopes[i] * du**2 / 2.0
+            return self._cauchy_c * s * t * special.hyp2f1(1.0, 1.0 / g, 1.0 + 1.0 / g, -(t**g))
+        u, i = self._knot(u)
+        du = u - self._tx[i]
+        return self._tcum[i] + self._ty[i] * du + self._tslope[i] * du**2 / 2.0
 
     def _base_pfm(self, u: np.ndarray) -> np.ndarray:
         """Partial first moment ∫_0^u t J(t) dt, exact, for u >= 0."""
@@ -178,14 +196,12 @@ class Kernel:
             return s / (2.0 * math.sqrt(math.pi)) * (1.0 - np.exp(-((u / s) ** 2)))
         if self.family == "cauchy":
             g = self.exponent
-            c = 1.0 / (2.0 * s * (math.pi / g) / math.sin(math.pi / g))
             t = u / s
-            return c * s**2 * t**2 / 2.0 * special.hyp2f1(1.0, 2.0 / g, 1.0 + 2.0 / g, -(t**g))
-        xs, ys, cum_t, slopes = self._tx, self._ty, self._tcum_t, self._tslope
-        u = np.minimum(u, xs[-1])
-        i = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 2)
-        x0, y0, m = xs[i], ys[i], slopes[i]
-        return cum_t[i] + (y0 - m * x0) * (u**2 - x0**2) / 2.0 + m * (u**3 - x0**3) / 3.0
+            return (self._cauchy_c * s**2 * t**2 / 2.0
+                    * special.hyp2f1(1.0, 2.0 / g, 1.0 + 2.0 / g, -(t**g)))
+        u, i = self._knot(u)
+        x0, y0, m = self._tx[i], self._ty[i], self._tslope[i]
+        return self._tcum_t[i] + (y0 - m * x0) * (u**2 - x0**2) / 2.0 + m * (u**3 - x0**3) / 3.0
 
     def _base_first_moment(self) -> float:
         s = self.scale
@@ -197,8 +213,7 @@ class Kernel:
             g = self.exponent
             if g <= 2.0:
                 return math.inf
-            c = 1.0 / (2.0 * s * (math.pi / g) / math.sin(math.pi / g))
-            return c * s**2 * (math.pi / g) / math.sin(2.0 * math.pi / g)
+            return self._cauchy_c * s**2 * (math.pi / g) / math.sin(2.0 * math.pi / g)
         return None  # table: resolved by the window loop
 
     # -- public surface ------------------------------------------------------
@@ -268,16 +283,6 @@ class Kernel:
             raise ModelError("kernel is already truncated")
         return replace(self, n=float(n))
 
-    def describe(self) -> dict:
-        d = {"family": self.family, "scale": self.scale}
-        if self.family == "cauchy":
-            d["exponent"] = self.exponent
-        if self.family == "table":
-            d["points"] = len(self.points)
-        if self.n is not None:
-            d["n"] = self.n
-        return d
-
 
 def boundary_weight(kernel: Kernel, x) -> np.ndarray:
     """Retained-mass profile at distance x >= 0 inside the habitat.
@@ -337,6 +342,7 @@ class Nonlinearity:
     def __post_init__(self):
         if self.family not in ("saturating", "linear"):
             raise ModelError(f"unknown nonlinearity family {self.family!r}")
+        _check_finite(self, "alpha", "beta", "c")
         if self.family == "saturating" and self.alpha <= 0:
             raise ModelError("alpha must be positive")
         if self.family == "linear" and self.c <= 0:
@@ -454,6 +460,7 @@ class ModelParams:
     v0: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
+        _check_finite(self, "d1", "d2", "a", "b", "mu1", "mu2", "h0")
         if self.d1 < 0 or self.d2 < 0:
             raise ModelError("dispersal rates must be >= 0")
         if self.d1 + self.d2 <= 0:
@@ -474,9 +481,6 @@ class ModelParams:
                 raise ModelError(f"{name} must be positive on the interior of [0, h0)")
             if abs(float(f(np.array([self.h0]))[0])) > 1e-12:
                 raise ModelError(f"{name} must vanish at the front h0")
-
-    def with_updates(self, **kw) -> "ModelParams":
-        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------

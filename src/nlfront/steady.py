@@ -207,7 +207,11 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
     """
     if not 0.0 < l < math.inf:
         raise ValueError("domain length must be positive and finite")
+    step, n_steps, stride = freeboundary._schedule(params, horizon, dt, sample_interval,
+                                                   equal=True)
     n = num_cells if num_cells is not None else default_cells(l)
+    # before any stepping: the eigen grid refuses too few cells
+    lam = eigen.lambda1(l, params, num_cells=n)
     eng = freeboundary._Master(replace(params, mu1=0.0, mu2=0.0), l / n, n + 64)
     eng.h = float(l)
     x = eng.x[:n].copy()
@@ -217,15 +221,6 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
         raise ValueError("initial fields must be nonnegative")
     eng.u[:n] = u
     eng.v[:n] = v
-
-    if not 0.0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
-    step = freeboundary._timestep(params, dt)
-    n_steps = max(1, int(math.ceil(horizon / step - 1e-12)))
-    step = horizon / n_steps
-    if sample_interval is None:
-        sample_interval = max(step, horizon / 400.0)
-    stride = max(1, round(sample_interval / step))
 
     ts = [0.0]
     nu = [float(np.max(u))]
@@ -240,7 +235,6 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
                            norm_sum=nu_arr + nv_arr, x=x, u=eng.u[:n].copy(),
                            v=eng.v[:n].copy(), dt=step, num_cells=n)
 
-    lam = eigen.lambda1(l, params, num_cells=n)
     half = t_arr >= horizon / 2.0
     if lam > SIGN_BAND:
         est = DecayEstimate(mode="none", k=math.nan,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlfront import cli, eigen
+from nlfront import cli, eigen, freeboundary
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> Path:
@@ -361,3 +361,90 @@ def test_every_wrong_typed_config_value_exits_2(tmp_path, capsys):
             if code != cli.EXIT_CONFIG or ".".join(path) not in error.get("message", ""):
                 failures.append((".".join(path), value, code, lines))
     assert failures == []
+
+
+def _one_line_error(capsys) -> dict:
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("window", [0.0, -25.0])
+def test_front_compare_rejects_nonpositive_window(tmp_path, capsys, monkeypatch, window):
+    # such a window never advances; the refusal comes before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(freeboundary, "simulate", no_solve)
+    code, out = run_into(tmp_path, {
+        "command": "semiwave", "numeric": {"L": 20.0, "dx": 0.1},
+        "front_compare": {"horizon": 2.0, "window": window, "dx": 0.1}})
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "ConfigError", "exit_code": 2,
+                                       "message": "front_compare.window must be positive"}
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mismatch, key", [
+    ({"num_points": 0}, "num_points"), ({"h0_values": []}, "h0_values"),
+])
+def test_mismatch_rejects_empty_samples(tmp_path, capsys, mismatch, key):
+    code, out = run_into(tmp_path, {"command": "report", "report": {"mismatch": mismatch}})
+    assert code == cli.EXIT_CONFIG
+    error = _one_line_error(capsys)
+    assert error["type"] == "ValueError" and key in error["message"]
+    assert not (out / "mismatch.csv").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"command": "simulate", "numeric": {"T": 1e308}}, "horizon / dt"),
+    ({"command": "evolve", "numeric": {"l": 2.0, "T": 1e308}}, "horizon / dt"),
+    ({"command": "threshold", "params": {"d1": 6.0, "d2": 6.0},
+      "threshold": {"name": "mu1_star", "t_max": 1e308}}, "t_max / dt"),
+    ({"command": "simulate", "numeric": {"T": 5.0, "sample_interval": math.inf}},
+     "sample_interval / dt"),
+], ids=["simulate-T", "evolve-T", "mu1_star-t_max", "simulate-sample_interval"])
+def test_rejects_horizon_beyond_a_finite_step_count(tmp_path, capsys, doc, message):
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    error = _one_line_error(capsys)
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(message)
+    assert error["message"].endswith("is not a finite step count")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cells", [0, 3])
+def test_evolve_refuses_a_coarse_grid_before_stepping(tmp_path, capsys, monkeypatch, cells):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepping ran")
+
+    monkeypatch.setattr(freeboundary, "_march", no_steps)
+    code, out = run_into(tmp_path, {"command": "evolve",
+                                    "numeric": {"l": 2.0, "T": 5.0, "N": cells}})
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {
+        "type": "EigenGridError", "exit_code": 2,
+        "message": f"refusing to assemble: num_cells={cells} is below the minimum of 8"}
+    assert not (out / "decay.json").exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"d1": math.nan}, "d1 must be finite, got nan"),
+    ({"d2": math.inf}, "d2 must be finite, got inf"),
+    ({"a": math.inf}, "a must be finite, got inf"),
+    ({"b": math.inf}, "b must be finite, got inf"),
+    ({"mu1": math.nan}, "mu1 must be finite, got nan"),
+    ({"mu2": math.inf}, "mu2 must be finite, got inf"),
+    ({"h0": math.inf}, "h0 must be finite, got inf"),
+    ({"kernel1": {"family": "cauchy", "exponent": math.nan}}, "exponent must be finite, got nan"),
+    ({"nonlinearity": {"alpha": math.nan}}, "alpha must be finite, got nan"),
+    ({"nonlinearity": {"beta": math.inf}}, "beta must be finite, got inf"),
+], ids=["d1", "d2", "a", "b", "mu1", "mu2", "h0", "exponent", "alpha", "beta"])
+def test_rejects_non_finite_model_values(tmp_path, capsys, params, message):
+    code, out = run_into(tmp_path, {"command": "simulate", "params": params,
+                                    "numeric": {"T": 5.0}})
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "ModelError", "message": message,
+                                       "exit_code": 2}
+    assert not out.exists() or not any(out.iterdir())

@@ -211,3 +211,43 @@ def test_decision_tree_schema(p1, p1_d6, vanish_params):
     assert set(criteria.decision_tree(p1)) == base
     assert set(criteria.decision_tree(vanish_params)) == base
     assert set(criteria.decision_tree(p1_d6)) == base | {"ell_star"}
+
+
+def test_in_regime_small_d2_skips_the_kappa_solve(p1, monkeypatch):
+    # below Lambda the regime needs neither kappa1 nor d2_under
+    calls = []
+    solve = eigen.scalar_principal
+    monkeypatch.setattr(eigen, "scalar_principal",
+                        lambda *args: calls.append(args) or solve(*args))
+    rep = criteria.find_d_thresholds(p1, "fixed_d2_small")
+    assert [t.name for t in rep.thresholds] == ["d1_hat"] and calls == []
+
+
+@pytest.mark.parametrize("d2, mode", [(20.0, "fixed_d2_mid"), (10.0, "fixed_d2_large")])
+def test_mode_mismatch_locates_d2_under_once(d2, mode, monkeypatch):
+    calls = []
+    search = criteria._d2_under_threshold
+    monkeypatch.setattr(criteria, "_d2_under_threshold",
+                        lambda *args: calls.append(args) or search(*args))
+    with pytest.raises(ValueError, match="use fixed_d2_"):
+        criteria.find_d_thresholds(params_with(d2=d2), mode)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d2, mode, message", [
+    (10.0, "fixed_d2_small", "mode fixed_d2_small needs d2 < 6, got d2 = 10; use fixed_d2_mid"),
+    (20.0, "fixed_d2_small",
+     "mode fixed_d2_small needs d2 < 6, got d2 = 20; use fixed_d2_large"),
+    (1.0, "fixed_d2_mid",
+     "mode fixed_d2_mid needs 6 <= d2 < 16.5949, got d2 = 1; use fixed_d2_small"),
+    (20.0, "fixed_d2_mid",
+     "mode fixed_d2_mid needs 6 <= d2 < 16.5949, got d2 = 20; use fixed_d2_large"),
+    (1.0, "fixed_d2_large",
+     "mode fixed_d2_large needs d2 >= 16.5949, got d2 = 1; use fixed_d2_small"),
+    (10.0, "fixed_d2_large",
+     "mode fixed_d2_large needs d2 >= 16.5949, got d2 = 10; use fixed_d2_mid"),
+])
+def test_mode_mismatch_messages(d2, mode, message):
+    with pytest.raises(ValueError) as exc:
+        criteria.find_d_thresholds(params_with(d2=d2), mode)
+    assert str(exc.value) == message

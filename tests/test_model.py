@@ -284,3 +284,17 @@ def test_cdf_interpolant_accuracy(laplace):
     interp = grids.CdfInterpolant(laplace, 30.0, 1e-3)
     xs = np.linspace(0.0, 29.5, 500)
     assert np.max(np.abs(interp(xs) - np.asarray(laplace.cdf(xs)))) < 1e-7
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Kernel("table", 1.0, points=((0.0, 1.0), (1.0, math.nan))),
+     "table points must be finite"),
+    (lambda: Kernel("table", 1.0, points=((0.0, 1.0), (math.inf, 0.5))),
+     "table points must be finite"),
+    (lambda: Kernel("laplace", 1.0, n=math.inf), "truncation index must be positive and finite"),
+    (lambda: Nonlinearity("linear", c=math.nan), "c must be finite, got nan"),
+], ids=["table-value", "table-abscissa", "truncation", "linear-slope"])
+def test_non_finite_kernel_and_nonlinearity_inputs_are_refused(build, message):
+    with pytest.raises(ModelError) as exc:
+        build()
+    assert str(exc.value) == message
