@@ -378,10 +378,13 @@ def sweep(spec: OperatorSpec, variable: str, values) -> SweepResult:
     """
     if variable not in _SWEEP_DIRECTION:
         raise ValueError(f"cannot sweep over {variable!r}")
+    values = [float(v) for v in values]
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"sweep values must be finite, got {bad[0]:g}")
     points: list[SweepPoint] = []
     errors: list[tuple[float, str]] = []
     for v in values:
-        v = float(v)
         kw = {variable: v}
         if variable == "l":
             kw["num_cells"] = default_cells(v)

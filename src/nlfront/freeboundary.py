@@ -59,6 +59,9 @@ STALL_TOL = 1e-6
 MASS_TOL = 1e-6
 DEFAULT_DX = 0.05
 DEFAULT_T_MAX = 500.0
+# far more Heun steps than any run needs (well over an hour of stepping); a
+# horizon beyond it is refused rather than run until killed
+MAX_STEPS = 10**8
 
 
 class SchemeError(RuntimeError):
@@ -94,7 +97,7 @@ def _schedule(params: ModelParams, horizon: float, dt: float | None,
     horizon; with ``equal`` the horizon is instead split into equal steps
     (at least one) no longer than that.  A ``sample_interval`` of None
     samples about 400 times.  ValueError unless the horizon is positive and
-    finite and both counts are finite.
+    finite, both counts are finite and the step count is at most MAX_STEPS.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"{name} must be positive and finite")
@@ -102,6 +105,9 @@ def _schedule(params: ModelParams, horizon: float, dt: float | None,
     count = horizon / dt
     if not math.isfinite(count):
         raise ValueError(f"{name} / dt = {horizon:g} / {dt:.3g} is not a finite step count")
+    if count > MAX_STEPS:
+        raise ValueError(f"{name} / dt = {horizon:g} / {dt:.3g} = {count:.3g} steps, "
+                         f"above the ceiling of {MAX_STEPS:.0e}")
     n_steps = int(math.ceil(count - 1e-12))
     if equal:
         n_steps = max(1, n_steps)
@@ -200,6 +206,14 @@ class Outcome:
     barrier: Barrier | None = None
 
 
+def _check_dx(dx: float) -> None:
+    """ValueError unless the master grid's cell width is positive and finite."""
+    if not dx > 0.0:
+        raise ValueError("dx must be positive")
+    if dx == math.inf:
+        raise ValueError("dx must be finite, got inf")
+
+
 def _active_count(h: float, dx: float) -> int:
     # cells [k dx, (k+1) dx) with positive coverage; the 1e-9 guard keeps a
     # front sitting on a cell edge (h = k dx) from opening a zero-width cell
@@ -232,6 +246,10 @@ class _Master:
         self.edges = np.arange(self.cap) * self.dx
         self.uv = np.zeros((2, self.cap))
         self.u, self.v = self.uv
+        # every linear loss of a cell in one rate: d_r j_r from dispersal
+        # plus the death rate (a for u, b for v)
+        p = self.params
+        self.loss = self.rates * self.grid.j + np.array([[p.a], [p.b]])
 
     def grow(self) -> None:
         old = self.uv
@@ -263,9 +281,9 @@ class _Master:
         p = self.params
         k, w, frac = self.front(h)
         ua, va = act = uv[:, :k]
-        f = self.grid.dispersal(self.rates, act, frac)
-        f[0] += -p.a * ua + self.nl.H(va)
-        f[1] += -p.b * va + self.nl.G(ua)
+        f = self.rates * self.grid.convolve(act * frac) - self.loss[:, :k] * act
+        f[0] += self.nl.H(va)
+        f[1] += self.nl.G(ua)
 
         flux = 0.0
         if p.mu1 > 0.0 or p.mu2 > 0.0:
@@ -297,15 +315,17 @@ class _Master:
 
         h_new = self.h + 0.5 * dt * (g1 + g2)
         self.ensure(h_new)
-        f2[:, :k1] = f1 + f2[:, :k1]
-        new = self.uv[:, :k2] + 0.5 * dt * f2
-        low = float(new.min())
+        # uv + dt/2 (f1 + f2), combined in f2's buffer
+        f2[:, :k1] += f1
+        f2 *= 0.5 * dt
+        f2 += self.uv[:, :k2]
+        low = float(f2.min())
         if low < -NEGATIVITY_TOL:
             raise SchemeError(
                 f"negative field value {low:.3e} at t={self.t:.6g}; "
                 "reduce the time step"
             )
-        np.maximum(new, 0.0, out=self.uv[:, :k2])
+        np.maximum(f2, 0.0, out=self.uv[:, :k2])
         self.h = h_new
         self.t += dt
 
@@ -340,8 +360,7 @@ def _start(params: ModelParams, dx: float) -> _Master:
 
 def initial_state(params: ModelParams, dx: float = DEFAULT_DX) -> FreeBoundaryState:
     """Sample the initial data onto the master grid at front position h0."""
-    if dx <= 0.0:
-        raise ValueError("dx must be positive")
+    _check_dx(dx)
     return _start(params, dx).state()
 
 
@@ -398,8 +417,7 @@ def simulate(
     at the nearest sample instant.
     """
     dt, n_steps, stride = _schedule(params, horizon, dt, sample_interval)
-    if not dx > 0.0:
-        raise ValueError("dx must be positive")
+    _check_dx(dx)
     eng = _start(params, dx)
 
     want = sorted(float(s) for s in snapshot_times)
@@ -589,8 +607,7 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
     """`classify`, asking ``watch_length`` for the watch length only when the
     run gets past the initial eigenvalue check; a search over mu computes it
     once for all its probes."""
-    if not dx > 0.0:
-        raise ValueError("dx must be positive")
+    _check_dx(dx)
     dt, n_steps, stride = _schedule(params, t_max, dt, sample_interval, "t_max")
     lam0 = eigen.lambda1(params.h0, params)
     if lam0 >= SIGN_BAND:

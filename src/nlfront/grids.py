@@ -3,9 +3,8 @@
 All spatial operators in the package live on uniform cell-centered grids.
 Convolution against an even kernel is a symmetric Toeplitz matrix whose
 entries are exact per-cell kernel masses (CDF differences); applying it is
-done through a cached circulant embedding and real FFTs, or, for the
-stepping dispersal term on at most DENSE_MAX cells, through the leading
-block of the same matrix held dense.
+done through a cached circulant embedding and real FFTs, or, on at most
+DENSE_MAX cells, through the leading block of the same matrix held dense.
 
 `Discretization` is the one discretization of the truncated nonlocal
 operator d_r (∫ J_r(x - y) u_r(y) dy - j_r(x) u_r(x)) that every solver
@@ -29,10 +28,13 @@ __all__ = [
     "DENSE_MAX",
 ]
 
-# Largest cell count whose stepping dispersal term is applied as a dense
-# block; above it the stacked FFT is cheaper.  Dense / FFT time for both
+# Largest cell count convolved with a dense block; above it the stacked FFT
+# (sized to its quarter-octave rung) is cheaper.  Dense / FFT time for both
 # species at once on a 2-vCPU x86 VM (numpy 2.4, scipy 1.17, OpenBLAS on one
-# thread): 0.10 at 44 cells, 0.51 at 200, 0.80 at 256, 1.24 at 320.
+# thread), one product shared by equal kernels: 0.09 at 44 cells, 0.40 at
+# 200, 0.50 at 256, 0.76 at 320, 1.02 at 384; one product per kernel: 0.11,
+# 0.62, 0.82, 1.45.  Equal kernels alone would move the crossover near 384
+# cells; DENSE_MAX keeps the one that unequal kernels need.
 DENSE_MAX = 256
 
 
@@ -160,6 +162,7 @@ class Discretization:
         self.x = cell_nodes(0.0, self.dx, self.n)
         self.j = np.stack([np.asarray(k.cdf(self.x)) for k in self.kernels])
         self.mass = tuple(float(k.mass) for k in self.kernels)
+        self._shared = all(k == self.kernels[0] for k in self.kernels)
         self._stacks: dict[int, ConvolverStack] = {}
         self._block: np.ndarray | None = None
         self._tails: list[CdfInterpolant | None] = [None] * len(self.kernels)
@@ -176,10 +179,13 @@ class Discretization:
     def stack(self, k: int) -> ConvolverStack:
         """Convolver stack for the first k cells.
 
-        Sized to the next power of two >= k (at least 256) but at most n, so
-        k = n always gets size n and a growing front reuses a few sizes.
+        Sized to the smallest quarter-octave rung 2^p {1, 5/4, 3/2, 7/4}
+        >= k (at least 256) but at most n, so k = n always gets size n, a
+        growing front reuses a few sizes, and no size exceeds 1.25 k for
+        k > 256.
         """
-        size = min(1 << max(8, int(k - 1).bit_length()), self.n)
+        quarter = 1 << max(6, int(k - 1).bit_length() - 3)
+        size = min(max(256, -(-k // quarter) * quarter), self.n)
         stack = self._stacks.get(size)
         if stack is None:
             stack = self._stacks[size] = ConvolverStack(self.kernels, self.dx, size)
@@ -203,19 +209,29 @@ class Discretization:
                 self.kernels[r], self.n * self.dx + 1.0, self.dx / 8, x_min=-1.0)
         return table
 
+    def convolve(self, src: np.ndarray) -> np.ndarray:
+        """K src, row r by kernel r, on the first k = src.shape[-1] cells.
+
+        Up to DENSE_MAX cells this is the dense block's product, which skips
+        the FFT's per-call overhead; when every row has the same kernel it
+        is one product ``src @ block[0]`` for all rows, exact because the
+        Toeplitz block is symmetric, reading the matrix once.  Beyond
+        DENSE_MAX cells, the stacked FFT.
+        """
+        k = src.shape[-1]
+        if k > DENSE_MAX:
+            return self.stack(k).apply(src)
+        if self._shared:
+            return src @ self.block()[0, :k, :k]
+        return np.matmul(self.block()[:, :k, :k], src[..., None])[..., 0]
+
     def dispersal(self, rates: np.ndarray, uv: np.ndarray,
                   frac: np.ndarray | None = None) -> np.ndarray:
         """rates * (K(frac uv) - j uv) on the first k = uv.shape[-1] cells.
 
         ``rates`` is a (rows, 1) column, ``frac`` each cell's covered
-        fraction (all cells whole when None).  Up to DENSE_MAX cells the
-        convolution is the dense block's matrix-vector product, which skips
-        the FFT's per-call overhead; beyond, the stacked FFT.
+        fraction (all cells whole when None).
         """
         k = uv.shape[-1]
-        src = uv if frac is None else uv * frac
-        if k <= DENSE_MAX:
-            conv = np.matmul(self.block()[:, :k, :k], src[..., None])[..., 0]
-        else:
-            conv = self.stack(k).apply(src)
+        conv = self.convolve(uv if frac is None else uv * frac)
         return rates * (conv - self.j[:, :k] * uv)

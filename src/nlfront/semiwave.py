@@ -101,6 +101,12 @@ def _far_tail_integral(kernel: Kernel, s0: float) -> float:
     return fm - float(kernel.partial_first_moment(s0)) - s0 * tail_mass
 
 
+def _check_grid(L: float, dx: float) -> None:
+    """ValueError unless the profile grid on [-L, 0] is finite with 0 < dx < L."""
+    if not 0.0 < dx < L < math.inf:
+        raise ValueError(f"need 0 < dx < L < inf, got dx = {dx:g}, L = {L:g}")
+
+
 def solve_semiwave(
     params: ModelParams,
     sigma: float = 0.0,
@@ -117,8 +123,7 @@ def solve_semiwave(
     """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    if dx <= 0.0 or L <= dx:
-        raise ValueError("need 0 < dx < L")
+    _check_grid(L, dx)
     k1, k2 = _kernels(params, n)
     if n is not None:
         L = max(L, 2.0 * n + 10.0)
@@ -414,6 +419,7 @@ def predicted_speed(
     A finite speed requires both kernels to have a finite first moment;
     otherwise the front outruns every linear-in-time bound.
     """
+    _check_grid(L, dx)
     fm1 = first_moment(params.kernel1)
     fm2 = first_moment(params.kernel2)
     if math.isinf(fm1) or math.isinf(fm2):

@@ -73,7 +73,7 @@ class FixedDomain:
     def gamma(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step of the monotone fixed-point map."""
         nl = self.params.nonlinearity
-        conv = self.grid.stack(self.n).apply(np.stack([u, v]))
+        conv = self.grid.convolve(np.stack([u, v]))
         g1, g2 = (self.rates * conv + np.stack([nl.H(v), nl.G(u)])) / self._den
         return g1, g2
 

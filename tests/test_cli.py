@@ -1,6 +1,7 @@
 """Config handling, command dispatch, artifacts, exit codes."""
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -447,4 +448,39 @@ def test_rejects_non_finite_model_values(tmp_path, capsys, params, message):
     assert code == cli.EXIT_CONFIG
     assert _one_line_error(capsys) == {"type": "ModelError", "message": message,
                                        "exit_code": 2}
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"command": "simulate", "numeric": {"T": 5.0, "dx": math.inf}},
+     "dx must be finite, got inf"),
+    ({"command": "classify", "numeric": {"dx": math.inf}}, "dx must be finite, got inf"),
+    ({"command": "sweep", "sweep": {"variable": "l", "values": [1.0, math.nan]}},
+     "sweep values must be finite, got nan"),
+    ({"command": "sweep", "numeric": {"l": 2.0},
+      "sweep": {"variable": "d1", "values": [math.inf]}},
+     "sweep values must be finite, got inf"),
+    ({"command": "semiwave", "numeric": {"L": math.inf}},
+     "need 0 < dx < L < inf, got dx = 0.05, L = inf"),
+    ({"command": "semiwave", "numeric": {"L": math.inf},
+      "params": {"kernel1": {"family": "cauchy"}, "kernel2": {"family": "cauchy"}}},
+     "need 0 < dx < L < inf, got dx = 0.05, L = inf"),
+    ({"command": "simulate", "numeric": {"T": 1e300}},
+     "horizon / dt = 1e+300 / 0.05 = 2e+301 steps, above the ceiling of 1e+08"),
+], ids=["simulate-dx", "classify-dx", "sweep-l-nan", "sweep-d1-inf", "semiwave-L",
+        "semiwave-L-heavy-tail", "simulate-T-ceiling"])
+def test_rejects_non_finite_numeric_settings(tmp_path, capfd, monkeypatch, doc, message):
+    # refused before any stepping, with one JSON line and nothing else on
+    # either stream: no warning and no solver chatter
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepping ran")
+
+    monkeypatch.setattr(freeboundary, "_march", no_steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capfd) == {"type": "ValueError", "message": message,
+                                      "exit_code": 2}
+    assert capfd.readouterr().err == ""
     assert not out.exists() or not any(out.iterdir())

@@ -288,6 +288,15 @@ def test_front_stays_below_the_mass_bound(family, scale, saturating, a, b, hp, r
     assert np.all(trace.h <= fb.front_mass_bound(trace, p) + 1e-9)
 
 
+def test_schedule_refuses_a_step_count_above_the_ceiling(p1):
+    # a finite horizon of 2e301 steps would run until killed
+    dt = fb.stability_timestep(p1)
+    assert fb._schedule(p1, 0.5 * fb.MAX_STEPS * dt, None, None)[1] == fb.MAX_STEPS // 2
+    with pytest.raises(ValueError, match=r"^horizon / dt = 1e\+300 / 0\.05 = 2e\+301 steps, "
+                                         r"above the ceiling of 1e\+08$"):
+        fb._schedule(p1, 1e300, None, 1.0)
+
+
 def test_watch_length_falls_back_when_the_bracket_is_lost(p1_d6, monkeypatch):
     solve = eigen.lambda1
     monkeypatch.setattr(eigen, "lambda1", lambda l, params, num_cells=None: (

@@ -280,6 +280,48 @@ def test_dense_dispersal_matches_fft_and_dense_reference(laplace, k):
     assert np.max(np.abs(out - ref)) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("kernel", [Kernel("laplace", 1.0), Kernel("cauchy", 1.0)],
+                         ids=["laplace", "cauchy"])
+@pytest.mark.parametrize("k", [1, 44, 200, grids.DENSE_MAX])
+def test_equal_kernel_dispersal_matches_dense_reference(kernel, k):
+    # equal kernels share one product with the symmetric block for both rows
+    dx = 0.05
+    grid = grids.Discretization((kernel, kernel), dx, 2 * grids.DENSE_MAX)
+    rng = np.random.default_rng(k)
+    uv = rng.uniform(0.0, 1.0, (2, k))
+    frac = np.ones(k)
+    frac[-1] = 0.3
+    rates = np.array([[1.5], [0.7]])
+    out = grid.dispersal(rates, uv, frac)
+    dense = grids.KernelConvolver(kernel, dx, k).dense()
+    ref = rates * (np.stack([dense @ (row * frac) for row in uv]) - grid.j[:, :k] * uv)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
+
+
+# the cell counts on both sides of each quarter-octave rung a front crosses
+RUNG_SIDES = [256, 257, 320, 321, 384, 385, 448, 449, 512, 513, 1024, 1025, 1280, 1281]
+
+
+@pytest.mark.parametrize("k", RUNG_SIDES)
+def test_stack_rungs_match_dense_reference(laplace, k):
+    dx = 0.05
+    kernels = (laplace, Kernel("gaussian", 0.8))
+    grid = grids.Discretization(kernels, dx, 4096)
+    uv = np.random.default_rng(k).uniform(0.0, 1.0, (2, k))
+    out = grid.stack(k).apply(uv)
+    ref = np.stack([grids.KernelConvolver(kern, dx, k).dense() @ row
+                    for kern, row in zip(kernels, uv)])
+    assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
+
+
+def test_stack_size_stays_within_a_quarter_of_the_front(laplace):
+    grid = grids.Discretization((laplace,), 0.05, 8192)
+    for k in [*RUNG_SIDES[1:], 700, 2000, 3583, 3585, 8000]:
+        assert k <= grid.stack(k).n <= 1.25 * k, k
+    assert grid.stack(8192).n == 8192
+    assert grids.Discretization((laplace,), 0.05, 300).stack(290).n == 300
+
+
 def test_cdf_interpolant_accuracy(laplace):
     interp = grids.CdfInterpolant(laplace, 30.0, 1e-3)
     xs = np.linspace(0.0, 29.5, 500)
