@@ -9,7 +9,6 @@ from .model import (
     MomentUndetermined,
     NoPositiveEquilibrium,
     Nonlinearity,
-    boundary_weight,
     derived_constants,
     equilibrium,
     first_moment,
@@ -26,7 +25,6 @@ __all__ = [
     "MomentUndetermined",
     "NoPositiveEquilibrium",
     "Nonlinearity",
-    "boundary_weight",
     "derived_constants",
     "equilibrium",
     "first_moment",

@@ -374,7 +374,8 @@ def sweep(spec: OperatorSpec, variable: str, values) -> SweepResult:
     """Eigenvalue sweep over one spec field, with monotonicity screening.
 
     Domain-length sweeps re-derive the resolution policy per point; solver
-    failures at single points are recorded and skipped rather than fatal.
+    failures at single points are recorded and skipped rather than fatal,
+    unless no point succeeds: then the first failure is raised.
     """
     if variable not in _SWEEP_DIRECTION:
         raise ValueError(f"cannot sweep over {variable!r}")
@@ -383,7 +384,7 @@ def sweep(spec: OperatorSpec, variable: str, values) -> SweepResult:
     if bad:
         raise ValueError(f"sweep values must be finite, got {bad[0]:g}")
     points: list[SweepPoint] = []
-    errors: list[tuple[float, str]] = []
+    failed: list[tuple[float, EigenConvergenceError | EigenGridError]] = []
     for v in values:
         kw = {variable: v}
         if variable == "l":
@@ -391,9 +392,11 @@ def sweep(spec: OperatorSpec, variable: str, values) -> SweepResult:
         try:
             pair = principal_eigenpair(replace(spec, **kw))
         except (EigenConvergenceError, EigenGridError) as exc:
-            errors.append((v, str(exc)))
+            failed.append((v, exc))
             continue
         points.append(SweepPoint(variable, v, pair.lambda_p, pair.iterations, pair.residual))
+    if failed and not points:
+        raise failed[0][1]
     direction = _SWEEP_DIRECTION[variable]
     violations = []
     for prev, cur in zip(points, points[1:]):
@@ -405,4 +408,5 @@ def sweep(spec: OperatorSpec, variable: str, values) -> SweepResult:
                 f"between {prev.value:g} and {cur.value:g}"
             )
     return SweepResult(variable=variable, points=tuple(points),
-                       violations=tuple(violations), errors=tuple(errors))
+                       violations=tuple(violations),
+                       errors=tuple((v, str(e)) for v, e in failed))

@@ -42,8 +42,6 @@ __all__ = [
     "SimulationTrace",
     "Outcome",
     "Barrier",
-    "initial_state",
-    "step",
     "simulate",
     "classify",
     "vanishing_rate",
@@ -78,30 +76,28 @@ def stability_timestep(params: ModelParams) -> float:
     return 0.4 / (params.d1 + params.d2 + params.a + params.b + nl.hp0 + nl.gp0)
 
 
-def _timestep(params: ModelParams, dt: float | None) -> float:
-    """`dt`, or the stability bound when None; ValueError outside (0, bound]."""
-    limit = stability_timestep(params)
-    if dt is None:
-        return limit
-    if not 0.0 < dt <= limit * (1 + 1e-12):
-        raise ValueError(f"dt must lie in (0, {limit:.3g}]")
-    return dt
-
-
 def _schedule(params: ModelParams, horizon: float, dt: float | None,
               sample_interval: float | None, name: str = "horizon", *,
               equal: bool = False) -> tuple[float, int, int]:
     """Step, step count and sampling stride of a run to `horizon`.
 
-    The step is `_timestep(params, dt)`, and the last one may pass the
-    horizon; with ``equal`` the horizon is instead split into equal steps
-    (at least one) no longer than that.  A ``sample_interval`` of None
-    samples about 400 times.  ValueError unless the horizon is positive and
-    finite, both counts are finite and the step count is at most MAX_STEPS.
+    The step is `dt`, or the stability bound when None, and the last one
+    may pass the horizon; with ``equal`` the horizon is instead split into
+    equal steps (at least one) no longer than that.  A ``sample_interval``
+    of None samples about 400 times.  ValueError unless the horizon is
+    positive and finite, dt lies in (0, bound], the sample interval is
+    positive, both counts are finite and the step count is at most
+    MAX_STEPS.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"{name} must be positive and finite")
-    dt = _timestep(params, dt)
+    limit = stability_timestep(params)
+    if dt is None:
+        dt = limit
+    elif not 0.0 < dt <= limit * (1 + 1e-12):
+        raise ValueError(f"dt must lie in (0, {limit:.3g}]")
+    if sample_interval is not None and sample_interval <= 0.0:
+        raise ValueError(f"sample_interval must be positive, got {sample_interval:g}")
     count = horizon / dt
     if not math.isfinite(count):
         raise ValueError(f"{name} / dt = {horizon:g} / {dt:.3g} is not a finite step count")
@@ -251,16 +247,20 @@ class _Master:
         p = self.params
         self.loss = self.rates * self.grid.j + np.array([[p.a], [p.b]])
 
-    def grow(self) -> None:
+    def grow(self, cells: int = 0) -> None:
+        """Double the capacity (a power of two), or more, until it holds
+        `cells`.  The grid is built once, at the final size, so a size above
+        the grid-cell ceiling is refused before anything is allocated."""
         old = self.uv
-        self.cap *= 2
+        self.cap = max(2 * self.cap, 1 << (cells - 1).bit_length())
         self.grid = self.grid.extended(self.cap)
         self._alloc()
         self.uv[:, :old.shape[1]] = old
 
     def ensure(self, h: float) -> None:
-        while _active_count(h, self.dx) + 8 > self.cap:
-            self.grow()
+        cells = _active_count(h, self.dx) + 8
+        if cells > self.cap:
+            self.grow(cells)
 
     def weights(self, h: float, k: int) -> np.ndarray:
         return np.clip(h - self.edges[:k], 0.0, self.dx)
@@ -356,28 +356,6 @@ def _start(params: ModelParams, dx: float) -> _Master:
     eng.u[:k] = np.asarray(params.u0(eng.x[:k]), dtype=float)
     eng.v[:k] = np.asarray(params.v0(eng.x[:k]), dtype=float)
     return eng
-
-
-def initial_state(params: ModelParams, dx: float = DEFAULT_DX) -> FreeBoundaryState:
-    """Sample the initial data onto the master grid at front position h0."""
-    _check_dx(dx)
-    return _start(params, dx).state()
-
-
-def step(state: FreeBoundaryState, params: ModelParams, dt: float) -> FreeBoundaryState:
-    """One explicit (Heun) step of the moving-boundary system.
-
-    The front advances by the flux of mass escaping past h; cells freshly
-    covered by the moving front start at zero, matching the boundary
-    condition u(t, h(t)) = 0.
-    """
-    dt = _timestep(params, dt)
-    k = state.u.size
-    eng = _Master(params, state.dx, k + 64)
-    eng.t, eng.h = state.t, state.h
-    eng.uv[:, :k] = state.u, state.v
-    eng.heun(dt)
-    return eng.state()
 
 
 def _march(eng: _Master, dt: float, n_steps: int, stride: int):

@@ -26,6 +26,7 @@ __all__ = [
     "Discretization",
     "default_cells",
     "DENSE_MAX",
+    "MAX_CELLS",
 ]
 
 # Largest cell count convolved with a dense block; above it the stacked FFT
@@ -36,6 +37,12 @@ __all__ = [
 # 0.62, 0.82, 1.45.  Equal kernels alone would move the crossover near 384
 # cells; DENSE_MAX keeps the one that unequal kernels need.
 DENSE_MAX = 256
+
+# Most cells any grid may have: 128 times the largest grid the test suite
+# builds, and a 32 MiB array per field row.  A larger request comes from an
+# extreme setting (a tiny dx, a huge length or amplitude) and is refused
+# rather than left to exhaust memory.
+MAX_CELLS = 2**22
 
 
 def default_cells(l: float) -> int:
@@ -103,9 +110,6 @@ class KernelConvolver:
     def dense(self) -> np.ndarray:
         return _toeplitz(self.column).copy()
 
-    def row_sums(self) -> np.ndarray:
-        return self.apply(np.ones(self.n))
-
 
 class ConvolverStack:
     """Several kernels convolved on one grid by one forward and one inverse FFT.
@@ -156,6 +160,10 @@ class Discretization:
     """
 
     def __init__(self, kernels, dx: float, n: int):
+        if n > MAX_CELLS:
+            # exact below 1e15; float() alone overflows past 1.8e308
+            count = n if n < 10**15 else f"{float(min(n, 1e308)):.3g}"
+            raise ValueError(f"a grid of {count} cells is above the ceiling of {MAX_CELLS}")
         self.kernels = tuple(kernels)
         self.dx = float(dx)
         self.n = int(n)

@@ -25,7 +25,6 @@ __all__ = [
     "ModelParams",
     "DerivedConstants",
     "initial_profile",
-    "boundary_weight",
     "first_moment",
     "equilibrium",
     "derived_constants",
@@ -284,18 +283,6 @@ class Kernel:
         return replace(self, n=float(n))
 
 
-def boundary_weight(kernel: Kernel, x) -> np.ndarray:
-    """Retained-mass profile at distance x >= 0 inside the habitat.
-
-    Equals the kernel CDF at x, i.e. the fraction of dispersal mass a source
-    at depth x keeps on its inner side; 1/2 at the edge, -> mass for x large.
-    """
-    x = _as_array(x)
-    if np.any(x < 0):
-        raise ModelError("boundary_weight is defined for x >= 0")
-    return kernel.cdf(x)
-
-
 def first_moment(kernel: Kernel) -> float:
     """∫_0^∞ t J(t) dt, or +inf when the tail is too heavy.
 
@@ -520,14 +507,31 @@ def _perron_2x2(a11: float, a12: float, a21: float, a22: float) -> float:
     return lam
 
 
+def _perron_shift(a11: float, a12: float, a21: float, a22: float) -> float:
+    """lambda - a11 for the Perron root lambda of [[a11, a12], [a21, a22]].
+
+    Subtracting a11 from lambda cancels every digit when a12 a21 is tiny
+    next to (a11 - a22)^2; with half = (a22 - a11) / 2 the shift is
+    half + sqrt(half^2 + a12 a21), or a12 a21 over sqrt(...) - half when
+    half < 0, neither of which cancels.
+    """
+    half = (a22 - a11) / 2.0
+    root = math.hypot(half, math.sqrt(a12 * a21))
+    return half + root if half >= 0.0 else a12 * (a21 / (root - half))
+
+
 def equilibrium(params: ModelParams, sigma: float = 0.0) -> tuple[float, float]:
     """Positive constant state of the sigma-perturbed reaction system.
 
     Reduces to the scalar fixed-point equation G(H(V)/(a+sigma)) = (b+sigma)V,
     brackets the root by doubling and solves it to machine precision.
     """
-    nl = params.nonlinearity
-    a_eff, b_eff = params.a + sigma, params.b + sigma
+    return _equilibrium(params.a + sigma, params.b + sigma, params.nonlinearity)
+
+
+def _equilibrium(a_eff: float, b_eff: float, nl: Nonlinearity) -> tuple[float, float]:
+    """Positive (U, V) with a_eff U = H(V) and b_eff V = G(U), residuals
+    checked to 1e-12; NoPositiveEquilibrium when H'(0) G'(0) <= a_eff b_eff."""
     if a_eff <= 0 or b_eff <= 0:
         raise ModelError("perturbed decay rates must stay positive")
     if nl.hp0 * nl.gp0 <= a_eff * b_eff:
@@ -551,8 +555,8 @@ def derived_constants(params: ModelParams, sigma: float = 0.0) -> DerivedConstan
     hp, gp = nl.hp0, nl.gp0
     gammaA = _perron_2x2(-a, hp, gp, -b)
     gammaB = _perron_2x2(-a - d1 / 2.0, hp, gp, -b - d2 / 2.0)
-    thetaA = hp / (gammaA + a)
-    thetaB = hp / (gammaB + a + d1 / 2.0)
+    thetaA = hp / _perron_shift(-a, hp, gp, -b)
+    thetaB = hp / _perron_shift(-a - d1 / 2.0, hp, gp, -b - d2 / 2.0)
     R0 = hp * gp / (a * b)
     Rstar = hp * gp / ((a + d1 / 2.0) * (b + d2 / 2.0))
     Lam = 2.0 * (hp * gp - a * b) / a

@@ -22,13 +22,7 @@ import numpy as np
 from scipy import signal
 
 from .grids import Discretization
-from .model import (
-    Kernel,
-    ModelParams,
-    MomentUndetermined,
-    _positive_root,
-    first_moment,
-)
+from .model import Kernel, ModelParams, MomentUndetermined, _equilibrium, first_moment
 
 __all__ = [
     "SpeedEscape",
@@ -79,12 +73,6 @@ class SemiWaveProfile:
     sweeps: int
 
 
-def _effective_rates(params: ModelParams, sigma: float, k1: Kernel, k2: Kernel):
-    a_eff = params.a + sigma + params.d1 * (1.0 - k1.mass)
-    b_eff = params.b + sigma + params.d2 * (1.0 - k2.mass)
-    return a_eff, b_eff
-
-
 def _kernels(params: ModelParams, n: int | None) -> tuple[Kernel, Kernel]:
     """Both kernels, truncated at n when n is given."""
     if n is None:
@@ -129,15 +117,10 @@ def solve_semiwave(
         L = max(L, 2.0 * n + 10.0)
 
     nl = params.nonlinearity
-    a_eff, b_eff = _effective_rates(params, sigma, k1, k2)
-    ratio = nl.hp0 * nl.gp0 / (a_eff * b_eff)
-    if ratio <= 1.0:
-        raise ValueError(
-            f"perturbed reproduction number {ratio:.4g} is not above 1; "
-            "no positive far field exists"
-        )
-    v_far = _positive_root(a_eff, b_eff, nl)
-    u_far = float(nl.H(v_far)) / a_eff
+    # on a constant state a truncated kernel's missing mass 1 - mass acts as
+    # extra decay d (1 - mass)
+    u_far, v_far = _equilibrium(params.a + sigma + params.d1 * (1.0 - k1.mass),
+                                params.b + sigma + params.d2 * (1.0 - k2.mass), nl)
 
     # flux reach of the frozen far field past the grid; infinite reach means
     # infinite flux and there is no finite speed to find
@@ -161,8 +144,8 @@ def solve_semiwave(
 
     m = int(round(L / dx))
     L = m * dx
-    x = -L + np.arange(m + 1) * dx
     grid = Discretization((k1, k2), dx, m + 1)
+    x = -L + np.arange(m + 1) * dx
     stack = grid.stack(m + 1)
     far = _far_reach(grid, (u_far, v_far))
     # front-crossing tails for the speed quadrature (static, exact CDF)

@@ -25,14 +25,11 @@ __all__ = [
     "SteadyState",
     "DecayEstimate",
     "EvolutionTrace",
-    "ComparisonReport",
     "FixedDomain",
     "SandwichError",
     "BlowUpError",
-    "gamma_step",
     "solve_steady",
     "evolve_fixed",
-    "comparison_check",
     "stability_timestep",
 ]
 
@@ -54,21 +51,12 @@ class FixedDomain:
 
     def __init__(self, l: float, params: ModelParams, num_cells: int | None = None):
         n = num_cells if num_cells is not None else default_cells(l)
-        self.l = float(l)
         self.params = params
         self.n = n
-        self.dx = self.l / n
-        self.grid = Discretization((params.kernel1, params.kernel2), self.dx, n)
+        self.grid = Discretization((params.kernel1, params.kernel2), float(l) / n, n)
         self.x = self.grid.x
         self.rates = np.array([[params.d1], [params.d2]])
         self._den = self.rates * self.grid.j + np.array([[params.a], [params.b]])
-
-    def rhs(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, nl = self.params, self.params.nonlinearity
-        disp = self.grid.dispersal(self.rates, np.stack([u, v]))
-        f1 = disp[0] - p.a * u + nl.H(v)
-        f2 = disp[1] - p.b * v + nl.G(u)
-        return f1, f2
 
     def gamma(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One step of the monotone fixed-point map."""
@@ -78,7 +66,11 @@ class FixedDomain:
         return g1, g2
 
     def residual(self, u: np.ndarray, v: np.ndarray) -> float:
-        f1, f2 = self.rhs(u, v)
+        """Sup-norm of the steady equations' right-hand side at (u, v)."""
+        p, nl = self.params, self.params.nonlinearity
+        disp = self.grid.dispersal(self.rates, np.stack([u, v]))
+        f1 = disp[0] - p.a * u + nl.H(v)
+        f2 = disp[1] - p.b * v + nl.G(u)
         return max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
 
 
@@ -88,13 +80,6 @@ def _sample(f, x: np.ndarray, name: str) -> np.ndarray:
     if vals.shape != x.shape:
         raise ValueError(f"{name} does not match the grid ({vals.shape} vs {x.shape})")
     return vals
-
-
-def gamma_step(u, v, l: float, params: ModelParams,
-               num_cells: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Single monotone fixed-point step on a throwaway discretization."""
-    dom = FixedDomain(l, params, num_cells)
-    return dom.gamma(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -243,44 +228,3 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
     else:
         est = freeboundary._decay_fit(t_arr[half], np.log(trace.norm_sum[half]), lam)
     return trace, est
-
-
-# ---------------------------------------------------------------------------
-# comparison pairs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    ordered: bool
-    min_gap_u: float
-    min_gap_v: float
-    upper_max_residual: float
-    lower_min_residual: float
-
-
-def comparison_check(l: float, params: ModelParams, upper_pair, lower_pair,
-                     num_cells: int | None = None, slack: float = 1e-9) -> ComparisonReport:
-    """Validate an (upper, lower) solution pair and report their ordering.
-
-    The upper pair must satisfy both steady inequalities with residual <= slack,
-    the lower pair with residual >= -slack; anything else raises ValueError.
-    """
-    dom = FixedDomain(l, params, num_cells)
-    uu, uv = (_sample(f, dom.x, n) for f, n in zip(upper_pair, ("upper u", "upper v")))
-    lu, lv = (_sample(f, dom.x, n) for f, n in zip(lower_pair, ("lower u", "lower v")))
-    f1u, f2u = dom.rhs(uu, uv)
-    f1l, f2l = dom.rhs(lu, lv)
-    up_max = max(float(np.max(f1u)), float(np.max(f2u)))
-    lo_min = min(float(np.min(f1l)), float(np.min(f2l)))
-    if up_max > slack or lo_min < -slack:
-        raise ValueError(
-            "not a super/sub pair: upper residual max "
-            f"{up_max:.3e}, lower residual min {lo_min:.3e}"
-        )
-    gap_u = float(np.min(uu - lu))
-    gap_v = float(np.min(uv - lv))
-    return ComparisonReport(
-        ordered=(gap_u >= -1e-12 and gap_v >= -1e-12),
-        min_gap_u=gap_u, min_gap_v=gap_v,
-        upper_max_residual=up_max, lower_min_residual=lo_min,
-    )

@@ -5,6 +5,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlfront import cli, eigen, freeboundary
 
@@ -484,3 +485,125 @@ def test_rejects_non_finite_numeric_settings(tmp_path, capfd, monkeypatch, doc, 
                                       "exit_code": 2}
     assert capfd.readouterr().err == ""
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"command": "sweep", "sweep": {"variable": "l", "values": [-1.0, 0.0]}},
+     "domain length must be positive and finite"),
+    ({"command": "sweep", "numeric": {"l": 2.0},
+      "sweep": {"variable": "d1", "values": [-1.0]}},
+     "need d1, d2 >= 0 and d1 + d2 > 0"),
+], ids=["l", "d1"])
+def test_sweep_with_every_value_refused_exits_2(tmp_path, capsys, doc, message):
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "EigenGridError", "message": message,
+                                       "exit_code": 2}
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_with_every_solve_failed_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(spec):
+        raise eigen.EigenConvergenceError(f"no solve at l = {spec.l:g}", math.nan,
+                                          None, 0, math.inf)
+
+    monkeypatch.setattr(eigen, "principal_eigenpair", fail)
+    code, out = run_into(tmp_path, {"command": "sweep",
+                                    "sweep": {"variable": "l", "values": [1.0, 2.0]}})
+    assert code == cli.EXIT_SOLVER
+    assert _one_line_error(capsys) == {"type": "EigenConvergenceError",
+                                       "message": "no solve at l = 1", "exit_code": 3}
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("doc, cells", [
+    ({"command": "eigen", "numeric": {"l": 2.0, "N": 1_000_000_000}}, "1000000000"),
+    ({"command": "evolve", "numeric": {"l": 2.0, "T": 1.0, "N": 1_000_000_000}},
+     "1000000000"),
+    ({"command": "eigen", "numeric": {"l": 1e300}}, "4e+301"),
+    ({"command": "simulate", "numeric": {"T": 1.0, "dx": 1e-300}}, "2.68e+300"),
+    ({"command": "simulate", "params": {"h0": 1e300}, "numeric": {"T": 1.0}}, "2.14e+301"),
+    ({"command": "simulate", "params": {"u0": {"amplitude": 1e300}},
+      "numeric": {"T": 1.0}}, "1.67e+299"),
+    ({"command": "semiwave", "numeric": {"dx": 1e-300}}, "6e+301"),
+], ids=["eigen-N", "evolve-N", "eigen-l", "simulate-dx", "simulate-h0",
+        "simulate-amplitude", "semiwave-dx"])
+def test_grids_above_the_cell_ceiling_exit_2(tmp_path, capsys, doc, cells):
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {
+        "type": "ValueError", "exit_code": 2,
+        "message": f"a grid of {cells} cells is above the ceiling of 4194304"}
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, numeric", [
+    ("simulate", {"T": 1.0, "sample_interval": 0.0}),
+    ("simulate", {"T": 1.0, "sample_interval": -1.0}),
+    ("evolve", {"l": 2.0, "T": 1.0, "sample_interval": 0.0}),
+    ("classify", {"t_max": 1.0, "sample_interval": -1.0}),
+], ids=["simulate-zero", "simulate-negative", "evolve-zero", "classify-negative"])
+def test_rejects_a_nonpositive_sample_interval(tmp_path, capsys, command, numeric):
+    code, out = run_into(tmp_path, {"command": command, "numeric": numeric})
+    assert code == cli.EXIT_CONFIG
+    error = _one_line_error(capsys)
+    assert error["type"] == "ValueError"
+    given_value = numeric["sample_interval"]
+    assert error["message"] == f"sample_interval must be positive, got {given_value:g}"
+    assert not out.exists() or not any(out.iterdir())
+
+
+_FUZZ_VALUES = (0.0, -1.0, 1e-300, 1e300, math.inf, 0.5, 3.0)
+_FUZZ_PARAMS = (
+    ("params", "d1"), ("params", "d2"), ("params", "a"), ("params", "b"),
+    ("params", "mu1"), ("params", "mu2"), ("params", "h0"),
+    ("params", "kernel1", "scale"), ("params", "nonlinearity", "alpha"),
+    ("params", "nonlinearity", "beta"), ("params", "u0", "amplitude"),
+    ("params", "v0", "amplitude"),
+)
+# each command on a small horizon, with the numeric keys it reads
+_FUZZ_COMMANDS = {
+    "eigen": ({"numeric": {"l": 2.0}}, ("l", "N")),
+    "steady": ({"numeric": {"l": 3.0}}, ("l", "N")),
+    "evolve": ({"numeric": {"l": 2.0, "T": 1.0}}, ("l", "T", "N", "dt", "sample_interval")),
+    "simulate": ({"numeric": {"T": 1.0}}, ("T", "dx", "dt", "sample_interval")),
+    "sweep": ({"sweep": {"variable": "l", "values": [1.0, 2.0]}}, ("l", "N")),
+}
+
+
+@st.composite
+def _fuzz_override(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    base, numeric = _FUZZ_COMMANDS[command]
+    path = draw(st.sampled_from(
+        [("numeric", key) for key in numeric] + list(_FUZZ_PARAMS)
+        + ([("sweep", "values")] if command == "sweep" else [])))
+    return command, base, path, draw(st.sampled_from(_FUZZ_VALUES))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_override())
+def test_well_typed_extreme_values_exit_cleanly(tmp_path, capfd, case):
+    # one numeric key set to an extreme but well-typed value: the run
+    # succeeds, or prints one JSON error line and exits 2, 3 or 4; nothing
+    # reaches stderr (a warning would, from the command line)
+    command, base, path, value = case
+    doc = json.loads(json.dumps({"command": command, **base}))
+    block = doc
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    block[path[-1]] = [1.0, value] if path == ("sweep", "values") else value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_into(tmp_path, doc, sub="fuzz")
+    captured = capfd.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert len(lines) == 1
+    reply = json.loads(lines[0])
+    if code == cli.EXIT_OK:
+        assert reply["status"] == "ok"
+    else:
+        assert code in (cli.EXIT_CONFIG, cli.EXIT_SOLVER, cli.EXIT_UNDECIDED)
+        assert reply["error"]["exit_code"] == code

@@ -86,10 +86,12 @@ def test_step_matches_dense_reference(over):
     # the two stages and the last covered cell is partial throughout
     p = params_with(h0=2.999, **over)
     dt = steady.stability_timestep(p)
-    state = fb.initial_state(p, dx=0.05)
+    eng = fb._start(p, 0.05)
+    state = eng.state()
     for _ in range(3):
         h_ref, u_ref, v_ref = _dense_heun(state, p, dt)
-        nxt = fb.step(state, p, dt)
+        eng.heun(dt)
+        nxt = eng.state()
         k = nxt.u.size
         assert abs(nxt.h - h_ref) < 1e-12
         assert np.max(np.abs(nxt.u - u_ref[:k])) < 1e-12
@@ -111,7 +113,7 @@ def test_pinned_front_matches_fixed_habitat():
             frozen.h0, params_with(**over), frozen.u0, frozen.v0, horizon=3 * dt,
             num_cells=round(frozen.h0 / 0.05), dt=dt, sample_interval=dt)
         assert np.all(trace.h == frozen.h0) and fixed.dt == dt
-        state = fb.initial_state(frozen, dx=0.05)
+        state = fb._start(frozen, 0.05).state()
         k = state.u.size
         for i in range(1, 4):
             h_ref, u_ref, v_ref = _dense_heun(state, frozen, dt)
@@ -318,10 +320,12 @@ def test_snapshots_and_determinism(p1):
 
 def test_fractional_front_cell_accepted():
     p = params_with(h0=1.93)
-    state = fb.initial_state(p, dx=0.05)
+    eng = fb._start(p, 0.05)
+    state = eng.state()
     assert state.h == 1.93
     assert state.u.size == int(np.ceil(1.93 / 0.05))
-    nxt = fb.step(state, p, dt=0.02)
+    eng.heun(0.02)
+    nxt = eng.state()
     assert nxt.h > state.h
     assert nxt.t == pytest.approx(0.02)
 

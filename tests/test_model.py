@@ -12,7 +12,6 @@ from nlfront.model import (
     ModelParams,
     NoPositiveEquilibrium,
     Nonlinearity,
-    boundary_weight,
     derived_constants,
     equilibrium,
     first_moment,
@@ -90,13 +89,11 @@ def test_table_tracks_its_source_density():
 
 def test_boundary_weight_is_the_retained_mass():
     k = Kernel("laplace", 1.0)
-    assert abs(float(boundary_weight(k, 0.0)) - 0.5) < 1e-14
-    assert abs(float(boundary_weight(k, 1.0)) - (1.0 - math.exp(-1.0) / 2.0)) < 1e-12
-    assert abs(float(boundary_weight(k, 50.0)) - 1.0) < 1e-12
+    assert abs(float(k.cdf(0.0)) - 0.5) < 1e-14
+    assert abs(float(k.cdf(1.0)) - (1.0 - math.exp(-1.0) / 2.0)) < 1e-12
+    assert abs(float(k.cdf(50.0)) - 1.0) < 1e-12
     xs = np.linspace(0.0, 10.0, 300)
-    assert np.all(np.diff(boundary_weight(k, xs)) >= 0.0)
-    with pytest.raises(ModelError, match="x >= 0"):
-        boundary_weight(k, -0.5)
+    assert np.all(np.diff(k.cdf(xs)) >= 0.0)
 
 
 def test_first_moment_closed_forms():
@@ -224,6 +221,13 @@ def test_cell_nodes_midpoints():
     assert np.allclose(x, [0.25, 0.75, 1.25, 1.75], atol=1e-15)
 
 
+def test_discretization_refuses_more_cells_than_the_ceiling(laplace):
+    # refused before any array is allocated (2**40 cells would need 8 TiB)
+    with pytest.raises(ValueError, match="a grid of 1099511627776 cells is above "
+                                         "the ceiling of 4194304"):
+        grids.Discretization((laplace, laplace), 0.05, 2**40)
+
+
 def test_convolver_matches_direct_sum(laplace):
     n, dx = 64, 0.1
     conv = grids.KernelConvolver(laplace, dx, n)
@@ -234,7 +238,7 @@ def test_convolver_matches_direct_sum(laplace):
     # row sums equal the kernel mass retained over the grid's span
     x = grids.cell_nodes(0.0, dx, n)
     span = np.asarray(laplace.cdf(n * dx - x)) - np.asarray(laplace.cdf(-x))
-    assert np.max(np.abs(conv.row_sums() - span)) < 1e-12
+    assert np.max(np.abs(conv.apply(np.ones(n)) - span)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [200, 1201, 2048])

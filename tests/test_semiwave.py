@@ -6,7 +6,7 @@ import pytest
 
 from conftest import params_with
 from nlfront import semiwave
-from nlfront.model import Kernel, equilibrium
+from nlfront.model import Kernel, NoPositiveEquilibrium, equilibrium
 
 HEAVY = Kernel("cauchy", 1.0, exponent=1.3)
 
@@ -68,6 +68,13 @@ def test_speed_monotone_in_front_response(p1, wave_p1):
 def test_zero_front_response_means_zero_speed():
     w = semiwave.solve_semiwave(params_with(mu1=0.0, mu2=0.0))
     assert abs(w.c) < 1e-9
+
+
+def test_truncation_can_remove_the_far_field(p1_d6):
+    # R0 = 4, but a kernel truncated at n = 1 keeps about 77% of its mass,
+    # and the lost 23% at rate 6 raises each decay rate to about 2.4
+    with pytest.raises(NoPositiveEquilibrium, match="reproduction ratio is at most 1"):
+        semiwave.solve_semiwave(p1_d6, n=1)
 
 
 def test_truncation_table_thin_tail(p1):

@@ -43,9 +43,10 @@ def test_two_sided_iteration_brackets_monotonically(p1):
     U, V = equilibrium(p1)
     hi = (np.full(n, U), np.full(n, V))
     lo = (np.full(n, 1e-4), np.full(n, 1e-4))
+    dom = steady.FixedDomain(l, p1, n)
     for _ in range(60):
-        hi_next = steady.gamma_step(*hi, l, p1, num_cells=n)
-        lo_next = steady.gamma_step(*lo, l, p1, num_cells=n)
+        hi_next = dom.gamma(*hi)
+        lo_next = dom.gamma(*lo)
         for new, old in zip(hi_next, hi):
             assert np.all(new <= old + 1e-12)
         for new, old in zip(lo_next, lo):
@@ -83,12 +84,13 @@ def test_independent_quadrature_residual(p1, steady_l10):
 def test_uniqueness_from_scattered_starts(p1):
     l, n = 6.0, 240
     rng = np.random.default_rng(11)
+    dom = steady.FixedDomain(l, p1, n)
     finals = []
     for _ in range(3):
         u = rng.uniform(0.05, 2.0, n)
         v = rng.uniform(0.05, 2.0, n)
         for _ in range(100_000):
-            un, vn = steady.gamma_step(u, v, l, p1, num_cells=n)
+            un, vn = dom.gamma(u, v)
             delta = max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v))))
             u, v = un, vn
             if delta < 1e-12:
@@ -143,29 +145,6 @@ def test_evolve_rejects_unstable_timestep(p1, factor):
     with pytest.raises(ValueError, match="dt must lie in"):
         steady.evolve_fixed(4.0, p1, tent, tent, 20.0,
                             dt=factor * steady.stability_timestep(p1))
-
-
-def test_comparison_check_accepts_equilibrium_roof(p1):
-    l = 10.0
-    U, V = equilibrium(p1)
-    report = steady.comparison_check(
-        l, p1,
-        upper_pair=(lambda x: np.full_like(x, U), lambda x: np.full_like(x, V)),
-        lower_pair=(lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)),
-    )
-    assert report.ordered
-    assert report.upper_max_residual <= 1e-9
-    assert report.lower_min_residual >= -1e-9
-
-
-def test_comparison_check_rejects_growing_roof(p1):
-    with pytest.raises(ValueError, match="not a super/sub pair"):
-        steady.comparison_check(
-            10.0, p1,
-            upper_pair=(initial_profile("tent", 1e-3, 10.0),
-                        initial_profile("tent", 1e-3, 10.0)),
-            lower_pair=(lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)),
-        )
 
 
 def test_timestep_policy(p1):
