@@ -65,6 +65,14 @@ def _list_of(cast: Callable) -> Callable[[object], list]:
     return typed
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part: 200 and 200.0
+    mean 200, and 200.7 is no cell count."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 _floats = _list_of(float)
 
 
@@ -76,7 +84,7 @@ def _points(value) -> tuple:
 _KERNEL = {"family": _string, "scale": float, "exponent": float, "points": _points}
 _PROFILE = {"kind": _string, "amplitude": float}
 _SCHEMA: dict = {
-    "command": _string, "preset": _string, "seed": int,
+    "command": _string, "preset": _string, "seed": _integer,
     "params": {
         "d1": float, "d2": float, "a": float, "b": float,
         "mu1": float, "mu2": float, "h0": float,
@@ -85,10 +93,10 @@ _SCHEMA: dict = {
         "u0": _PROFILE, "v0": _PROFILE,
     },
     "numeric": {
-        "N": int, "dx": float, "dt": float, "T": float, "L": float, "l": float,
-        "sigma": float, "n": int, "sigmas": _floats, "ns": _list_of(int),
+        "N": _integer, "dx": float, "dt": float, "T": float, "L": float, "l": float,
+        "sigma": float, "n": _integer, "sigmas": _floats, "ns": _list_of(_integer),
         "t_max": float, "sample_interval": float, "snapshot_times": _floats,
-        "c0": float, "multi_start": int,
+        "c0": float, "multi_start": _integer,
     },
     "output": {"directory": _string, "formats": _list_of(_string),
                "sample_schedule": _floats},
@@ -96,7 +104,7 @@ _SCHEMA: dict = {
                   "link": {"type": _string, "factor": float}},
     "sweep": {"variable": _string, "values": _floats},
     "report": {
-        "mismatch": {"h0_values": _floats, "num_points": int},
+        "mismatch": {"h0_values": _floats, "num_points": _integer},
         "decision_tree": _flag,
         "decay_rates": {"lengths": _floats, "horizon": float},
     },
@@ -506,19 +514,12 @@ def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
         sub = block["decay_rates"]
         if "lengths" not in sub:
             raise ConfigError("report.decay_rates needs lengths")
-        horizon = sub.get("horizon", 150.0)
-        rows = []
-        for l in sub["lengths"]:
-            _, est = steady.evolve_fixed(
-                l, cfg.params,
-                initial_profile("tent", 1.0, l),
-                initial_profile("tent", 0.5, l),
-                horizon,
-            )
-            rows.append((l, est.lambda1, est.mode, est.k, est.r_squared))
+        lengths = sub["lengths"]
+        runs = steady.evolve_lengths(lengths, cfg.params, sub.get("horizon", 150.0))
         sink.csv("decay_rates.csv", "l,lambda1,mode,k,r_squared",
-                 ((l, lam, mode, k, r2) for l, lam, mode, k, r2 in rows))
-        summary["decay_rates"] = {"rows": len(rows)}
+                 ((l, est.lambda1, est.mode, est.k, est.r_squared)
+                  for l, (_, est) in zip(lengths, runs)))
+        summary["decay_rates"] = {"rows": len(runs)}
     if not summary:
         raise ConfigError("report block names no known section")
     sink.json("report.json", summary)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import eigen
 from .eigen import SIGN_BAND
-from .grids import Discretization, default_cells
+from .grids import MAX_CELLS, Discretization, default_cells, stacked_convolution
 from .model import (
     ModelParams,
     NoPositiveEquilibrium,
@@ -62,11 +62,19 @@ DEFAULT_T_MAX = 500.0
 MAX_STEPS = 10**8
 
 
-class SchemeError(RuntimeError):
+class _StepError(RuntimeError):
+    """A failed time step; ``member`` indexes the batch member it arose in."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
+
+
+class SchemeError(_StepError):
     """The explicit update produced an inadmissible value (time step too large)."""
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(_StepError):
     """Fields escaped the a-priori bound: a discretization bug, not dynamics."""
 
 
@@ -219,33 +227,64 @@ def _active_count(h: float, dx: float) -> int:
 class _Master:
     """Mutable stepping engine on the master grid (internal).
 
-    The fields live in one (2, cap) array ``uv``, row r species r, with
-    ``u`` and ``v`` its row views; fresh engines start at t = 0, h = h0 and
-    zero fields.
+    The fields live in one (B, 2, cap) array ``uv``: B members, row r of a
+    member species r.  Each member has its own cell width, grid and front;
+    all share the params, and so every time step.  ``dx``, ``h`` and
+    ``grid`` (with its nodes ``x`` and cell edges ``edges``) are member 0's,
+    ``u`` and ``v`` its row views, and ``grids`` holds every member's grid.
+    Fresh engines start at t = 0 and zero fields.
+
+    `dx` and `h` (h0 when None) are one member's cell width and front, or
+    one of each per member.  Only a lone member's front moves: a batch of
+    several members must be pinned (mu1 = mu2 = 0) and cover equal cell
+    counts, and each Heun stage then convolves all of them with one stacked
+    product (`grids.stacked_convolution`).
     """
 
-    def __init__(self, params: ModelParams, dx: float, capacity: int):
+    def __init__(self, params: ModelParams, dx, capacity: int, h=None):
+        widths = np.atleast_1d(np.asarray(dx, dtype=float))
+        fronts = np.broadcast_to(params.h0 if h is None else h, widths.shape)
+        self.B = widths.size
+        counts = {_active_count(float(f), float(w)) for f, w in zip(fronts, widths)}
+        if self.B > 1 and (params.mu1 > 0.0 or params.mu2 > 0.0):
+            raise ValueError("a batch of several members needs pinned fronts (mu1 = mu2 = 0)")
+        if len(counts) > 1:
+            raise ValueError(f"a batch's members must cover equal cell counts, got {sorted(counts)}")
         self.params = params
-        self.dx = float(dx)
+        self.dx = float(widths[0])
+        self.h = float(fronts[0])
         self.nl = params.nonlinearity
         self.rates = np.array([[params.d1], [params.d2]])
         self.cap = 1 << max(9, int(capacity - 1).bit_length())
         self.t = 0.0
-        self.h = params.h0
-        self.grid = Discretization((params.kernel1, params.kernel2), self.dx, self.cap)
+        kernels = (params.kernel1, params.kernel2)
+        self.grids = [Discretization(kernels, float(w), self.cap) for w in widths]
+        self.grid = self.grids[0]
         self._same_kernels = params.kernel1 == params.kernel2
         self._front_h: float | None = None
+        self._stacked = None
         self._alloc()
+        if self.B > 1:
+            # pinned fronts never move: the weights (as `weights` computes
+            # them, on each member's cells) and the stacked operands are
+            # built once, here
+            k = counts.pop()
+            w = np.stack([np.clip(f - np.arange(k) * d, 0.0, d)
+                          for f, d in zip(fronts, widths)])[:, None]
+            self._front = (k, w, w / widths[:, None, None])
+            self._front_h = self.h
+            self._stacked = stacked_convolution(self.grids, k)
 
     def _alloc(self) -> None:
         self.x = self.grid.x
         self.edges = np.arange(self.cap) * self.dx
-        self.uv = np.zeros((2, self.cap))
-        self.u, self.v = self.uv
+        self.uv = np.zeros((self.B, 2, self.cap))
+        self.u, self.v = self.uv[0]
         # every linear loss of a cell in one rate: d_r j_r from dispersal
         # plus the death rate (a for u, b for v)
         p = self.params
-        self.loss = self.rates * self.grid.j + np.array([[p.a], [p.b]])
+        j = np.stack([g.j for g in self.grids])
+        self.loss = self.rates * j + np.array([[p.a], [p.b]])
 
     def grow(self, cells: int = 0) -> None:
         """Double the capacity (a power of two), or more, until it holds
@@ -253,9 +292,10 @@ class _Master:
         the grid-cell ceiling is refused before anything is allocated."""
         old = self.uv
         self.cap = max(2 * self.cap, 1 << (cells - 1).bit_length())
-        self.grid = self.grid.extended(self.cap)
+        self.grids = [g.extended(self.cap) for g in self.grids]
+        self.grid = self.grids[0]
         self._alloc()
-        self.uv[:, :old.shape[1]] = old
+        self.uv[..., :old.shape[-1]] = old
 
     def ensure(self, h: float) -> None:
         cells = _active_count(h, self.dx) + 8
@@ -268,7 +308,8 @@ class _Master:
     def front(self, h: float) -> tuple[int, np.ndarray, np.ndarray]:
         """Covered cell count k, cell weights w and covered fractions w / dx
         at front h, recomputed only when h changes (a pinned front never
-        does)."""
+        does).  w and w / dx are (k,) for a lone member and (B, 1, k) for a
+        batch."""
         if h != self._front_h:
             k = _active_count(h, self.dx)
             w = self.weights(h, k)
@@ -276,17 +317,23 @@ class _Master:
             self._front_h = h
         return self._front
 
+    def convolve(self, src: np.ndarray) -> np.ndarray:
+        """K src for the (B, 2, k) fields src, each member on its own grid."""
+        if self._stacked is None:
+            return self.grid.convolve(src)
+        return self._stacked(src)
+
     def rhs(self, uv: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-        """Field derivatives (2, k) on the k cells covered at front h, plus h'."""
+        """Field derivatives (B, 2, k) on the k cells covered at front h, plus h'."""
         p = self.params
         k, w, frac = self.front(h)
-        ua, va = act = uv[:, :k]
-        f = self.rates * self.grid.convolve(act * frac) - self.loss[:, :k] * act
-        f[0] += self.nl.H(va)
-        f[1] += self.nl.G(ua)
+        act = uv[..., :k]
+        f = self.rates * self.convolve(act * frac) - self.loss[..., :k] * act
+        f[:, 0] += self.nl.H(act[:, 1])
+        f[:, 1] += self.nl.G(act[:, 0])
 
         flux = 0.0
-        if p.mu1 > 0.0 or p.mu2 > 0.0:
+        if p.mu1 > 0.0 or p.mu2 > 0.0:  # a lone member
             s = h - self.x[:k]
             acc = np.zeros(k)
             escape = None
@@ -296,7 +343,7 @@ class _Master:
                 if mu > 0.0:
                     if escape is None or not self._same_kernels:
                         escape = self.grid.mass[r] - self.grid.tail(r)(s)
-                    acc += mu * act[r] * escape
+                    acc += mu * act[0, r] * escape
             flux = float(np.dot(w, acc))
         return f, flux
 
@@ -305,27 +352,28 @@ class _Master:
         # least the cells the first stage does and every update is confined
         # to the predictor's k2 cells; beyond them the fields are unchanged
         f1, g1 = self.rhs(self.uv, self.h)
-        k1 = f1.shape[1]
+        k1 = f1.shape[-1]
         h_star = self.h + dt * g1
         self.ensure(h_star)
         k2 = _active_count(h_star, self.dx)
-        star = self.uv[:, :k2].copy()
-        star[:, :k1] += dt * f1
+        star = self.uv[..., :k2].copy()
+        star[..., :k1] += dt * f1
         f2, g2 = self.rhs(star, h_star)
 
         h_new = self.h + 0.5 * dt * (g1 + g2)
         self.ensure(h_new)
         # uv + dt/2 (f1 + f2), combined in f2's buffer
-        f2[:, :k1] += f1
+        f2[..., :k1] += f1
         f2 *= 0.5 * dt
-        f2 += self.uv[:, :k2]
+        f2 += self.uv[..., :k2]
         low = float(f2.min())
         if low < -NEGATIVITY_TOL:
             raise SchemeError(
                 f"negative field value {low:.3e} at t={self.t:.6g}; "
-                "reduce the time step"
+                "reduce the time step",
+                member=int(np.argmin(f2.min(axis=(1, 2)))),
             )
-        np.maximum(f2, 0.0, out=self.uv[:, :k2])
+        np.maximum(f2, 0.0, out=self.uv[..., :k2])
         self.h = h_new
         self.t += dt
 
@@ -344,13 +392,16 @@ class _Master:
             front_weight=float(np.clip(self.h - (k - 1) * self.dx, 0.0, self.dx)),
         )
 
-    def sups(self) -> tuple[float, float]:
-        su, sv = self.uv.max(axis=1)
-        return float(su), float(sv)
+    def sups(self) -> np.ndarray:
+        """(B, 2): each member's sup u and sup v."""
+        return self.uv.max(axis=2)
 
 
 def _start(params: ModelParams, dx: float) -> _Master:
-    """Engine at t = 0 with the initial profiles sampled on the cells below h0."""
+    """Engine at t = 0 with the initial profiles sampled on the cells below
+    h0; ValueError when h0 / dx is no finite cell count."""
+    if not math.isfinite(params.h0 / dx):
+        raise ValueError(f"h0 / dx = {params.h0:g} / {dx:.3g} is not a finite cell count")
     eng = _Master(params, dx, _active_count(params.h0, dx) + 16)
     k = _active_count(eng.h, eng.dx)
     eng.u[:k] = np.asarray(params.u0(eng.x[:k]), dtype=float)
@@ -360,24 +411,26 @@ def _start(params: ModelParams, dx: float) -> _Master:
 
 def _march(eng: _Master, dt: float, n_steps: int, stride: int):
     """Heun-step `eng` n_steps times; after every stride-th step and the last
-    yield (step index, sup u, sup v).
+    yield (step index, `eng.sups()`).
 
-    Raises BlowUpError when a sup-norm passes ten times the larger of the
-    initial sup-norms and the positive equilibrium.
+    Raises BlowUpError when a member's sup-norm passes ten times the larger
+    of its initial sup-norms and the positive equilibrium.
     """
-    terms = [*eng.sups(), 1e-12]
+    terms = [1e-12]
     try:
         terms += equilibrium(eng.params)
     except NoPositiveEquilibrium:
         pass
-    ceiling = 10.0 * max(terms)
+    ceiling = 10.0 * np.maximum(eng.sups().max(axis=1), max(terms))
     for i in range(1, n_steps + 1):
         eng.heun(dt)
         if i % stride == 0 or i == n_steps:
-            su, sv = eng.sups()
-            if max(su, sv) > ceiling:
-                raise BlowUpError(f"field norm exceeded its a-priori bound at t={eng.t:.6g}")
-            yield i, su, sv
+            sups = eng.sups()
+            over = sups.max(axis=1) > ceiling
+            if over.any():
+                raise BlowUpError(f"field norm exceeded its a-priori bound at t={eng.t:.6g}",
+                                  member=int(np.argmax(over)))
+            yield i, sups
 
 
 def simulate(
@@ -403,7 +456,7 @@ def simulate(
 
     ts = [0.0]
     hs = [eng.h]
-    su0, sv0 = eng.sups()
+    su0, sv0 = eng.sups()[0]
     sus = [su0]
     svs = [sv0]
     masses = [eng.mass()]
@@ -415,7 +468,8 @@ def simulate(
             shots.append(Snapshot(t=eng.t, x=eng.x[: st.u.size].copy(), u=st.u, v=st.v))
 
     maybe_snapshot()
-    for _, su, sv in _march(eng, dt, n_steps, stride):
+    for _, sups in _march(eng, dt, n_steps, stride):
+        su, sv = sups[0]
         ts.append(eng.t)
         hs.append(eng.h)
         sus.append(su)
@@ -730,15 +784,15 @@ def symmetrization_mismatch(
         h0_values = (params.h0,)
     if len(h0_values) == 0:
         raise ValueError("h0_values must not be empty")
-    if num_points < 1:
-        raise ValueError(f"num_points must be at least 1, got {num_points}")
+    if not 1 <= num_points <= MAX_CELLS:
+        raise ValueError(f"num_points must lie in [1, {MAX_CELLS}], got {num_points}")
     if profile is None:
         profile = lambda h0: initial_profile("tent", 1.0, h0)  # noqa: E731
 
     rows: list[MismatchRow] = []
     for h0 in h0_values:
-        if h0 <= 0:
-            raise ValueError("h0 values must be positive")
+        if not 0.0 < h0 < math.inf:
+            raise ValueError(f"h0 values must be positive and finite, got {h0:g}")
         u0 = profile(h0)
         xs = (np.arange(num_points) + 0.5) * (h0 / num_points)
         vals = np.asarray(u0(xs), dtype=float) * np.asarray(kernel.pdf(h0 - xs))

@@ -24,6 +24,7 @@ __all__ = [
     "ConvolverStack",
     "CdfInterpolant",
     "Discretization",
+    "stacked_convolution",
     "default_cells",
     "DENSE_MAX",
     "MAX_CELLS",
@@ -125,12 +126,12 @@ class ConvolverStack:
         self._kfft = np.stack([c._kfft for c in convs])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Convolve row r of the (rows, k) array u, k <= n, by kernel r.
+        """Convolve row r of the (..., rows, k) array u, k <= n, by kernel r.
 
         Cells k..n-1 count as zero; the result covers the first k cells.
         """
         k = u.shape[-1]
-        if u.shape[0] != self._kfft.shape[0] or k > self.n:
+        if u.shape[-2] != self._kfft.shape[0] or k > self.n:
             raise ValueError("stack shape does not match the kernels and grid")
         return _circulant_apply(u, self._kfft, self._m)
 
@@ -243,3 +244,28 @@ class Discretization:
         k = uv.shape[-1]
         conv = self.convolve(uv if frac is None else uv * frac)
         return rates * (conv - self.j[:, :k] * uv)
+
+
+def stacked_convolution(grids, k: int):
+    """K src for src of shape (B, rows, k), member b convolved on grids[b]:
+    one stacked product for every member.
+
+    The grids share their kernels and cell count and differ in cell width.
+    The operands are built here, once: up to DENSE_MAX cells each member's
+    leading k x k block of `Discretization.block` (one per member when
+    every row has the same kernel, one per member and row otherwise),
+    stacked straight from the Toeplitz views so no grid keeps a full block;
+    beyond DENSE_MAX each member's FFT spectra at k's stack size.  Member
+    b's result equals ``grids[b].convolve(src[b])`` bit for bit.
+    """
+    if k > DENSE_MAX:
+        stacks = [g.stack(k) for g in grids]
+        kfft, m = np.stack([s._kfft for s in stacks]), stacks[0]._m
+        return lambda src: _circulant_apply(src, kfft, m)
+    shared = grids[0]._shared
+    blocks = np.stack([[_toeplitz(_cell_masses(kern, g.dx, DENSE_MAX))[:k, :k]
+                        for kern in (g.kernels[:1] if shared else g.kernels)] for g in grids])
+    if shared:
+        blocks = blocks[:, 0]
+        return lambda src: np.matmul(src, blocks)
+    return lambda src: np.matmul(blocks, src[..., None])[..., 0]

@@ -498,7 +498,14 @@ class DerivedConstants:
 
 def _perron_2x2(a11: float, a12: float, a21: float, a22: float) -> float:
     tr = a11 + a22
-    disc = (a11 - a22) ** 2 + 4.0 * a12 * a21
+    try:
+        disc = (a11 - a22) ** 2 + 4.0 * a12 * a21
+    except OverflowError:
+        # diagonal entries over 1e154 apart: the larger one plus its shift,
+        # which squares nothing and cancels nothing
+        if a11 < a22:
+            a11, a12, a21, a22 = a22, a21, a12, a11
+        return a11 + _perron_shift(a11, a12, a21, a22)
     lam = (tr + math.sqrt(disc)) / 2.0
     # characteristic-polynomial residual guards the closed form
     resid = lam * lam - tr * lam + (a11 * a22 - a12 * a21)

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import eigen, freeboundary
 from .eigen import SIGN_BAND
-from .freeboundary import BlowUpError, DecayEstimate, stability_timestep
-from .grids import Discretization, default_cells
-from .model import ModelParams, NoPositiveEquilibrium, equilibrium
+from .freeboundary import BlowUpError, DecayEstimate, SchemeError, stability_timestep
+from .grids import Discretization, cell_nodes, default_cells
+from .model import ModelParams, NoPositiveEquilibrium, equilibrium, initial_profile
 
 __all__ = [
     "SteadyState",
@@ -30,6 +30,7 @@ __all__ = [
     "BlowUpError",
     "solve_steady",
     "evolve_fixed",
+    "evolve_lengths",
     "stability_timestep",
 ]
 
@@ -188,43 +189,79 @@ def evolve_fixed(l: float, params: ModelParams, u0, v0, horizon: float,
     = 0): Heun steps under the positivity CFL, the horizon split into equal
     steps no longer than `dt`, sampled sup norms.  Fields exceeding ten
     times the natural a-priori bound abort with BlowUpError.  The decay fit
-    runs over the second half of the horizon.
+    runs over the second half of the horizon.  The one-length case of
+    `evolve_lengths`.
     """
-    if not 0.0 < l < math.inf:
-        raise ValueError("domain length must be positive and finite")
+    return evolve_lengths([l], params, horizon, lambda _: (u0, v0), num_cells, dt,
+                          sample_interval)[0]
+
+
+def _tents(l: float):
+    return initial_profile("tent", 1.0, l), initial_profile("tent", 0.5, l)
+
+
+def evolve_lengths(lengths, params: ModelParams, horizon: float, initial=_tents,
+                   num_cells: int | None = None, dt: float | None = None,
+                   sample_interval: float | None = None,
+                   ) -> list[tuple[EvolutionTrace, DecayEstimate]]:
+    """`evolve_fixed` on every length, one (trace, fit) pair per length in
+    input order.
+
+    ``initial(l)`` gives the initial fields (u0, v0) on [0, l], by default
+    tents of amplitude 1 and 1/2.  Every length is checked, its principal
+    eigenvalue computed and its initial fields sampled before any stepping.
+    Lengths with the same cell count then step together as one batch of the
+    pinned engine, whose Heun stages convolve every member with one stacked
+    product; all share the schedule, which does not depend on the length.
+    A SchemeError or BlowUpError names the length it arose at.
+    """
+    for l in lengths:
+        if not 0.0 < l < math.inf:
+            raise ValueError("domain length must be positive and finite")
     step, n_steps, stride = freeboundary._schedule(params, horizon, dt, sample_interval,
                                                    equal=True)
-    n = num_cells if num_cells is not None else default_cells(l)
-    # before any stepping: the eigen grid refuses too few cells
-    lam = eigen.lambda1(l, params, num_cells=n)
-    eng = freeboundary._Master(replace(params, mu1=0.0, mu2=0.0), l / n, n + 64)
-    eng.h = float(l)
-    x = eng.x[:n].copy()
-    u = _sample(u0, x, "u0")
-    v = _sample(v0, x, "v0")
-    if np.any(u < 0) or np.any(v < 0):
-        raise ValueError("initial fields must be nonnegative")
-    eng.u[:n] = u
-    eng.v[:n] = v
+    groups: dict[int, list[int]] = {}
+    lams, starts = [], []
+    for i, l in enumerate(lengths):
+        n = num_cells if num_cells is not None else default_cells(l)
+        # the eigen grid refuses too few cells
+        lams.append(eigen.lambda1(l, params, num_cells=n))
+        x = cell_nodes(0.0, l / n, n)
+        u0, v0 = initial(l)
+        u, v = _sample(u0, x, "u0"), _sample(v0, x, "v0")
+        if np.any(u < 0) or np.any(v < 0):
+            raise ValueError("initial fields must be nonnegative")
+        starts.append((x, u, v))
+        groups.setdefault(n, []).append(i)
 
-    ts = [0.0]
-    nu = [float(np.max(u))]
-    nv = [float(np.max(v))]
-    for k, su, sv in freeboundary._march(eng, step, n_steps, stride):
-        ts.append(k * step)
-        nu.append(su)
-        nv.append(sv)
-    t_arr = np.array(ts)
-    nu_arr, nv_arr = np.array(nu), np.array(nv)
-    trace = EvolutionTrace(t=t_arr, norm_u=nu_arr, norm_v=nv_arr,
-                           norm_sum=nu_arr + nv_arr, x=x, u=eng.u[:n].copy(),
-                           v=eng.v[:n].copy(), dt=step, num_cells=n)
-
-    half = t_arr >= horizon / 2.0
-    if lam > SIGN_BAND:
-        est = DecayEstimate(mode="none", k=math.nan,
-                            window=(float(t_arr[half][0]), float(t_arr[-1])),
-                            r_squared=math.nan, lambda1=lam)
-    else:
-        est = freeboundary._decay_fit(t_arr[half], np.log(trace.norm_sum[half]), lam)
-    return trace, est
+    pinned = replace(params, mu1=0.0, mu2=0.0)
+    results: list = [None] * len(lengths)
+    for n, members in groups.items():
+        ls = [float(lengths[i]) for i in members]
+        eng = freeboundary._Master(pinned, [l / n for l in ls], n + 64, ls)
+        for b, i in enumerate(members):
+            eng.uv[b, :, :n] = starts[i][1:]
+        ts, sups = [0.0], [eng.sups()]
+        try:
+            for k, row in freeboundary._march(eng, step, n_steps, stride):
+                ts.append(k * step)
+                sups.append(row)
+        except (SchemeError, BlowUpError) as exc:
+            raise type(exc)(f"l = {ls[exc.member]:g}: {exc}") from exc
+        t_arr, norms = np.array(ts), np.array(sups)
+        half = t_arr >= horizon / 2.0
+        for b, i in enumerate(members):
+            nu_arr, nv_arr = norms[:, b, 0].copy(), norms[:, b, 1].copy()
+            trace = EvolutionTrace(t=t_arr, norm_u=nu_arr, norm_v=nv_arr,
+                                   norm_sum=nu_arr + nv_arr, x=starts[i][0],
+                                   u=eng.uv[b, 0, :n].copy(), v=eng.uv[b, 1, :n].copy(),
+                                   dt=step, num_cells=n)
+            lam = lams[i]
+            if lam > SIGN_BAND:
+                est = DecayEstimate(mode="none", k=math.nan,
+                                    window=(float(t_arr[half][0]), float(t_arr[-1])),
+                                    r_squared=math.nan, lambda1=lam)
+            else:
+                est = freeboundary._decay_fit(t_arr[half], np.log(trace.norm_sum[half]), lam)
+            results[i] = (trace, est)
+    return results

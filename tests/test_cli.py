@@ -468,8 +468,10 @@ def test_rejects_non_finite_model_values(tmp_path, capsys, params, message):
      "need 0 < dx < L < inf, got dx = 0.05, L = inf"),
     ({"command": "simulate", "numeric": {"T": 1e300}},
      "horizon / dt = 1e+300 / 0.05 = 2e+301 steps, above the ceiling of 1e+08"),
+    ({"command": "report", "report": {"mismatch": {"h0_values": [1.0, math.inf]}}},
+     "h0 values must be positive and finite, got inf"),
 ], ids=["simulate-dx", "classify-dx", "sweep-l-nan", "sweep-d1-inf", "semiwave-L",
-        "semiwave-L-heavy-tail", "simulate-T-ceiling"])
+        "semiwave-L-heavy-tail", "simulate-T-ceiling", "mismatch-h0"])
 def test_rejects_non_finite_numeric_settings(tmp_path, capfd, monkeypatch, doc, message):
     # refused before any stepping, with one JSON line and nothing else on
     # either stream: no warning and no solver chatter
@@ -537,6 +539,47 @@ def test_grids_above_the_cell_ceiling_exit_2(tmp_path, capsys, doc, cells):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"command": "simulate", "numeric": {"T": 1.0, "dx": 1e-308}},
+     "h0 / dx = 2 / 1e-308 is not a finite cell count"),
+    ({"command": "threshold", "params": {"a": 1e200}, "threshold": {"name": "ell_star"}},
+     "no threshold, vanishing"),
+    ({"command": "report", "report": {"mismatch": {"num_points": 10**9}}},
+     "num_points must lie in [1, 4194304], got 1000000000"),
+], ids=["simulate-dx", "ell_star-a", "mismatch-num_points"])
+def test_overflowing_settings_exit_2(tmp_path, capsys, doc, message):
+    # each overflowed (or, for num_points, exhausted memory) with a traceback
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "ValueError", "message": message,
+                                       "exit_code": 2}
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("path", [
+    ("seed",), ("numeric", "N"), ("numeric", "n"), ("numeric", "ns"),
+    ("numeric", "multi_start"), ("report", "mismatch", "num_points"),
+], ids=".".join)
+@pytest.mark.parametrize("value", [200.7, 0.5])
+def test_integer_keys_refuse_a_fractional_part(tmp_path, capsys, path, value):
+    doc = {"command": "eigen", "numeric": {"l": 2.0}}
+    block = doc
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    block[path[-1]] = [value] if path[-1] == "ns" else value
+    code, _ = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    error = _one_line_error(capsys)
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"bad value for {'.'.join(path)}: expected an integer, got {value!r}"
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    code, out = run_into(tmp_path, {"command": "eigen", "numeric": {"l": 2.0, "N": 200.0}})
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "eigen.json").read_text())["num_cells"] == 200
+
+
 @pytest.mark.parametrize("command, numeric", [
     ("simulate", {"T": 1.0, "sample_interval": 0.0}),
     ("simulate", {"T": 1.0, "sample_interval": -1.0}),
@@ -561,23 +604,36 @@ _FUZZ_PARAMS = (
     ("params", "nonlinearity", "beta"), ("params", "u0", "amplitude"),
     ("params", "v0", "amplitude"),
 )
-# each command on a small horizon, with the numeric keys it reads
+
+def _numeric(*keys):
+    return tuple(("numeric", key) for key in keys)
+
+
+# each command on a small horizon, with the keys it reads beside the params;
+# a list-valued key gets the value as its second entry
 _FUZZ_COMMANDS = {
-    "eigen": ({"numeric": {"l": 2.0}}, ("l", "N")),
-    "steady": ({"numeric": {"l": 3.0}}, ("l", "N")),
-    "evolve": ({"numeric": {"l": 2.0, "T": 1.0}}, ("l", "T", "N", "dt", "sample_interval")),
-    "simulate": ({"numeric": {"T": 1.0}}, ("T", "dx", "dt", "sample_interval")),
-    "sweep": ({"sweep": {"variable": "l", "values": [1.0, 2.0]}}, ("l", "N")),
+    "eigen": ({"numeric": {"l": 2.0}}, _numeric("l", "N")),
+    "steady": ({"numeric": {"l": 3.0}}, _numeric("l", "N")),
+    "evolve": ({"numeric": {"l": 2.0, "T": 1.0}},
+               _numeric("l", "T", "N", "dt", "sample_interval")),
+    "simulate": ({"numeric": {"T": 1.0}}, _numeric("T", "dx", "dt", "sample_interval")),
+    "sweep": ({"sweep": {"variable": "l", "values": [1.0, 2.0]}},
+              _numeric("l", "N") + (("sweep", "values"),)),
+    # both lengths on 200 cells, so they step as one batch
+    "report": ({"report": {"decay_rates": {"lengths": [1.0, 2.0], "horizon": 3.0},
+                           "mismatch": {"h0_values": [1.0], "num_points": 200}}},
+               (("report", "decay_rates", "lengths"), ("report", "decay_rates", "horizon"),
+                ("report", "mismatch", "h0_values"), ("report", "mismatch", "num_points"))),
 }
+_FUZZ_LISTS = {("sweep", "values"), ("report", "decay_rates", "lengths"),
+               ("report", "mismatch", "h0_values")}
 
 
 @st.composite
 def _fuzz_override(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
-    base, numeric = _FUZZ_COMMANDS[command]
-    path = draw(st.sampled_from(
-        [("numeric", key) for key in numeric] + list(_FUZZ_PARAMS)
-        + ([("sweep", "values")] if command == "sweep" else [])))
+    base, keys = _FUZZ_COMMANDS[command]
+    path = draw(st.sampled_from(list(keys) + list(_FUZZ_PARAMS)))
     return command, base, path, draw(st.sampled_from(_FUZZ_VALUES))
 
 
@@ -593,7 +649,7 @@ def test_well_typed_extreme_values_exit_cleanly(tmp_path, capfd, case):
     block = doc
     for key in path[:-1]:
         block = block.setdefault(key, {})
-    block[path[-1]] = [1.0, value] if path == ("sweep", "values") else value
+    block[path[-1]] = [1.0, value] if path in _FUZZ_LISTS else value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _ = run_into(tmp_path, doc, sub="fuzz")

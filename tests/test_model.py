@@ -159,6 +159,15 @@ def test_derived_constants_p1(p1):
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
 
+@pytest.mark.parametrize("a, b", [(1e200, 1.0), (1.0, 1e200)], ids=["a", "b"])
+def test_growth_rate_of_death_rates_far_apart(a, b):
+    # (a - b)^2 overflows; the Perron root of [[-a, 2], [2, -b]] is then the
+    # smaller death rate's negative, up to 4 / max(a, b)
+    dc = derived_constants(params_with(a=a, b=b))
+    assert dc.gammaA == -1.0
+    assert dc.R0 == 4.0 / (a * b)
+
+
 def test_growth_rate_signs_match_reproduction_numbers():
     rng = np.random.default_rng(7)
     for _ in range(100):

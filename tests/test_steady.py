@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import params_with
-from nlfront import eigen, steady
+from nlfront import eigen, freeboundary, steady
 from nlfront.model import Kernel, Nonlinearity, equilibrium, initial_profile
 
 
@@ -145,6 +145,52 @@ def test_evolve_rejects_unstable_timestep(p1, factor):
     with pytest.raises(ValueError, match="dt must lie in"):
         steady.evolve_fixed(4.0, p1, tent, tent, 20.0,
                             dt=factor * steady.stability_timestep(p1))
+
+
+@pytest.mark.parametrize("lengths, kernel2, batches", [
+    ([2.0, 10.0, 3.0], Kernel("laplace", 1.0), [2, 1]),
+    ([2.0, 9.99, 3.0, 9.995], Kernel("gaussian", 1.0), [2, 2]),
+], ids=["equal-kernels", "unequal-kernels"])
+def test_batched_lengths_match_one_length_runs(monkeypatch, lengths, kernel2, batches):
+    # 200 and 400 cells: one batch on the dense block and one on the FFT,
+    # each checked against the length run on its own
+    p = params_with(kernel2=kernel2)
+    alone = [steady.evolve_fixed(l, p, initial_profile("tent", 1.0, l),
+                                 initial_profile("tent", 0.5, l), horizon=2.0)
+             for l in lengths]
+    built = []
+    master = freeboundary._Master
+    monkeypatch.setattr(freeboundary, "_Master",
+                        lambda *a, **kw: built.append(master(*a, **kw)) or built[-1])
+    together = steady.evolve_lengths(lengths, p, horizon=2.0)
+    assert [eng.B for eng in built] == batches
+    for (trace, fit), (ref, ref_fit) in zip(together, alone, strict=True):
+        for name in ("t", "norm_u", "norm_v", "norm_sum", "x", "u", "v"):
+            assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        assert (trace.dt, trace.num_cells) == (ref.dt, ref.num_cells)
+        assert repr(fit) == repr(ref_fit)
+
+
+def test_batch_failure_names_its_length(p1, monkeypatch):
+    # a ceiling of 10 x 1e-3 that only the growing member (l = 3, from
+    # 1e-4; the other starts and stays at zero) passes
+    monkeypatch.setattr(freeboundary, "equilibrium", lambda params: (1e-3, 1e-3))
+
+    def initial(l):
+        if l == 3.0:
+            return initial_profile("tent", 1e-4, l), initial_profile("tent", 1e-4, l)
+        return np.zeros(200), np.zeros(200)
+
+    with pytest.raises(steady.BlowUpError, match=r"^l = 3: field norm exceeded"):
+        steady.evolve_lengths([2.0, 3.0], p1, 40.0, initial)
+
+
+def test_batch_refuses_moving_fronts_and_unequal_cell_counts(p1):
+    with pytest.raises(ValueError, match="needs pinned fronts"):
+        freeboundary._Master(p1, [0.01, 0.015], 264, [2.0, 3.0])
+    pinned = params_with(mu1=0.0, mu2=0.0)
+    with pytest.raises(ValueError, match=r"equal cell counts, got \[150, 200\]"):
+        freeboundary._Master(pinned, [0.01, 0.02], 264, [2.0, 3.0])
 
 
 def test_timestep_policy(p1):
