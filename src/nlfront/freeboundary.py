@@ -238,7 +238,7 @@ class _Master:
     one of each per member.  Only a lone member's front moves: a batch of
     several members must be pinned (mu1 = mu2 = 0) and cover equal cell
     counts, and each Heun stage then convolves all of them with one stacked
-    product (`grids.stacked_convolution`).
+    product.
     """
 
     def __init__(self, params: ModelParams, dx, capacity: int, h=None):
@@ -262,24 +262,22 @@ class _Master:
         self.grid = self.grids[0]
         self._same_kernels = params.kernel1 == params.kernel2
         self._front_h: float | None = None
-        self._stacked = None
         self._alloc()
         if self.B > 1:
             # pinned fronts never move: the weights (as `weights` computes
-            # them, on each member's cells) and the stacked operands are
-            # built once, here
+            # them, on each member's cells) are built once, here
             k = counts.pop()
             w = np.stack([np.clip(f - np.arange(k) * d, 0.0, d)
                           for f, d in zip(fronts, widths)])[:, None]
             self._front = (k, w, w / widths[:, None, None])
             self._front_h = self.h
-            self._stacked = stacked_convolution(self.grids, k)
 
     def _alloc(self) -> None:
         self.x = self.grid.x
         self.edges = np.arange(self.cap) * self.dx
         self.uv = np.zeros((self.B, 2, self.cap))
         self.u, self.v = self.uv[0]
+        self._conv: tuple = (None, None)  # (k, stacked_convolution(self.grids, k))
         # every linear loss of a cell in one rate: d_r j_r from dispersal
         # plus the death rate (a for u, b for v)
         p = self.params
@@ -318,10 +316,13 @@ class _Master:
         return self._front
 
     def convolve(self, src: np.ndarray) -> np.ndarray:
-        """K src for the (B, 2, k) fields src, each member on its own grid."""
-        if self._stacked is None:
-            return self.grid.convolve(src)
-        return self._stacked(src)
+        """K src for the (B, 2, k) fields src, each member on its own grid,
+        through `grids.stacked_convolution`'s operator, kept until k or the
+        grids change."""
+        k = src.shape[-1]
+        if self._conv[0] != k:
+            self._conv = (k, stacked_convolution(self.grids, k))
+        return self._conv[1](src)
 
     def rhs(self, uv: np.ndarray, h: float) -> tuple[np.ndarray, float]:
         """Field derivatives (B, 2, k) on the k cells covered at front h, plus h'."""
@@ -456,9 +457,7 @@ def simulate(
 
     ts = [0.0]
     hs = [eng.h]
-    su0, sv0 = eng.sups()[0]
-    sus = [su0]
-    svs = [sv0]
+    sups = [eng.sups()[0]]
     masses = [eng.mass()]
 
     def maybe_snapshot() -> None:
@@ -468,24 +467,23 @@ def simulate(
             shots.append(Snapshot(t=eng.t, x=eng.x[: st.u.size].copy(), u=st.u, v=st.v))
 
     maybe_snapshot()
-    for _, sups in _march(eng, dt, n_steps, stride):
-        su, sv = sups[0]
+    for _, row in _march(eng, dt, n_steps, stride):
         ts.append(eng.t)
         hs.append(eng.h)
-        sus.append(su)
-        svs.append(sv)
+        sups.append(row[0])
         masses.append(eng.mass())
         maybe_snapshot()
 
+    sup_u, sup_v = np.array(sups).T
     return SimulationTrace(
         t=np.asarray(ts),
         h=np.asarray(hs),
-        sup_u=np.asarray(sus),
-        sup_v=np.asarray(svs),
+        sup_u=sup_u,
+        sup_v=sup_v,
         mass=np.asarray(masses),
         snapshots=tuple(shots),
-        M1=float(max(sus)),
-        M2=float(max(svs)),
+        M1=float(sup_u.max()),
+        M2=float(sup_v.max()),
         dx=dx,
         dt=dt,
         final=eng.state(),

@@ -175,6 +175,7 @@ class Discretization:
         self._stacks: dict[int, ConvolverStack] = {}
         self._block: np.ndarray | None = None
         self._tails: list[CdfInterpolant | None] = [None] * len(self.kernels)
+        self._conv: tuple = (None, None)  # (k, stacked_convolution([self], k))
 
     def extended(self, n: int) -> "Discretization":
         """The same kernels and width on n >= self.n cells; the convolver
@@ -219,20 +220,12 @@ class Discretization:
         return table
 
     def convolve(self, src: np.ndarray) -> np.ndarray:
-        """K src, row r by kernel r, on the first k = src.shape[-1] cells.
-
-        Up to DENSE_MAX cells this is the dense block's product, which skips
-        the FFT's per-call overhead; when every row has the same kernel it
-        is one product ``src @ block[0]`` for all rows, exact because the
-        Toeplitz block is symmetric, reading the matrix once.  Beyond
-        DENSE_MAX cells, the stacked FFT.
-        """
+        """K src, row r by kernel r, on the first k = src.shape[-1] cells,
+        through `stacked_convolution`'s operator, kept until k changes."""
         k = src.shape[-1]
-        if k > DENSE_MAX:
-            return self.stack(k).apply(src)
-        if self._shared:
-            return src @ self.block()[0, :k, :k]
-        return np.matmul(self.block()[:, :k, :k], src[..., None])[..., 0]
+        if self._conv[0] != k:
+            self._conv = (k, stacked_convolution([self], k))
+        return self._conv[1](src)
 
     def dispersal(self, rates: np.ndarray, uv: np.ndarray,
                   frac: np.ndarray | None = None) -> np.ndarray:
@@ -247,25 +240,30 @@ class Discretization:
 
 
 def stacked_convolution(grids, k: int):
-    """K src for src of shape (B, rows, k), member b convolved on grids[b]:
-    one stacked product for every member.
+    """The operator src -> K src on the first k cells, row r by kernel r.
 
-    The grids share their kernels and cell count and differ in cell width.
-    The operands are built here, once: up to DENSE_MAX cells each member's
-    leading k x k block of `Discretization.block` (one per member when
-    every row has the same kernel, one per member and row otherwise),
-    stacked straight from the Toeplitz views so no grid keeps a full block;
-    beyond DENSE_MAX each member's FFT spectra at k's stack size.  Member
-    b's result equals ``grids[b].convolve(src[b])`` bit for bit.
+    src is (rows, k) on grids[0] alone, or (B, rows, k) with member b on
+    grids[b]; the grids share their kernels and cell count and may differ
+    in cell width.  This is the package's one choice of product: up to
+    DENSE_MAX cells the leading k x k blocks of each grid's cached
+    `Discretization.block`, which skips the FFT's per-call overhead, as
+    one product ``src @ block`` for all rows when every row has the same
+    kernel (exact because the Toeplitz block is symmetric, reading the
+    matrix once) and one per row otherwise; beyond DENSE_MAX the stacked
+    FFT at k's stack size.  Several members' operands are stacked into one
+    product, so member b's result equals the one-grid operator on grids[b]
+    bit for bit.
     """
+    def operand(of):
+        ops = [of(g) for g in grids]
+        return ops[0] if len(ops) == 1 else np.stack(ops)
+
     if k > DENSE_MAX:
-        stacks = [g.stack(k) for g in grids]
-        kfft, m = np.stack([s._kfft for s in stacks]), stacks[0]._m
+        kfft = operand(lambda g: g.stack(k)._kfft)
+        m = grids[0].stack(k)._m
         return lambda src: _circulant_apply(src, kfft, m)
-    shared = grids[0]._shared
-    blocks = np.stack([[_toeplitz(_cell_masses(kern, g.dx, DENSE_MAX))[:k, :k]
-                        for kern in (g.kernels[:1] if shared else g.kernels)] for g in grids])
-    if shared:
-        blocks = blocks[:, 0]
+    if grids[0]._shared:
+        blocks = operand(lambda g: g.block()[0, :k, :k])
         return lambda src: np.matmul(src, blocks)
+    blocks = operand(lambda g: g.block()[:, :k, :k])
     return lambda src: np.matmul(blocks, src[..., None])[..., 0]

@@ -15,7 +15,7 @@ escapes upward and the condition is reported rather than fought.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,29 +112,27 @@ def solve_semiwave(
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     _check_grid(L, dx)
-    k1, k2 = _kernels(params, n)
+    kernels = _kernels(params, n)
     if n is not None:
         L = max(L, 2.0 * n + 10.0)
 
     nl = params.nonlinearity
     # on a constant state a truncated kernel's missing mass 1 - mass acts as
     # extra decay d (1 - mass)
-    u_far, v_far = _equilibrium(params.a + sigma + params.d1 * (1.0 - k1.mass),
-                                params.b + sigma + params.d2 * (1.0 - k2.mass), nl)
+    far_field = _equilibrium(params.a + sigma + params.d1 * (1.0 - kernels[0].mass),
+                             params.b + sigma + params.d2 * (1.0 - kernels[1].mass), nl)
 
     # flux reach of the frozen far field past the grid; infinite reach means
-    # infinite flux and there is no finite speed to find
+    # infinite flux and there is no finite speed to find.  A species with
+    # mu = 0 is left out, not multiplied in: 0 * inf would be nan
+    mus = (params.mu1, params.mu2)
     s0 = L + dx / 2.0
     try:
-        t1, t2 = _far_tail_integral(k1, s0), _far_tail_integral(k2, s0)
+        reach = [_far_tail_integral(k, s0) for k in kernels]
     except MomentUndetermined:
-        t1 = t2 = math.inf
-    far_flux = 0.0
-    if params.mu1 > 0.0:
-        far_flux += params.mu1 * u_far * t1
-    if params.mu2 > 0.0:
-        far_flux += params.mu2 * v_far * t2
-    if math.isinf(far_flux) or math.isnan(far_flux):
+        reach = [math.inf, math.inf]
+    far_flux = sum((mu * f * t for mu, f, t in zip(mus, far_field, reach) if mu > 0.0), 0.0)
+    if not math.isfinite(far_flux):
         raise SpeedEscape(
             "speed escape: far-field flux diverges (heavy-tailed kernel)",
             c=math.inf,
@@ -144,54 +142,40 @@ def solve_semiwave(
 
     m = int(round(L / dx))
     L = m * dx
-    grid = Discretization((k1, k2), dx, m + 1)
+    grid = Discretization(kernels, dx, m + 1)
     x = -L + np.arange(m + 1) * dx
     stack = grid.stack(m + 1)
-    far = _far_reach(grid, (u_far, v_far))
+    far = _far_reach(grid, far_field)
     # front-crossing tails for the speed quadrature (static, exact CDF)
-    cross1 = np.asarray(k1.mass - k1.cdf(-x))
-    cross2 = np.asarray(k2.mass - k2.cdf(-x))
+    cross = np.stack([np.asarray(k.mass - k.cdf(-x)) for k in kernels])
     w = np.full(m + 1, dx)
     w[-1] = dx / 2.0
-
-    def sweep_once(conv_far: np.ndarray, d: float, decay: float,
-                   forcing: np.ndarray, c: float) -> np.ndarray:
-        # with the convolution lagged, the transport + local part is a
-        # two-term backward recurrence from the clamped front value; solving
-        # it exactly keeps the sweep count independent of the grid length
-        den = d + decay + c / dx
-        alpha = (c / dx) / den
-        rhs = (d * conv_far[:-1] + forcing) / den
-        out = np.empty(m + 1)
-        out[-1] = 0.0
-        rev = signal.lfilter([1.0], [1.0, -alpha], rhs[::-1])
-        out[:-1] = rev[::-1]
-        # profiles are nonnegative; without the clamp, roundoff noise is
-        # amplified exponentially across long grids at supercritical c
-        np.maximum(out, 0.0, out=out)
-        return out
+    rates = np.array([[params.d1], [params.d2]])
+    decay = np.array([[params.a], [params.b]]) + sigma
 
     def relax(c: float) -> tuple[np.ndarray, int]:
         # monotone descent from the constant supersolution: the far-field
         # state maps below itself for every c, and forcing each sweep to
         # be a descent step keeps amplified roundoff from ever feeding back
         # (long grids at supercritical c amplify noise exponentially)
-        pq = np.empty((2, m + 1))
-        pq[0] = u_far
-        pq[1] = v_far
+        den = rates + decay + c / dx
+        alpha = (c / dx) / den[:, 0]
+        pq = np.repeat(np.array(far_field)[:, None], m + 1, axis=1)
         pq[:, -1] = 0.0
         for sweep in range(1, MAX_SWEEPS + 1):
-            p, q = pq
-            cp, cq = stack.apply(pq) + far
-            new = np.empty_like(pq)
-            np.minimum(
-                sweep_once(cp, params.d1, params.a + sigma, nl.H(q[:-1]), c),
-                p, out=new[0],
-            )
-            np.minimum(
-                sweep_once(cq, params.d2, params.b + sigma, nl.G(p[:-1]), c),
-                q, out=new[1],
-            )
+            # with the convolution lagged, the transport + local part of a
+            # row is a two-term backward recurrence from the clamped front
+            # value (one filter per row, as alpha differs); solving it
+            # exactly keeps the sweep count independent of the grid length
+            reaction = np.stack([nl.H(pq[1, :-1]), nl.G(pq[0, :-1])])
+            rhs = (rates * (stack.apply(pq) + far)[:, :-1] + reaction) / den
+            new = np.zeros_like(pq)
+            for r in range(2):
+                new[r, :-1] = signal.lfilter([1.0], [1.0, -alpha[r]], rhs[r, ::-1])[::-1]
+            # profiles are nonnegative; without the clamp, roundoff noise is
+            # amplified exponentially across long grids at supercritical c
+            np.maximum(new, 0.0, out=new)
+            np.minimum(new, pq, out=new)
             delta = float(np.max(pq - new))
             pq = new
             if delta < RELAX_TOL:
@@ -201,15 +185,13 @@ def solve_semiwave(
         )
 
     def flux(pq: np.ndarray) -> float:
-        p, q = pq
         acc = far_flux
-        if params.mu1 > 0.0:
-            acc += params.mu1 * float(np.dot(w, p * cross1))
-        if params.mu2 > 0.0:
-            acc += params.mu2 * float(np.dot(w, q * cross2))
+        for mu, row in zip(mus, pq * cross):
+            if mu > 0.0:
+                acc += mu * float(np.dot(w, row))
         return acc
 
-    c = c0 if c0 is not None else params.mu1 * u_far + params.mu2 * v_far
+    c = c0 if c0 is not None else params.mu1 * far_field[0] + params.mu2 * far_field[1]
     if c < 0.0:
         raise ValueError("initial speed guess must be >= 0")
     sweeps = 0
@@ -256,7 +238,7 @@ def solve_semiwave(
             f"speed iteration failed: |Δc|={gap:.3e} after {MAX_OUTER} updates"
         )
 
-    prof = SemiWaveProfile(
+    return SemiWaveProfile(
         c=float(c),
         x=x,
         p=pq[0],
@@ -264,14 +246,13 @@ def solve_semiwave(
         sigma=float(sigma),
         n=n,
         L=float(L),
-        far_field=(u_far, v_far),
-        residual_profile=0.0,
+        far_field=far_field,
+        residual_profile=_residual(params, float(c), float(sigma), pq,
+                                   stack.apply(pq) + far, dx),
         residual_speed=float(gap),
         outer_iterations=outer,
         sweeps=sweeps,
     )
-    conv = stack.apply(pq) + far
-    return replace(prof, residual_profile=_residual(prof, params, conv, dx))
 
 
 def profile_residual(
@@ -307,20 +288,20 @@ def profile_residual(
         ])
     else:
         raise ValueError("quadrature must be 'cells' or 'trapezoid'")
-    return _residual(profile, params, conv, dx)
+    return _residual(params, profile.c, profile.sigma, own, conv, dx)
 
 
-def _residual(profile: SemiWaveProfile, params: ModelParams, conv: np.ndarray,
-              dx: float) -> float:
-    """Sup-norm of the profile equations given the (2, m + 1) convolutions
-    (far field included) of the profiles on nodes spaced dx."""
+def _residual(params: ModelParams, c: float, sigma: float, own: np.ndarray,
+              conv: np.ndarray, dx: float) -> float:
+    """Sup-norm of the profile equations at speed c for the (2, m + 1)
+    profile rows ``own`` on nodes spaced dx, given their convolutions (far
+    field included)."""
     nl = params.nonlinearity
-    own = np.stack([profile.p, profile.q])
     # row r: d_r (conv - own) + c own' - (decay_r + sigma) own + reaction
     f = (np.array([[params.d1], [params.d2]]) * (conv[:, :-1] - own[:, :-1])
-         + profile.c * (np.diff(own) / dx)
-         - (np.array([[params.a], [params.b]]) + profile.sigma) * own[:, :-1]
-         + np.stack([nl.H(profile.q[:-1]), nl.G(profile.p[:-1])]))
+         + c * (np.diff(own) / dx)
+         - (np.array([[params.a], [params.b]]) + sigma) * own[:, :-1]
+         + np.stack([nl.H(own[1, :-1]), nl.G(own[0, :-1])]))
     return float(np.max(np.abs(f)))
 
 

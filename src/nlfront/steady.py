@@ -57,22 +57,22 @@ class FixedDomain:
         self.grid = Discretization((params.kernel1, params.kernel2), float(l) / n, n)
         self.x = self.grid.x
         self.rates = np.array([[params.d1], [params.d2]])
-        self._den = self.rates * self.grid.j + np.array([[params.a], [params.b]])
+        self._decay = np.array([[params.a], [params.b]])
+        self._den = self.rates * self.grid.j + self._decay
 
-    def gamma(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step of the monotone fixed-point map."""
+    def gamma(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """One step of the monotone fixed-point map: the (2, n) rows (u, v)."""
         nl = self.params.nonlinearity
         conv = self.grid.convolve(np.stack([u, v]))
-        g1, g2 = (self.rates * conv + np.stack([nl.H(v), nl.G(u)])) / self._den
-        return g1, g2
+        return (self.rates * conv + np.stack([nl.H(v), nl.G(u)])) / self._den
 
     def residual(self, u: np.ndarray, v: np.ndarray) -> float:
         """Sup-norm of the steady equations' right-hand side at (u, v)."""
-        p, nl = self.params, self.params.nonlinearity
-        disp = self.grid.dispersal(self.rates, np.stack([u, v]))
-        f1 = disp[0] - p.a * u + nl.H(v)
-        f2 = disp[1] - p.b * v + nl.G(u)
-        return max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
+        nl = self.params.nonlinearity
+        uv = np.stack([u, v])
+        f = (self.grid.dispersal(self.rates, uv) - self._decay * uv
+             + np.stack([nl.H(v), nl.G(u)]))
+        return float(np.max(np.abs(f)))
 
 
 def _sample(f, x: np.ndarray, name: str) -> np.ndarray:
@@ -112,25 +112,24 @@ def solve_steady(l: float, params: ModelParams, num_cells: int | None = None,
     dom = FixedDomain(l, params, num_cells)
     lam = pair.lambda_p
     if lam <= 0:
-        z = np.zeros(dom.n)
-        return SteadyState(l=l, x=dom.x, u=z, v=z.copy(), residual=0.0,
+        z = np.zeros((2, dom.n))
+        return SteadyState(l=l, x=dom.x, u=z[0], v=z[1], residual=0.0,
                            iterations=0, lambda1=lam)
 
     try:
-        cap_u, cap_v = equilibrium(params)
+        cap = equilibrium(params)
     except NoPositiveEquilibrium as exc:  # lambda1 > 0 forces R0 > 1
         raise SandwichError(f"inconsistent state: {exc}", math.inf, 0) from exc
-    up = (np.full(dom.n, cap_u), np.full(dom.n, cap_v))
+    up = np.repeat(np.array(cap)[:, None], dom.n, axis=1)
 
-    phi = np.concatenate([pair.phi1, pair.phi2])
+    phi = np.stack([pair.phi1, pair.phi2])
     eps = 1e-3 * float(phi.min())  # sup norm of the pair is already 1
-    lo = (eps * pair.phi1, eps * pair.phi2)
+    lo = eps * phi
     for _ in range(200):
-        g1, g2 = dom.gamma(*lo)
-        if np.all(g1 >= lo[0] - 1e-15) and np.all(g2 >= lo[1] - 1e-15):
+        if np.all(dom.gamma(*lo) >= lo - 1e-15):
             break
         eps *= 0.5
-        lo = (eps * pair.phi1, eps * pair.phi2)
+        lo = eps * phi
     else:
         raise SandwichError("could not seed a lower solution from the eigenfunction",
                             math.inf, 0)
@@ -141,8 +140,7 @@ def solve_steady(l: float, params: ModelParams, num_cells: int | None = None,
         up = dom.gamma(*up)
         lo = dom.gamma(*lo)
         iters += 2
-        gap = max(float(np.max(np.abs(up[0] - lo[0]))),
-                  float(np.max(np.abs(up[1] - lo[1]))))
+        gap = float(np.max(np.abs(up - lo)))
         if gap < tol:
             break
     else:
@@ -151,15 +149,15 @@ def solve_steady(l: float, params: ModelParams, num_cells: int | None = None,
             f"(gap {gap:.3e})", gap, iters,
         )
 
-    u, v = up
-    res = dom.residual(u, v)
+    res = dom.residual(*up)
     extra = 0
     while res >= tol and extra < 500:
-        u, v = dom.gamma(u, v)
-        res = dom.residual(u, v)
+        up = dom.gamma(*up)
+        res = dom.residual(*up)
         iters += 1
         extra += 1
-    return SteadyState(l=l, x=dom.x, u=u, v=v, residual=res, iterations=iters, lambda1=lam)
+    return SteadyState(l=l, x=dom.x, u=up[0], v=up[1], residual=res, iterations=iters,
+                       lambda1=lam)
 
 
 # ---------------------------------------------------------------------------

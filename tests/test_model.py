@@ -311,6 +311,26 @@ def test_equal_kernel_dispersal_matches_dense_reference(kernel, k):
     assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+@pytest.mark.parametrize("k", [44, grids.DENSE_MAX, grids.DENSE_MAX + 1, 400])
+def test_one_switch_serves_rows_and_batches_alike(laplace, k, equal):
+    # stacked_convolution picks dense shared, dense per row or FFT for one
+    # grid's (rows, k) array and for a (B, rows, k) batch; each member gets
+    # the bits its own grid gives it
+    kernels = (laplace, laplace if equal else Kernel("gaussian", 0.8))
+    grid = grids.Discretization(kernels, 0.05, 2 * grids.DENSE_MAX)
+    wide = grids.Discretization(kernels, 0.08, 2 * grids.DENSE_MAX)
+    uv = np.random.default_rng(k).uniform(0.0, 1.0, (2, k))
+    op = grids.stacked_convolution([grid], k)
+    out = op(uv)
+    assert out.shape == (2, k)
+    assert np.array_equal(op(uv[None]), out[None])
+    assert np.array_equal(grid.convolve(uv), out)
+    pair = grids.stacked_convolution([grid, wide], k)(np.stack([uv, uv]))
+    assert np.array_equal(pair[0], out)
+    assert np.array_equal(pair[1], wide.convolve(uv))
+
+
 # the cell counts on both sides of each quarter-octave rung a front crosses
 RUNG_SIDES = [256, 257, 320, 321, 384, 385, 448, 449, 512, 513, 1024, 1025, 1280, 1281]
 

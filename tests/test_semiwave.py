@@ -48,6 +48,15 @@ def test_solver_residual_matches_the_public_check(p1, wave_p1):
         semiwave.profile_residual(wave_p1, p1), rel=1e-6, abs=1e-13)
 
 
+@pytest.mark.parametrize("still", ["kernel1", "kernel2"])
+def test_heavy_tail_off_the_front_keeps_a_finite_speed(still):
+    # a species with mu = 0 adds no far-field flux, however far its kernel
+    # reaches: 0 * inf must not become nan and a speed escape
+    mu = {"kernel1": "mu1", "kernel2": "mu2"}[still]
+    wave = semiwave.solve_semiwave(params_with(**{still: HEAVY, mu: 0.0}), L=20.0)
+    assert math.isfinite(wave.c) and wave.c > 0.0
+
+
 def test_initial_guess_does_not_matter(p1, wave_p1):
     alt = semiwave.solve_semiwave(p1, c0=1.5)
     assert abs(alt.c - wave_p1.c) < 1e-5
