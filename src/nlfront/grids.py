@@ -57,6 +57,15 @@ def cell_nodes(left: float, dx: float, n: int) -> np.ndarray:
     return left + (np.arange(n) + 0.5) * dx
 
 
+def _embedding_length(n: int) -> int:
+    """Length of the circulant embedding of an n-cell Toeplitz matrix: the
+    smallest 5-smooth length >= 2n.  The default fast lengths admit factors
+    7 and 11 (896, 3584, 13230), on which pocketfft's real transforms cost
+    up to 1.6x more per element than on a 5-smooth length (13230 at 45.7
+    against 13824 at 28.3 ns per element, 2-vCPU x86 VM, scipy 1.17)."""
+    return sfft.next_fast_len(2 * n, real=True)
+
+
 def _circulant_apply(u: np.ndarray, kfft: np.ndarray, m: int) -> np.ndarray:
     """Zero-pad u to the embedding length m, multiply spectra, cut back."""
     # an explicit buffer, not rfft(u, n=m): scipy pads by the same copy but
@@ -81,6 +90,20 @@ def _toeplitz(column: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, column.size)[::-1]
 
 
+def _equal(kernels) -> bool:
+    """True when every kernel equals the first."""
+    return all(k == kernels[0] for k in kernels)
+
+
+def _rows(kernels, shared: bool, build) -> np.ndarray:
+    """np.stack of build(k) over the kernels; when they are all equal
+    (`shared`), build once and broadcast it as a read-only view."""
+    if shared:
+        one = np.array(build(kernels[0]))
+        return np.broadcast_to(one, (len(kernels),) + one.shape)
+    return np.stack([build(k) for k in kernels])
+
+
 class KernelConvolver:
     """(K u)_j = sum_m mass(|j-m| dx) u_m with exact cell masses.
 
@@ -96,7 +119,7 @@ class KernelConvolver:
         self.dx = float(dx)
         self.n = int(n)
         col = self.column = _cell_masses(kernel, self.dx, self.n)
-        m = sfft.next_fast_len(2 * self.n)
+        m = _embedding_length(self.n)
         circ = np.zeros(m)
         circ[: self.n] = col
         circ[m - self.n + 1:] = col[1:][::-1]
@@ -121,9 +144,10 @@ class ConvolverStack:
     """
 
     def __init__(self, kernels, dx: float, n: int):
-        convs = [KernelConvolver(k, dx, n) for k in kernels]
-        self.n, self._m = convs[0].n, convs[0]._m
-        self._kfft = np.stack([c._kfft for c in convs])
+        kernels = tuple(kernels)
+        # equal kernels share one spectrum
+        self._kfft = _rows(kernels, _equal(kernels), lambda k: KernelConvolver(k, dx, n)._kfft)
+        self.n, self._m = int(n), _embedding_length(int(n))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Convolve row r of the (..., rows, k) array u, k <= n, by kernel r.
@@ -169,9 +193,9 @@ class Discretization:
         self.dx = float(dx)
         self.n = int(n)
         self.x = cell_nodes(0.0, self.dx, self.n)
-        self.j = np.stack([np.asarray(k.cdf(self.x)) for k in self.kernels])
+        self._shared = _equal(self.kernels)
+        self.j = _rows(self.kernels, self._shared, lambda k: np.asarray(k.cdf(self.x)))
         self.mass = tuple(float(k.mass) for k in self.kernels)
-        self._shared = all(k == self.kernels[0] for k in self.kernels)
         self._stacks: dict[int, ConvolverStack] = {}
         self._block: np.ndarray | None = None
         self._tails: list[CdfInterpolant | None] = [None] * len(self.kernels)
@@ -204,10 +228,11 @@ class Discretization:
     def block(self) -> np.ndarray:
         """(rows, DENSE_MAX, DENSE_MAX) dense convolution matrices: row r is
         kernel r's `KernelConvolver.dense` on DENSE_MAX cells, whose leading
-        k x k block convolves the first k cells."""
+        k x k block convolves the first k cells; equal kernels share one
+        matrix."""
         if self._block is None:
-            self._block = np.stack([_toeplitz(_cell_masses(kern, self.dx, DENSE_MAX))
-                                    for kern in self.kernels])
+            self._block = _rows(self.kernels, self._shared,
+                                lambda k: _toeplitz(_cell_masses(k, self.dx, DENSE_MAX)))
         return self._block
 
     def tail(self, r: int) -> CdfInterpolant:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import signal
+from scipy.linalg import lapack
 
 from .grids import Discretization
 from .model import Kernel, ModelParams, MomentUndetermined, _equilibrium, first_moment
@@ -82,11 +82,41 @@ def _kernels(params: ModelParams, n: int | None) -> tuple[Kernel, Kernel]:
 
 def _far_tail_integral(kernel: Kernel, s0: float) -> float:
     """∫_{s0}^∞ (mass − CDF(s)) ds, the far-field reach past distance s0."""
+    if s0 >= kernel.support_radius:
+        return 0.0  # nothing reaches past the support (skips the quadratures)
     fm = first_moment(kernel)
     if math.isinf(fm):
         return math.inf
     tail_mass = float(kernel.mass - kernel.cdf(s0))
     return fm - float(kernel.partial_first_moment(s0)) - s0 * tail_mass
+
+
+def _backward_recurrence(alpha: np.ndarray, n: int):
+    """Exact solver of x_i = b_i + alpha_r x_{i+1} (i < n - 1), x_{n-1} = b_{n-1},
+    for each row r of a (len(alpha), n) array b.
+
+    The rows form one unit upper-bidiagonal system, superdiagonal -alpha_r
+    and 0 where one row ends and the next begins, factored here by LAPACK's
+    dgttrf; the returned function solves it by dgttrs, whose back
+    substitution (b_i - (-alpha) x_{i+1}) / 1 rounds exactly as the direct
+    recurrence b_i + alpha x_{i+1} does.  b is overwritten.  scipy's
+    wrapper refuses fewer than 3 unknowns; two rows of n >= 2 nodes, each
+    ending in the clamped front node, have at least 4.
+    """
+    size = len(alpha) * n
+    du = np.repeat(-np.asarray(alpha, dtype=float), n)[:-1]
+    du[n - 1::n] = 0.0
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(np.zeros(size - 1), np.ones(size), du)
+    if info != 0:
+        raise RuntimeError(f"profile recurrence: dgttrf info = {info}")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b.reshape(size, 1), overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"profile recurrence: dgttrs info = {info}")
+        return x.reshape(b.shape)
+
+    return solve
 
 
 def _check_grid(L: float, dx: float) -> None:
@@ -159,19 +189,18 @@ def solve_semiwave(
         # be a descent step keeps amplified roundoff from ever feeding back
         # (long grids at supercritical c amplify noise exponentially)
         den = rates + decay + c / dx
-        alpha = (c / dx) / den[:, 0]
+        recurrence = _backward_recurrence((c / dx) / den[:, 0], m + 1)
         pq = np.repeat(np.array(far_field)[:, None], m + 1, axis=1)
         pq[:, -1] = 0.0
         for sweep in range(1, MAX_SWEEPS + 1):
             # with the convolution lagged, the transport + local part of a
             # row is a two-term backward recurrence from the clamped front
-            # value (one filter per row, as alpha differs); solving it
-            # exactly keeps the sweep count independent of the grid length
+            # value 0; solving it exactly keeps the sweep count independent
+            # of the grid length
             reaction = np.stack([nl.H(pq[1, :-1]), nl.G(pq[0, :-1])])
-            rhs = (rates * (stack.apply(pq) + far)[:, :-1] + reaction) / den
-            new = np.zeros_like(pq)
-            for r in range(2):
-                new[r, :-1] = signal.lfilter([1.0], [1.0, -alpha[r]], rhs[r, ::-1])[::-1]
+            rhs = np.zeros_like(pq)
+            rhs[:, :-1] = (rates * (stack.apply(pq) + far)[:, :-1] + reaction) / den
+            new = recurrence(rhs)
             # profiles are nonnegative; without the clamp, roundoff noise is
             # amplified exponentially across long grids at supercritical c
             np.maximum(new, 0.0, out=new)

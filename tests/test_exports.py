@@ -1,6 +1,10 @@
 """Every public name a module exports exists."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,15 @@ def test_every_export_resolves(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(getattr(module, "__all__", ())) <= set(namespace)
+
+
+def test_cli_import_leaves_signal_processing_and_statistics_out():
+    # scipy.signal (and the scipy.stats it pulls in) cost about 0.9 s of
+    # every invocation's start-up; nothing in nlfront may import them
+    code = ("import sys, nlfront.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(nlfront.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -243,15 +243,18 @@ def test_growing_front_builds_the_dense_block_once(p1, monkeypatch):
     built = []
     toeplitz = grids._toeplitz
     monkeypatch.setattr(grids, "_toeplitz", lambda col: built.append(col.size) or toeplitz(col))
-    eng = fb._start(p1, 0.05)
-    dt = steady.stability_timestep(p1)
-    eng.heun(dt)
-    block = eng.grid.block()
-    for _ in range(2):
-        eng.grow()
+    # equal kernels share one Toeplitz matrix, unequal ones build one per row
+    for params, builds in ((p1, 1), (params_with(kernel2=Kernel("gaussian", 0.8)), 2)):
+        built.clear()
+        eng = fb._start(params, 0.05)
+        dt = steady.stability_timestep(params)
         eng.heun(dt)
-    assert eng.cap == 2048 and eng.grid.block() is block
-    assert built == [grids.DENSE_MAX] * 2  # one Toeplitz matrix per kernel row
+        block = eng.grid.block()
+        for _ in range(2):
+            eng.grow()
+            eng.heun(dt)
+        assert eng.cap == 2048 and eng.grid.block() is block
+        assert built == [grids.DENSE_MAX] * builds
 
 
 def test_equal_kernels_share_one_tail_evaluation(p1, monkeypatch):

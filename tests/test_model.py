@@ -373,3 +373,21 @@ def test_non_finite_kernel_and_nonlinearity_inputs_are_refused(build, message):
     with pytest.raises(ModelError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [448, 896, 1201, 1801, 3401, 6601])
+def test_fft_embedding_is_five_smooth(laplace, n):
+    # 7- and 11-smooth real transforms are slow in pocketfft; the embedding
+    # keeps to factors 2, 3 and 5 and still holds the whole Toeplitz matrix
+    m = grids.KernelConvolver(laplace, 0.05, n)._m
+    assert m >= 2 * n
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    assert m == 1
+    kernels = (laplace, Kernel("gaussian", 0.8))
+    uv = np.random.default_rng(n).uniform(0.0, 1.0, (2, n))
+    out = grids.ConvolverStack(kernels, 0.05, n).apply(uv)
+    ref = np.stack([grids.KernelConvolver(kern, 0.05, n).dense() @ row
+                    for kern, row in zip(kernels, uv)])
+    assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))

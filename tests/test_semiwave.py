@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import params_with
-from nlfront import semiwave
+from nlfront import model, semiwave
 from nlfront.model import Kernel, NoPositiveEquilibrium, equilibrium
 
 HEAVY = Kernel("cauchy", 1.0, exponent=1.3)
@@ -129,3 +129,35 @@ def test_speed_closure_outer_iterations_on_cutoff_table():
         outer += w.outer_iterations
         warm = w.c
     assert outer <= 24
+
+
+@pytest.mark.parametrize("m", [1, 2, 1200, 6600])
+def test_backward_recurrence_matches_lfilter_bitwise(m):
+    # the relaxation sweep's exact solve rounds as the direct recurrence
+    # x_i = b_i + alpha x_{i+1}, i.e. lfilter run backward from the front
+    from scipy import signal  # here only: nlfront itself must not load it
+    rng = np.random.default_rng(m)
+    for alpha in ([0.3, 0.82], [0.999, 0.0], [0.5, 1.0 - 1e-12]):
+        rhs = np.zeros((2, m + 1))
+        rhs[:, :-1] = rng.standard_normal((2, m)) * [[1.0], [1e-8]]
+        ref = [signal.lfilter([1.0], [1.0, -a], row[-2::-1])[::-1] for a, row in zip(alpha, rhs)]
+        out = semiwave._backward_recurrence(np.array(alpha), m + 1)(rhs.copy())
+        assert out.shape == (2, m + 1) and np.all(out[:, -1] == 0.0)
+        for r in range(2):
+            assert np.array_equal(out[r, :-1].view(np.int64), ref[r].view(np.int64))
+
+
+def test_one_cell_semiwave(p1):
+    # L = 0.06, dx = 0.05 leaves one cell behind the clamped front node
+    assert semiwave.solve_semiwave(p1, L=0.06, dx=0.05).c == 1.3051037865184938
+
+
+def test_far_tail_past_the_support_needs_no_quadrature(laplace, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(model.integrate, "quad", refuse)
+    for n in (1.0, 20.0):
+        kernel = laplace.truncate(n)
+        for s0 in (2.0 * n, 2.0 * n + 10.025):
+            assert semiwave._far_tail_integral(kernel, s0) == 0.0
