@@ -2,14 +2,15 @@
 
 Each repeat is one fresh interpreter run with `-X importtime` that imports
 numpy (as every caller has by then) and then nlfront.cli from this
-checkout's src/.  The script prints the number of modules loaded, then the
-median cumulative import time of nlfront.cli and of the heaviest nlfront
-modules and scipy subpackages it loads.  A module's time counts only the
-modules it loads first: scipy.special loaded inside nlfront.model is
-counted in both, and not again under scipy.optimize.  A subpackage reached
-through scipy's lazy attribute access (`from scipy import integrate`) is
-loaded by importlib, which `-X importtime` does not log, so its time shows
-only in the importing module's.
+checkout's src/.  The script prints the number of modules loaded and the
+scipy subpackages among them, then the median cumulative import time of
+nlfront.cli and of the heaviest nlfront modules and scipy subpackages it
+loads.  A module's time counts only the modules it loads first:
+scipy.special loaded inside nlfront.model is counted in both.  A subpackage
+reached through scipy's lazy attribute access (`from scipy import
+integrate`) is loaded by importlib, which `-X importtime` does not log, so
+its time shows only in the importing module's; the subpackage list names
+it all the same.
 
     python3 scripts/import_cost.py [--repeats 5] [--top 8]
 """
@@ -22,13 +23,16 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CODE = "import numpy, sys, nlfront.cli; print(len(sys.modules))"
+CODE = ("import numpy, sys, nlfront.cli; print(len(sys.modules)); "
+        "print(*(m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1))")
+PUBLIC = re.compile(r"nlfront\.\w+|scipy\.[a-z]\w*")
 # "import time:       412 |      12345 |     scipy.linalg"
 LINE = re.compile(r"import time:\s+\d+ \|\s+(\d+) \|(\s+)(\S+)")
 
 
-def one_run() -> tuple[int, dict[str, int]]:
-    """Module count and {module: cumulative us} of one fresh interpreter."""
+def one_run() -> tuple[int, list[str], dict[str, int]]:
+    """Module count, scipy subpackages and {module: cumulative us} of one
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-X", "importtime", "-c", CODE], env=env,
@@ -36,9 +40,10 @@ def one_run() -> tuple[int, dict[str, int]]:
     cumulative = {}
     for match in LINE.finditer(out.stderr):
         name = match.group(3)
-        if re.fullmatch(r"nlfront\.\w+|scipy\.[a-z]\w*", name):
+        if PUBLIC.fullmatch(name):
             cumulative[name] = int(match.group(1))
-    return int(out.stdout.split()[-1]), cumulative
+    count, subpackages = out.stdout.splitlines()[-2:]
+    return int(count), sorted(filter(PUBLIC.fullmatch, subpackages.split())), cumulative
 
 
 def main() -> None:
@@ -48,8 +53,9 @@ def main() -> None:
     args = parser.parse_args()
     runs = [one_run() for _ in range(max(1, args.repeats))]
     print(f"modules loaded after import nlfront.cli: {runs[-1][0]}")
-    names = set().union(*(times for _, times in runs))
-    median = {n: statistics.median(t.get(n, 0) for _, t in runs) for n in names}
+    print(f"scipy subpackages among them: {' '.join(runs[-1][1])}")
+    names = set().union(*(times for _, _, times in runs))
+    median = {n: statistics.median(t.get(n, 0) for _, _, t in runs) for n in names}
     print(f"median cumulative -X importtime over {len(runs)} fresh interpreters:")
     ranked = sorted(median, key=lambda n: (n != "nlfront.cli", -median[n]))
     for name in ranked[: 1 + args.top]:

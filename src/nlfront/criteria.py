@@ -17,11 +17,10 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import eigen, freeboundary
 from .grids import default_cells
-from .model import ModelParams, derived_constants
+from .model import ModelParams, _brentq, derived_constants
 
 WIDTH_FRAC = 1e-4          # bracket width <= WIDTH_FRAC * max(1, value)
 MU_BOUNDS = (1e-4, 1e3)    # search limits for the front-response threshold
@@ -103,10 +102,6 @@ def _jsonable(obj):
 # elementary searches
 # ---------------------------------------------------------------------------
 
-def _closed_form_root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    return float(brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16))
-
-
 def _validate_link(link: Callable[[float], float] | None) -> Callable[[float], float]:
     """The link, or the identity when None, checked to fix 0 and increase."""
     if link is None:
@@ -178,7 +173,7 @@ def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], floa
     if float(link(mu_sum)) <= 0.0:
         raise ValueError("link must be positive on positive inputs")
     # split the sum bound along the link: largest mu1 with mu1 + f(mu1) <= bound
-    return _closed_form_root(lambda m: m + float(link(m)) - mu_sum, 0.0, mu_sum)
+    return _brentq(lambda m: m + float(link(m)) - mu_sum, 0.0, mu_sum, xtol=1e-13)
 
 
 def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = None,
@@ -307,7 +302,7 @@ def _reproduction_root(params: ModelParams, d2_of: Callable[[float], float]) -> 
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("reproduction ratio failed to cross 1")
-    return _closed_form_root(g, 0.0, hi)
+    return _brentq(g, 0.0, hi, xtol=1e-13)
 
 
 def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
@@ -358,7 +353,7 @@ def _d2_under_threshold(params: ModelParams, kappa: float, Lam: float) -> Thresh
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("small-d1 eigenvalue limit failed to turn negative")
-    root = _closed_form_root(g, Lam, hi)
+    root = _brentq(g, Lam, hi, xtol=1e-13)
     pad = ROOT_PAD * max(1.0, root)
     cert = {
         "kind": "eigenvalue",

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
-from scipy.optimize import brentq
+from scipy import special
 
 __all__ = [
     "ModelError",
@@ -130,19 +129,15 @@ class Kernel:
         if raw_half <= 0:
             raise ModelError("table kernel has zero mass")
         ys = ys / (2.0 * raw_half)
-        # cumulative ∫J and ∫tJ at the knots, exact for the linear interpolant
+        # cumulative ∫J, ∫tJ and ∫t^2 J at the knots, exact for the linear interpolant
         cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)])
         slopes = np.diff(ys) / np.diff(xs)
-        tj = []
-        for i in range(len(xs) - 1):
-            x0, x1 = xs[i], xs[i + 1]
-            y0, m = ys[i], slopes[i]
-            tj.append((y0 - m * x0) * (x1**2 - x0**2) / 2.0 + m * (x1**3 - x0**3) / 3.0)
-        cum_t = np.concatenate([[0.0], np.cumsum(tj)])
+        cum_k = tuple(np.concatenate([[0.0], np.cumsum(
+            _segment_moment(xs[:-1], xs[1:], ys[:-1], slopes, k))]) for k in (1, 2))
         object.__setattr__(self, "_tx", xs)
         object.__setattr__(self, "_ty", ys)
         object.__setattr__(self, "_tcum", cum)
-        object.__setattr__(self, "_tcum_t", cum_t)
+        object.__setattr__(self, "_tcum_k", cum_k)  # ∫t^k J for k = 1, 2
         object.__setattr__(self, "_tslope", slopes)
 
     # -- base family pieces (no truncation) ---------------------------------
@@ -185,22 +180,27 @@ class Kernel:
         du = u - self._tx[i]
         return self._tcum[i] + self._ty[i] * du + self._tslope[i] * du**2 / 2.0
 
-    def _base_pfm(self, u: np.ndarray) -> np.ndarray:
-        """Partial first moment ∫_0^u t J(t) dt, exact, for u >= 0."""
+    def _base_moment(self, u: np.ndarray, k: int) -> np.ndarray:
+        """Partial moment ∫_0^u t^k J(t) dt for k = 1, 2, exact, for u >= 0.
+
+        The laplace and gaussian forms are regularized incomplete gamma
+        functions, which keep full relative precision as u -> 0, where the
+        elementary 1 - (1 + u/s) e^{-u/s} cancels.
+        """
         s = self.scale
         if self.family == "laplace":
-            t = u / s
-            return (s / 2.0) * (1.0 - (1.0 + t) * np.exp(-t))
+            return math.factorial(k) * s**k / 2.0 * special.gammainc(k + 1.0, u / s)
         if self.family == "gaussian":
-            return s / (2.0 * math.sqrt(math.pi)) * (1.0 - np.exp(-((u / s) ** 2)))
+            h = (k + 1) / 2.0
+            return (s**k * math.gamma(h) / (2.0 * math.sqrt(math.pi))
+                    * special.gammainc(h, (u / s) ** 2))
         if self.family == "cauchy":
-            g = self.exponent
-            t = u / s
-            return (self._cauchy_c * s**2 * t**2 / 2.0
-                    * special.hyp2f1(1.0, 2.0 / g, 1.0 + 2.0 / g, -(t**g)))
+            g, t, j = self.exponent, u / s, k + 1
+            return (self._cauchy_c * s**j * t**j / j
+                    * special.hyp2f1(1.0, j / g, 1.0 + j / g, -(t**g)))
         u, i = self._knot(u)
-        x0, y0, m = self._tx[i], self._ty[i], self._tslope[i]
-        return self._tcum_t[i] + (y0 - m * x0) * (u**2 - x0**2) / 2.0 + m * (u**3 - x0**3) / 3.0
+        return self._tcum_k[k - 1][i] + _segment_moment(self._tx[i], u, self._ty[i],
+                                                        self._tslope[i], k)
 
     def _base_first_moment(self) -> float:
         s = self.scale
@@ -234,8 +234,8 @@ class Kernel:
         out = self._base_half(u1)
         u2 = np.clip(u, n, 2.0 * n)
         hn = self._base_half(np.asarray(n, dtype=float))
-        pn = self._base_pfm(np.asarray(n, dtype=float))
-        out = out + 2.0 * (self._base_half(u2) - hn) - (self._base_pfm(u2) - pn) / n
+        pn = self._base_moment(np.asarray(n, dtype=float), 1)
+        out = out + 2.0 * (self._base_half(u2) - hn) - (self._base_moment(u2, 1) - pn) / n
         return out
 
     def cdf(self, x) -> np.ndarray:
@@ -243,23 +243,20 @@ class Kernel:
         return self.mass / 2.0 + np.sign(x) * self.half_integral(np.abs(x))
 
     def partial_first_moment(self, u) -> np.ndarray:
-        """∫_0^u t J(t) dt for u >= 0; truncated kernels integrate numerically."""
+        """∫_0^u t J(t) dt for u >= 0 (truncation applied if present).
+
+        On the ramp [n, 2n] the truncated density is J(t)(2 - t/n), whose
+        first moment is twice the increment of the base partial first moment
+        minus the increment of the partial second moment ∫_0^u t^2 J over n.
+        """
         u = np.maximum(_as_array(u), 0.0)
         if self.n is None:
-            return self._base_pfm(u)
-
-        def one(ui: float) -> float:
-            n = self.n
-            tot = 0.0
-            for lo, hi in ((0.0, min(ui, n)), (n, min(ui, 2.0 * n))):
-                if hi > lo:
-                    val, _ = integrate.quad(
-                        lambda t: t * float(self.pdf(t)), lo, hi, epsabs=1e-13, epsrel=1e-12
-                    )
-                    tot += val
-            return tot
-
-        return np.vectorize(one)(u)
+            return self._base_moment(u, 1)
+        n = self.n
+        u2 = np.clip(u, n, 2.0 * n)
+        pn, qn = (self._base_moment(np.asarray(n, dtype=float), k) for k in (1, 2))
+        return (self._base_moment(np.minimum(u, n), 1) + 2.0 * (self._base_moment(u2, 1) - pn)
+                - (self._base_moment(u2, 2) - qn) / n)
 
     @property
     def mass(self) -> float:
@@ -281,6 +278,12 @@ class Kernel:
         if self.n is not None:
             raise ModelError("kernel is already truncated")
         return replace(self, n=float(n))
+
+
+def _segment_moment(x0, x1, y0, m, k: int):
+    """∫_{x0}^{x1} t^k (y0 + m (t - x0)) dt, one segment of a table kernel."""
+    return ((y0 - m * x0) * (x1 ** (k + 1) - x0 ** (k + 1)) / (k + 1)
+            + m * (x1 ** (k + 2) - x0 ** (k + 2)) / (k + 2))
 
 
 def first_moment(kernel: Kernel) -> float:
@@ -396,7 +399,65 @@ def _positive_root(a_eff: float, b_eff: float, nl: Nonlinearity) -> float:
     else:
         raise NoPositiveEquilibrium("no positive equilibrium: G(H(V)/a) stays above bV")
     # the slope condition makes f positive just above the trivial root at 0
-    return float(brentq(f, hi * 2.0**-60, hi, xtol=1e-15, rtol=8.9e-16))
+    return _brentq(f, hi * 2.0**-60, hi, xtol=1e-15)
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A port of scipy.optimize.brentq (scipy's C ``brentq`` behind its
+    NaN-raising wrapper) that takes the same steps in the same floating
+    point order, so every root keeps its bits.  ValueError when f(xa) and
+    f(xb) share a sign or f returns NaN; RuntimeError when maxiter steps
+    leave the bracket wider than xtol + 8.9e-16 |x| (scipy's default rtol).
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 8.9e-16 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no interpolation step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C's inf or NaN fails the test below as inf does
+        bound = 3.0 * abs(sbis) - delta
+        if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
 # ---------------------------------------------------------------------------

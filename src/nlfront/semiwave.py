@@ -83,7 +83,7 @@ def _kernels(params: ModelParams, n: int | None) -> tuple[Kernel, Kernel]:
 def _far_tail_integral(kernel: Kernel, s0: float) -> float:
     """∫_{s0}^∞ (mass − CDF(s)) ds, the far-field reach past distance s0."""
     if s0 >= kernel.support_radius:
-        return 0.0  # nothing reaches past the support (skips the quadratures)
+        return 0.0  # nothing reaches past the support (skips the moments)
     fm = first_moment(kernel)
     if math.isinf(fm):
         return math.inf

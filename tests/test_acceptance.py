@@ -63,7 +63,7 @@ def test_extreme_dispersal_rates_match_scalar_reductions(p1, laplace):
     assert abs(eigen.principal_eigenpair(spec).lambda_p - lam_closed) < 1e-8
     # measured: the equal-rate value at l=10 is -0.98, and since
     # lambda(d, d) = d * kappa1(10) + 1 with kappa1(10) = -0.0199 the -5
-    # crossing sits near d = 600, the bound below fails at d = 100.
+    # crossing sits near d = 303, the bound below fails at d = 100.
     # Kept as stated; see the acceptance notes in README.md.
     assert eigen.lambda1(10.0, params_with(d1=100.0, d2=100.0)) < -5.0
 

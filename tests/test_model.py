@@ -1,8 +1,11 @@
 """Kernels, nonlinearities, parameter validation, derived constants, grids."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 from conftest import params_with
 from nlfront import grids
@@ -12,6 +15,7 @@ from nlfront.model import (
     ModelParams,
     NoPositiveEquilibrium,
     Nonlinearity,
+    _brentq,
     derived_constants,
     equilibrium,
     first_moment,
@@ -51,6 +55,99 @@ def test_truncation_below_and_monotone_in_n():
     assert j5.mass < j10.mass < 1.0
     with pytest.raises(ModelError, match="already truncated"):
         j5.truncate(7.0)
+
+
+def _mp_density(kernel: Kernel):
+    """The untruncated density of kernel in mpmath arithmetic."""
+    s = mpmath.mpf(kernel.scale)
+    if kernel.family == "laplace":
+        return lambda t: mpmath.exp(-t / s) / (2 * s)
+    if kernel.family == "gaussian":
+        return lambda t: mpmath.exp(-((t / s) ** 2)) / (s * mpmath.sqrt(mpmath.pi))
+    if kernel.family == "cauchy":
+        g = mpmath.mpf(kernel.exponent)
+        c = mpmath.sin(mpmath.pi / g) / (2 * s * mpmath.pi / g)
+        return lambda t: c / (1 + (t / s) ** g)
+    xs = [mpmath.mpf(x) for x, _ in kernel.points]
+    ys = [mpmath.mpf(y) for _, y in kernel.points]
+    segments = list(zip(xs, xs[1:], ys, ys[1:]))
+    half = sum((x1 - x0) * (y0 + y1) / 2 for x0, x1, y0, y1 in segments)
+
+    def density(t):
+        for x0, x1, y0, y1 in segments:
+            if t <= x1:
+                return (y0 + (y1 - y0) * (t - x0) / (x1 - x0)) / (2 * half)
+        return mpmath.mpf(0)
+
+    return density
+
+
+@pytest.mark.parametrize("base, n", [
+    (Kernel("laplace", 1.0), 1.5),
+    (Kernel("laplace", 300.0), 1.0),  # u/s near 0.003, where 1 - e^-T(1 + T + T^2/2) cancels
+    (Kernel("gaussian", 1.0), 0.8),
+    (Kernel("gaussian", 40.0), 1.0),
+    (Kernel("cauchy", 1.0, exponent=1.3), 8.0),
+    (Kernel("cauchy", 2.0, exponent=2.5), 1.0),
+    (Kernel("cauchy", 0.5, exponent=3.5), 3.0),
+    (Kernel("table", points=((0.0, 1.0), (0.5, 0.8), (1.5, 0.2), (3.0, 0.0))), 1.2),
+], ids=lambda v: f"{v.family}-{v.scale}-{v.exponent}" if isinstance(v, Kernel) else str(v))
+def test_truncated_partial_first_moment_matches_mpmath(base, n):
+    kernel = base.truncate(n)
+    density = _mp_density(base)
+    knots = [x for x, _ in base.points] if base.family == "table" else []
+    us = [0.37 * n, n, 1.3 * n, 1.9 * n, 2.0 * n, 3.1 * n]
+    got = kernel.partial_first_moment(us)
+    with mpmath.workdps(30):
+        mn = mpmath.mpf(n)
+        for u, value in zip(us, got):
+            cuts = sorted({0.0, u} | {x for x in knots + [n, 2.0 * n] if x < u})
+            ref = mpmath.quad(lambda t: t * density(t) * min(1, max(0, 2 - t / mn)),
+                              [mpmath.mpf(x) for x in cuts])
+            assert abs(value - ref) <= 1e-12 * ref, (u, float(abs(value - ref) / ref))
+
+
+_ROOT_FAMILIES = {  # each vanishes at r
+    "tanh": lambda r, k, c: lambda x: math.tanh(k * (x - r)) + c * (x - r),
+    "cubic": lambda r, k, c: lambda x: (x - r) ** 3 + c * (x - r),
+    "exp": lambda r, k, c: lambda x: math.exp(k * (x - r)) - 1.0 + c * (x - r) ** 2,
+    "sine": lambda r, k, c: lambda x: math.sin(k * (x - r)) + c * (x - r) ** 2,
+    "nan-past-r": lambda r, k, c: lambda x: k * (x - r) if x < r + c else math.nan,
+}
+
+
+def _outcome(solver, *args, **kwargs):
+    """('root', hex bits) or ('raises', exception type) of one solve."""
+    try:
+        return "root", float(solver(*args, **kwargs)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return "raises", type(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(family=st.sampled_from(sorted(_ROOT_FAMILIES)), r=st.floats(-3.0, 3.0),
+       k=st.floats(0.05, 5.0), c=st.floats(-0.9, 0.9), left=st.floats(-0.5, 5.0),
+       right=st.floats(1e-9, 5.0), xtol=st.sampled_from([1e-13, 1e-15]),
+       maxiter=st.sampled_from([100, 100, 100, 5]))
+def test_brentq_port_is_bitwise_scipy(family, r, k, c, left, right, xtol, maxiter):
+    # a negative left end leaves r outside the bracket, mostly a same-sign one
+    args = (_ROOT_FAMILIES[family](r, k, c), r - left, r + right)
+    ours = _outcome(_brentq, *args, xtol=xtol, maxiter=maxiter)
+    assert ours == _outcome(optimize.brentq, *args, xtol=xtol, rtol=8.9e-16, maxiter=maxiter)
+
+
+@pytest.mark.parametrize("f, lo, hi, error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),  # same sign at both ends
+    (lambda x: 1e-200 * (1.0 + x), 0.0, 1.0, ValueError),  # f(a) f(b) underflows to 0
+    (lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0, ValueError),
+    (lambda x: math.nan, 0.0, 1.0, ValueError),
+    (lambda x: math.atan(x - 0.3), -1.0, 5.0, RuntimeError),  # 3 steps are too few
+])
+def test_brentq_port_raises_as_scipy_does(f, lo, hi, error):
+    with pytest.raises(error):
+        _brentq(f, lo, hi, xtol=1e-13, maxiter=3)
+    with pytest.raises(error):
+        optimize.brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=3)
 
 
 def test_truncation_l1_gap_shrinks_and_dies():
