@@ -113,6 +113,10 @@ class Eigenpair:
 class DiscreteOperator:
     """Assembled grid operator with fast matvec on stacked (phi1, phi2).
 
+    The matvec convolves through `Discretization.convolve`, so up to
+    DENSE_MAX cells it reads the grid's cached dense block and above that
+    the FFT stack.
+
     Row r of the (2, n) arrays belongs to species r: ``diag`` holds
     -d_r j_r + a_rr, ``coupling`` the off-diagonal entry that multiplies the
     other species, ``rates`` the dispersal rate d_r.
@@ -136,7 +140,7 @@ class DiscreteOperator:
     def matvec(self, w: np.ndarray) -> np.ndarray:
         uv = w.reshape(2, self.n)
         out = (self.diag * uv + self.coupling * uv[::-1]
-               + self.rates * self.grid.stack(self.n).apply(uv))
+               + self.rates * self.grid.convolve(uv))
         return out.ravel()
 
     def dense(self) -> np.ndarray:
@@ -227,11 +231,10 @@ def scalar_principal(d: float, a_diag: float, kernel: Kernel, l: float,
     if n < 8:
         raise EigenGridError(f"refusing to assemble: num_cells={n} is below the minimum of 8")
     grid = Discretization((kernel,), l / n, n)
-    stack = grid.stack(n)
     diag = -d * grid.j[0] + a_diag
 
     def matvec(u):
-        return d * stack.apply(u[None])[0] + diag * u
+        return d * grid.convolve(u[None])[0] + diag * u
 
     lam, _, _, _ = _principal(matvec, np.ones(n), "scalar_principal")
     return lam
@@ -314,7 +317,8 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
 
     The resolution policy jumps with l, and near the root those jumps exceed
     the certificate tolerance, so once the bracket is fixed every evaluation
-    uses one resolution (the policy at the upper bracket end).  Raises
+    uses one resolution (the policy at the upper bracket end); the lower
+    end is solved again only when its own resolution differs.  Raises
     ValueError with a regime message when no sign change exists, and
     RuntimeError (a solver failure) when the pinned resolution loses it.
     """
@@ -325,7 +329,8 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
         evals += 1
         return lambda1(l, params, num_cells=cells) - target
 
-    if lam(lo, num_cells) >= 0:
+    f_lo = lam(lo, num_cells)
+    if f_lo >= 0:
         raise ValueError("no threshold length: spreading persists for every front position")
     # lambda1 increases toward the large-domain rate, so a root above lo
     # exists exactly when that limit clears the target
@@ -337,7 +342,11 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
         if hi > 5000.0:
             raise ValueError("no threshold length: vanishing persists at every tested length")
     cells = num_cells if num_cells is not None else default_cells(hi)
-    f_lo, f_hi = lam(lo, cells), lam(hi, cells)
+    # a solve is deterministic, so lo's value stands when it already has
+    # the pinned resolution
+    if num_cells is None and default_cells(lo) != cells:
+        f_lo = lam(lo, cells)
+    f_hi = lam(hi, cells)
     if f_lo >= 0 or f_hi <= 0:
         raise RuntimeError("bracket lost after pinning the resolution")
     mid, f_mid, bracket, _, _ = bisect_sign(lambda l: lam(l, cells), lo, hi, f_lo, f_hi,

@@ -10,6 +10,13 @@ DENSE_MAX cells, through the leading block of the same matrix held dense.
 operator d_r (∫ J_r(x - y) u_r(y) dy - j_r(x) u_r(x)) that every solver
 builds on: exact cell masses, the retained mass j = CDF at the cell nodes,
 and the escaping tail mass - CDF.
+
+`stacked_convolution` is the one choice between the dense and the FFT
+product.  The moving-front stepping engine, the fixed domain of the steady
+solver and the eigen operator all convolve through it (the last two via
+`Discretization.convolve`).  The semi-wave's profile grids call the FFT
+stack directly: they span the whole truncated half-line, far above
+DENSE_MAX cells on every preset, where the switch picks that same stack.
 """
 from __future__ import annotations
 
@@ -203,11 +210,12 @@ class Discretization:
 
     def extended(self, n: int) -> "Discretization":
         """The same kernels and width on n >= self.n cells; the convolver
-        stacks and the dense block carry over, since neither depends on the
-        cell count."""
+        stacks carry over, since they do not depend on the cell count, and
+        so does the dense block once it is full-size."""
         out = Discretization(self.kernels, self.dx, n)
         out._stacks = self._stacks
-        out._block = self._block
+        if self.n >= DENSE_MAX:
+            out._block = self._block
         return out
 
     def stack(self, k: int) -> ConvolverStack:
@@ -226,13 +234,15 @@ class Discretization:
         return stack
 
     def block(self) -> np.ndarray:
-        """(rows, DENSE_MAX, DENSE_MAX) dense convolution matrices: row r is
-        kernel r's `KernelConvolver.dense` on DENSE_MAX cells, whose leading
+        """(rows, s, s) dense convolution matrices, s = min(n, DENSE_MAX):
+        row r is kernel r's `KernelConvolver.dense` on s cells, whose leading
         k x k block convolves the first k cells; equal kernels share one
-        matrix."""
+        matrix.  Each entry depends only on its offset, so the block of a
+        short grid is the leading block of a full-size one."""
         if self._block is None:
+            size = min(self.n, DENSE_MAX)
             self._block = _rows(self.kernels, self._shared,
-                                lambda k: _toeplitz(_cell_masses(k, self.dx, DENSE_MAX)))
+                                lambda k: _toeplitz(_cell_masses(k, self.dx, size)))
         return self._block
 
     def tail(self, r: int) -> CdfInterpolant:
@@ -269,7 +279,12 @@ def stacked_convolution(grids, k: int):
 
     src is (rows, k) on grids[0] alone, or (B, rows, k) with member b on
     grids[b]; the grids share their kernels and cell count and may differ
-    in cell width.  This is the package's one choice of product: up to
+    in cell width.  Its callers are the stepping engine
+    (`freeboundary._Master`, lone fronts and pinned batches), and through
+    `Discretization.convolve` the steady solver's fixed domain and the
+    eigen operator's matvec; the semi-wave's long profile grids apply the
+    FFT stack themselves (see the module docstring).  This is the
+    package's one choice of product: up to
     DENSE_MAX cells the leading k x k blocks of each grid's cached
     `Discretization.block`, which skips the FFT's per-call overhead, as
     one product ``src @ block`` for all rows when every row has the same

@@ -43,10 +43,22 @@ def test_spreading_just_above_ell_star(p1_d6):
 
 
 def test_seed_mu_lower_value(p1_d6):
-    # the initial-data barrier through freeboundary._barrier gives the same
-    # seed, bit for bit, as the construction it replaced
+    # the initial-data barrier through freeboundary._barrier, pinned bit for
+    # bit; it was 0.0009201029840212627 while the eigen operator convolved
+    # through the FFT stack, and the dense block's direct sums move it by
+    # 1.5e-14 relative
     ell = criteria.find_ell_star(p1_d6).value
-    assert criteria._seed_mu_lower(p1_d6, ell, lambda s: s) == 0.0009201029840212627
+    assert criteria._seed_mu_lower(p1_d6, ell, lambda s: s) == 0.0009201029840212486
+    # the barrier's lambda1(h1) is the top eigenvalue of the symmetrized
+    # assembled operator D^-1 L D, D = diag(I, sqrt(a21/a12) I)
+    bar = fb._barrier(p1_d6, p1_d6.h0, ell, None, p1_d6.u0, p1_d6.v0, m_floor=1.0)
+    spec = eigen.lambda1_spec(bar.h1, p1_d6)
+    op = eigen.assemble(spec)
+    scale = np.ones(op.dim)
+    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
+    sym = op.dense() * scale[None, :] / scale[:, None]
+    top = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
+    assert abs(-bar.delta - top) < 1e-12
 
 
 def test_mu_star_lists_every_probe(p1_d6):

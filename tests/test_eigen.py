@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import params_with
-from nlfront import eigen
+from nlfront import eigen, grids
 from nlfront.grids import default_cells
 from nlfront.model import Kernel, Nonlinearity, derived_constants
 
@@ -142,6 +142,44 @@ def test_critical_length_bisection(p1_d6):
     assert lo <= crit.value <= hi
     assert eigen.lambda1(lo, p1_d6, num_cells=crit.num_cells) < 0
     assert eigen.lambda1(hi, p1_d6, num_cells=crit.num_cells) > 0
+
+
+def test_critical_length_keeps_the_lower_end_solve(p1_d6, monkeypatch):
+    # lo = 0.01 already has the pinned resolution (200 cells), so its value
+    # is not solved again; the upper end's re-solve at that resolution is
+    # the one repeat left (hi = 4 after doubling from 1)
+    seen = []
+    solve = eigen.principal_eigenpair
+    monkeypatch.setattr(eigen, "principal_eigenpair",
+                        lambda spec: seen.append((spec.l, spec.num_cells)) or solve(spec))
+    crit = eigen.critical_length(p1_d6)
+    assert crit.evaluations == len(seen)
+    assert seen.count((0.01, crit.num_cells)) == 1
+    assert [key for key in set(seen) if seen.count(key) > 1] == [(4.0, crit.num_cells)]
+
+
+def test_eigen_products_go_through_the_one_switch(p1, laplace, monkeypatch):
+    # up to DENSE_MAX cells the eigen operator convolves with the cached
+    # dense block (shared by equal kernels, one per row otherwise) and never
+    # applies the FFT stack; above it, the product is that stack bit for bit
+    for params in (p1, params_with(kernel2=Kernel("gaussian", 0.8))):
+        op = eigen.assemble(eigen.lambda1_spec(2.0, params, num_cells=200))
+        w = np.random.default_rng(0).uniform(0.5, 1.0, op.dim)
+        assert np.max(np.abs(op.matvec(w) - op.dense() @ w)) < 1e-14
+
+    def refuse(self, u):
+        raise AssertionError("FFT stack applied on a dense-size grid")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grids.ConvolverStack, "apply", refuse)
+        eigen.principal_eigenpair(eigen.lambda1_spec(2.0, p1, num_cells=200))
+        eigen.scalar_principal(1.0, 0.0, laplace, 2.0, num_cells=200)
+    n = 733
+    big = eigen.assemble(eigen.lambda1_spec(18.3, p1, num_cells=n))
+    w = np.random.default_rng(1).uniform(0.5, 1.0, big.dim)
+    uv = w.reshape(2, n)
+    ref = big.diag * uv + big.coupling * uv[::-1] + big.rates * big.grid.stack(n).apply(uv)
+    assert np.array_equal(big.matvec(w), ref.ravel())
 
 
 def test_critical_length_rejects_one_signed_families(p1, vanish_params):

@@ -428,6 +428,23 @@ def test_one_switch_serves_rows_and_batches_alike(laplace, k, equal):
     assert np.array_equal(pair[1], wide.convolve(uv))
 
 
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+def test_short_grid_block_is_the_leading_full_block(laplace, equal):
+    # a grid below DENSE_MAX cells builds its dense block on its own cells;
+    # entries depend only on the offset, so its product keeps the bits of a
+    # DENSE_MAX build, and only a full-size block carries over to a wider grid
+    kernels = (laplace, laplace if equal else Kernel("cauchy", 1.0))
+    short = grids.Discretization(kernels, 0.05, 200)
+    full = grids.Discretization(kernels, 0.05, grids.DENSE_MAX)
+    assert short.block().shape == (2, 200, 200)
+    assert np.array_equal(short.block(), full.block()[:, :200, :200])
+    uv = np.random.default_rng(3).uniform(0.0, 1.0, (2, 200))
+    assert np.array_equal(short.convolve(uv), full.convolve(uv))
+    wide = 2 * grids.DENSE_MAX
+    assert short.extended(wide).block().shape == (2, grids.DENSE_MAX, grids.DENSE_MAX)
+    assert full.extended(wide).block() is full.block()
+
+
 # the cell counts on both sides of each quarter-octave rung a front crosses
 RUNG_SIDES = [256, 257, 320, 321, 384, 385, 448, 449, 512, 513, 1024, 1025, 1280, 1281]
 
