@@ -5,9 +5,10 @@ front length, the critical front-response rate along a link mu2 = f(mu1),
 and the dispersal-rate thresholds in their four regimes, plus a decision
 tree that reports the verdict closed forms alone can settle.
 
-Eigenvalue-backed thresholds bisect on the sign of a principal eigenvalue
-and are cheap; the mu threshold has no spectral characterization and is
-bracketed by full simulations, so it is the only expensive search.
+Eigenvalue-backed thresholds are roots of a principal eigenvalue, found
+like every closed-form root by `model._brentq`, and are cheap; the mu
+threshold has no spectral characterization and is bracketed by verdict
+bisection over full simulations, so it is the only expensive search.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .model import ModelParams, _brentq, derived_constants
 WIDTH_FRAC = 1e-4          # bracket width <= WIDTH_FRAC * max(1, value)
 MU_BOUNDS = (1e-4, 1e3)    # search limits for the front-response threshold
 MU_MAX_ITERS = 20
-ROOT_PAD = 1e-9            # synthetic bracket half-width for closed-form roots
 
 THRESHOLD_NAMES = ("ell_star", "mu1_star", "d1_star", "d1_hat", "d1_tilde", "d2_under")
 D_MODES = ("linked", "fixed_d2_small", "fixed_d2_mid", "fixed_d2_large")
@@ -130,10 +130,6 @@ def find_ell_star(params: ModelParams) -> ThresholdResult:
     if cons.R0 <= 1.0:
         raise ValueError("no threshold, vanishing")
     crit = eigen.critical_length(params, lam_tol=5e-7)
-    if abs(crit.lam_at_value) > eigen.SIGN_BAND:
-        raise RuntimeError(
-            f"critical length certificate out of tolerance: |lambda| = {abs(crit.lam_at_value):.3e}"
-        )
     below = eigen.lambda1(crit.value - 0.01, params, num_cells=crit.num_cells)
     above = eigen.lambda1(crit.value + 0.01, params, num_cells=crit.num_cells)
     cert = {
@@ -173,7 +169,7 @@ def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], floa
     if float(link(mu_sum)) <= 0.0:
         raise ValueError("link must be positive on positive inputs")
     # split the sum bound along the link: largest mu1 with mu1 + f(mu1) <= bound
-    return _brentq(lambda m: m + float(link(m)) - mu_sum, 0.0, mu_sum, xtol=1e-13)
+    return _brentq(lambda m: m + float(link(m)) - mu_sum, 0.0, mu_sum, xtol=1e-13)[0]
 
 
 def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = None,
@@ -302,7 +298,7 @@ def _reproduction_root(params: ModelParams, d2_of: Callable[[float], float]) -> 
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("reproduction ratio failed to cross 1")
-    return _brentq(g, 0.0, hi, xtol=1e-13)
+    return _brentq(g, 0.0, hi, xtol=1e-13)[0]
 
 
 def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
@@ -320,14 +316,12 @@ def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
             f"no positive eigenvalue at the lower end d1={lo:g}; threshold {name} undefined"
         )
     hi = max(1.0, 2.0 * lo)
-    f_hi = lam2(hi)
-    while f_hi >= 0.0:
+    while (f_hi := lam2(hi)) >= 0.0:
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("eigenvalue failed to turn negative at large d1")
-        f_hi = lam2(hi)
-    value, f_mid, bracket, f_lo, f_hi = eigen.bisect_sign(lam2, lo, hi, f_lo, f_hi,
-                                                          eigen.SIGN_BAND)
+    value, f_mid, bracket, f_lo, f_hi = _brentq(lam2, lo, hi, eigen.ROOT_XTOL,
+                                                fa=f_lo, fb=f_hi)
     if abs(f_mid) > eigen.SIGN_BAND:
         raise RuntimeError(
             f"threshold certificate out of tolerance: |lambda2| = {abs(f_mid):.3e}"
@@ -353,17 +347,16 @@ def _d2_under_threshold(params: ModelParams, kappa: float, Lam: float) -> Thresh
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("small-d1 eigenvalue limit failed to turn negative")
-    root = _brentq(g, Lam, hi, xtol=1e-13)
-    pad = ROOT_PAD * max(1.0, root)
+    root, g_root, bracket, g_lo, g_hi = _brentq(g, Lam, hi, xtol=1e-13)
     cert = {
         "kind": "eigenvalue",
         "quantity": "nu1(d2)",
-        "at_value": g(root),
-        "below": g(root - pad),
-        "above": g(root + pad),
+        "at_value": g_root,
+        "below": g_lo,
+        "above": g_hi,
         "kappa1": kappa,
     }
-    return ThresholdResult("d2_under", root, (root - pad, root + pad), cert)
+    return ThresholdResult("d2_under", root, bracket, cert)
 
 
 _ROOT_NOTE = "spreading up to the eigenvalue root; beyond it the front response rates decide"

@@ -15,19 +15,19 @@ solve (ARPACK, deterministic start vector), mapped back through D, and
 certified on L itself: sup-norm residual below 1e-10 and a positive
 eigenvector (a12, a21 > 0 make L irreducible, so the principal
 eigenfunction is positive).  Roots of the eigenvalue in a parameter are
-located by one sign bisection with a two-sided stop.
+found by `model._brentq`, the one root finder of the package, to the
+absolute tolerance ROOT_XTOL.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grids import Discretization, KernelConvolver, default_cells
-from .model import Kernel, ModelParams, derived_constants
+from .model import Kernel, ModelParams, _brentq, derived_constants
 
 __all__ = [
     "EigenGridError",
@@ -42,7 +42,6 @@ __all__ = [
     "lambda2",
     "lambda1_spec",
     "lambda2_spec",
-    "bisect_sign",
     "critical_length",
     "CriticalLength",
     "sweep",
@@ -52,6 +51,7 @@ __all__ = [
 
 SIGN_BAND = 1e-6  # |eigenvalue| below this is treated as zero (critical)
 RESIDUAL_TOL = 1e-10
+ROOT_XTOL = 1e-9  # absolute width of the final sign bracket of an eigenvalue root
 
 
 class EigenGridError(ValueError):
@@ -278,29 +278,6 @@ def lambda2(l: float, params: ModelParams, num_cells: int | None = None) -> floa
     return principal_eigenpair(lambda2_spec(l, params, num_cells)).lambda_p
 
 
-def bisect_sign(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
-                f_hi: float, tol: float) -> tuple[float, float, tuple[float, float], float, float]:
-    """Sign bisection of a monotone eigenvalue curve with a two-sided stop.
-
-    Halves [lo, hi] until |f(mid)| < tol and the bracket is at most
-    0.5e-4 max(1, mid) wide.  Returns (mid, f(mid), (lo, hi), f(lo), f(hi)),
-    the bracket ends keeping opposite signs.
-    """
-    if (f_lo > 0) == (f_hi > 0):
-        raise RuntimeError("eigenvalue bisection needs a sign change across the bracket")
-    mid, f_mid = lo, f_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if abs(f_mid) < tol and (hi - lo) <= 0.5e-4 * max(1.0, mid):
-            break
-    return mid, f_mid, (lo, hi), f_lo, f_hi
-
-
 @dataclass(frozen=True)
 class CriticalLength:
     value: float
@@ -313,14 +290,18 @@ class CriticalLength:
 def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0,
                     lam_tol: float = 5e-7, num_cells: int | None = None,
                     target: float = 0.0) -> CriticalLength:
-    """Root of l -> lambda1(l) - target by bisection at a pinned resolution.
+    """Root of l -> lambda1(l) - target by Brent's method at a pinned resolution.
 
-    The resolution policy jumps with l, and near the root those jumps exceed
-    the certificate tolerance, so once the bracket is fixed every evaluation
-    uses one resolution (the policy at the upper bracket end); the lower
-    end is solved again only when its own resolution differs.  Raises
-    ValueError with a regime message when no sign change exists, and
-    RuntimeError (a solver failure) when the pinned resolution loses it.
+    The upper end doubles from hi_start until the eigenvalue clears the
+    target.  The resolution policy jumps with l, and near the root those
+    jumps exceed the certificate tolerance, so once the bracket is fixed
+    every evaluation uses one resolution (the policy at the upper end,
+    where the last doubling step already solved); the lower end is solved
+    again only when its own resolution differs.  The root is located to
+    ROOT_XTOL and |lambda1(value) - target| < lam_tol is guaranteed.
+    Raises ValueError with a regime message when no sign change exists,
+    and RuntimeError (a solver failure) when the pinned resolution loses
+    it or the guarantee fails.
     """
     evals = 0
 
@@ -337,7 +318,7 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     if derived_constants(params).gammaA <= target:
         raise ValueError("no threshold length: vanishing persists at every tested length")
     hi = max(hi_start, 2 * lo)
-    while lam(hi, num_cells) <= 0:
+    while (f_hi := lam(hi, num_cells)) <= 0:
         hi *= 2.0
         if hi > 5000.0:
             raise ValueError("no threshold length: vanishing persists at every tested length")
@@ -346,12 +327,15 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     # the pinned resolution
     if num_cells is None and default_cells(lo) != cells:
         f_lo = lam(lo, cells)
-    f_hi = lam(hi, cells)
-    if f_lo >= 0 or f_hi <= 0:
+    if f_lo >= 0:
         raise RuntimeError("bracket lost after pinning the resolution")
-    mid, f_mid, bracket, _, _ = bisect_sign(lambda l: lam(l, cells), lo, hi, f_lo, f_hi,
-                                            lam_tol)
-    return CriticalLength(value=mid, lam_at_value=f_mid + target, bracket=bracket,
+    value, f_value, bracket, _, _ = _brentq(lambda l: lam(l, cells), lo, hi, ROOT_XTOL,
+                                            fa=f_lo, fb=f_hi)
+    if not abs(f_value) < lam_tol:
+        raise RuntimeError(
+            f"critical length certificate out of tolerance: |lambda| = {abs(f_value):.3e}"
+        )
+    return CriticalLength(value=value, lam_at_value=f_value + target, bracket=bracket,
                           num_cells=cells, evaluations=evals)
 
 

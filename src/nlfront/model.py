@@ -399,18 +399,25 @@ def _positive_root(a_eff: float, b_eff: float, nl: Nonlinearity) -> float:
     else:
         raise NoPositiveEquilibrium("no positive equilibrium: G(H(V)/a) stays above bV")
     # the slope condition makes f positive just above the trivial root at 0
-    return _brentq(f, hi * 2.0**-60, hi, xtol=1e-15)
+    return _brentq(f, hi * 2.0**-60, hi, xtol=1e-15)[0]
 
 
 def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
-            maxiter: int = 100) -> float:
+            maxiter: int = 100, fa: float | None = None, fb: float | None = None
+            ) -> tuple[float, float, tuple[float, float], float, float]:
     """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
 
     A port of scipy.optimize.brentq (scipy's C ``brentq`` behind its
     NaN-raising wrapper) that takes the same steps in the same floating
-    point order, so every root keeps its bits.  ValueError when f(xa) and
-    f(xb) share a sign or f returns NaN; RuntimeError when maxiter steps
-    leave the bracket wider than xtol + 8.9e-16 |x| (scipy's default rtol).
+    point order, so every root keeps its bits.  ``fa`` and ``fb`` are f(xa)
+    and f(xb) when the caller already holds them; those ends are then not
+    evaluated again.  Returns (x, f(x), (lo, hi), f(lo), f(hi)): the root
+    and its final sign bracket, at most xtol + 8.9e-16 |x| wide (scipy's
+    default rtol).  An exact zero f(x) = 0 ends the search early; the
+    bracket is then the last one whose ends have strictly opposite signs,
+    or (x, x) when x is xa or xb.  ValueError when f(xa) and f(xb) share a
+    sign or f returns NaN; RuntimeError when maxiter steps leave the
+    bracket wider than xtol + 8.9e-16 |x|.
     """
     def call(x: float) -> float:
         fx = float(f(x))
@@ -418,12 +425,16 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
             raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
         return fx
 
+    def result(x: float, fx: float, u: float, fu: float, w: float, fw: float):
+        return (x, fx, (u, w), fu, fw) if u <= w else (x, fx, (w, u), fw, fu)
+
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = call(xpre) if fa is None else float(fa)
+    fcur = call(xcur) if fb is None else float(fb)
     if fpre == 0.0:
-        return xpre
+        return xpre, 0.0, (xpre, xpre), 0.0, 0.0
     if fcur == 0.0:
-        return xcur
+        return xcur, 0.0, (xcur, xcur), 0.0, 0.0
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -436,8 +447,10 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float,
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (xtol + 8.9e-16 * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+        if fcur == 0.0:  # fpre and fblk still have opposite signs
+            return result(xcur, fcur, xpre, fpre, xblk, fblk)
+        if abs(sbis) < delta:
+            return result(xcur, fcur, xcur, fcur, xblk, fblk)
         stry = math.inf  # no interpolation step: bisect
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:

@@ -212,17 +212,18 @@ def test_threshold_command(tmp_path):
 
 
 def test_lost_bracket_is_a_solver_failure(tmp_path, capsys, monkeypatch):
-    # the re-evaluation at the pinned resolution loses the sign change
+    # at d = 20 the doubling ends at l = 8, pinned to 320 cells, so the lower
+    # end (200 cells) is solved again; that re-solve loses the sign change
     solve = eigen.lambda1
 
-    def pinned_negative(l, params, num_cells=None):
+    def pinned_positive(l, params, num_cells=None):
         lam = solve(l, params, num_cells)
-        return lam if num_cells is None else -abs(lam)
+        return lam if num_cells is None else abs(lam)
 
-    monkeypatch.setattr(eigen, "lambda1", pinned_negative)
+    monkeypatch.setattr(eigen, "lambda1", pinned_positive)
     code, out = run_into(tmp_path, {
         "command": "threshold",
-        "params": {"d1": 6.0, "d2": 6.0},
+        "params": {"d1": 20.0, "d2": 20.0},
         "threshold": {"name": "ell_star"},
     })
     assert code == cli.EXIT_SOLVER == 3

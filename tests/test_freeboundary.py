@@ -302,13 +302,16 @@ def test_schedule_refuses_a_step_count_above_the_ceiling(p1):
         fb._schedule(p1, 1e300, None, 1.0)
 
 
-def test_watch_length_falls_back_when_the_bracket_is_lost(p1_d6, monkeypatch):
+def test_watch_length_falls_back_when_the_bracket_is_lost(monkeypatch):
+    # at d = 20 the upper end is pinned to 320 cells and the lower end is
+    # solved again there, which the patched solve turns positive
+    p = params_with(d1=20.0, d2=20.0)
     solve = eigen.lambda1
     monkeypatch.setattr(eigen, "lambda1", lambda l, params, num_cells=None: (
-        solve(l, params, num_cells) if num_cells is None else -1.0))
+        solve(l, params, num_cells) if num_cells is None else 1.0))
     with pytest.raises(RuntimeError, match="bracket lost"):
-        eigen.critical_length(p1_d6, target=2e-6)
-    assert fb._watch_length(p1_d6) is None
+        eigen.critical_length(p, target=2e-6)
+    assert fb._watch_length(p) is None
 
 
 def test_snapshots_and_determinism(p1):

@@ -131,9 +131,25 @@ def _outcome(solver, *args, **kwargs):
        maxiter=st.sampled_from([100, 100, 100, 5]))
 def test_brentq_port_is_bitwise_scipy(family, r, k, c, left, right, xtol, maxiter):
     # a negative left end leaves r outside the bracket, mostly a same-sign one
-    args = (_ROOT_FAMILIES[family](r, k, c), r - left, r + right)
-    ours = _outcome(_brentq, *args, xtol=xtol, maxiter=maxiter)
+    f = _ROOT_FAMILIES[family](r, k, c)
+    args = (f, r - left, r + right)
+    ours = _outcome(lambda *a, **kw: _brentq(*a, **kw)[0], *args, xtol=xtol, maxiter=maxiter)
     assert ours == _outcome(optimize.brentq, *args, xtol=xtol, rtol=8.9e-16, maxiter=maxiter)
+    if ours[0] != "root":
+        return
+    # the final sign bracket holds the root, its end values are f's, and
+    # it meets the stop; an exact zero keeps the last strict sign bracket
+    found = _brentq(*args, xtol=xtol, maxiter=maxiter)
+    x, fx, (lo, hi), f_lo, f_hi = found
+    assert lo <= x <= hi
+    assert (fx, f_lo, f_hi) == (f(x), f(lo), f(hi))
+    assert (f_lo < 0.0) != (f_hi < 0.0) or 0.0 in (f_lo, f_hi)
+    if fx != 0.0:
+        assert hi - lo <= xtol + 8.9e-16 * abs(x)
+    else:
+        assert lo == hi or (f_lo < 0.0) != (f_hi < 0.0) and 0.0 not in (f_lo, f_hi)
+    # end values the caller holds give the same search
+    assert _brentq(*args, xtol=xtol, maxiter=maxiter, fa=f(args[1]), fb=f(args[2])) == found
 
 
 @pytest.mark.parametrize("f, lo, hi, error", [
