@@ -3,14 +3,15 @@
 Each repeat is one fresh interpreter run with `-X importtime` that imports
 numpy (as every caller has by then) and then nlfront.cli from this
 checkout's src/.  The script prints the number of modules loaded and the
-scipy subpackages among them, then the median cumulative import time of
-nlfront.cli and of the heaviest nlfront modules and scipy subpackages it
-loads.  A module's time counts only the modules it loads first:
-scipy.special loaded inside nlfront.model is counted in both.  A subpackage
-reached through scipy's lazy attribute access (`from scipy import
-integrate`) is loaded by importlib, which `-X importtime` does not log, so
-its time shows only in the importing module's; the subpackage list names
-it all the same.
+scipy subpackages among them (none: nlfront runs on numpy alone, and a
+name here means an import came back), then the median cumulative import
+time of nlfront.cli and of the heaviest nlfront modules and scipy
+subpackages it loads.  A module's time counts only the modules it loads
+first, so a subpackage loaded inside an nlfront module is counted in
+both.  A subpackage reached through scipy's lazy attribute access (`from
+scipy import special`) is loaded by importlib, which `-X importtime` does
+not log, so its time shows only in the importing module's; the subpackage
+list names it all the same.
 
     python3 scripts/import_cost.py [--repeats 5] [--top 8]
 """

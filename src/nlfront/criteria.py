@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -278,11 +279,18 @@ def nu1(d2: float, params: ModelParams, h0: float | None = None) -> float:
 
 
 def _nu1_from_kappa(d2: float, kappa: float, params: ModelParams) -> float:
+    """Larger root of nu^2 + s nu + c = 0, s = a + b - d2 kappa,
+    c = a (b - d2 kappa) - H'(0) G'(0), as -2c / (s + sqrt(s^2 - 4c)):
+    kappa < 0 makes s > 0, so the form does not cancel, and c, whose two
+    terms cancel at the root, is rounded once from exact rationals.  In
+    floats c is a multiple of about 4e-16 there and exactly 0 at an
+    interpolated root, which stopped the d2 search with a wide bracket."""
     a, b = params.a, params.b
     nl = params.nonlinearity
     s = a + b - d2 * kappa
-    disc = s * s - 4.0 * (a * (b - d2 * kappa) - nl.hp0 * nl.gp0)
-    return 0.5 * (-s + math.sqrt(disc))
+    c = float(Fraction(a) * (Fraction(b) - Fraction(d2) * Fraction(kappa))
+              - Fraction(nl.hp0) * Fraction(nl.gp0))
+    return -2.0 * c / (s + math.sqrt(s * s - 4.0 * c))
 
 
 def _rstar(d1: float, d2: float, params: ModelParams) -> float:
@@ -302,15 +310,18 @@ def _reproduction_root(params: ModelParams, d2_of: Callable[[float], float]) -> 
 
 
 def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
-                        d2_of: Callable[[float], float]) -> ThresholdResult:
-    """Root in d1 of the slope-normalized eigenvalue at fixed length h0."""
+                        d2_of: Callable[[float], float],
+                        f_lo: float | None = None) -> ThresholdResult:
+    """Root in d1 of the slope-normalized eigenvalue at fixed length h0;
+    ``f_lo`` is that eigenvalue at d1 = lo when the caller holds it."""
     cells = default_cells(params.h0)
 
     def lam2(d1: float) -> float:
         probe = replace(params, d1=d1, d2=float(d2_of(d1)))
         return eigen.lambda2(params.h0, probe, num_cells=cells)
 
-    f_lo = lam2(lo)
+    if f_lo is None:
+        f_lo = lam2(lo)
     if f_lo <= 0.0:
         raise RuntimeError(
             f"no positive eigenvalue at the lower end d1={lo:g}; threshold {name} undefined"
@@ -407,12 +418,12 @@ def find_d_thresholds(params: ModelParams, mode: str,
     extras = {"Lambda": Lam, "kappa1": kappa}
     if mode == "fixed_d2_mid":
         lo = 1e-3
-        while eigen.lambda2(params.h0, replace(params, d1=lo),
-                            num_cells=default_cells(params.h0)) <= 0.0:
+        while (f_lo := eigen.lambda2(params.h0, replace(params, d1=lo),
+                                     num_cells=default_cells(params.h0))) <= 0.0:
             lo /= 10.0
             if lo < 1e-8:
                 raise RuntimeError("no positive eigenvalue at small d1")
-        tilde = _d1_eigen_threshold(params, "d1_tilde", lo, lambda _d: d2)
+        tilde = _d1_eigen_threshold(params, "d1_tilde", lo, lambda _d: d2, f_lo)
         return DThresholdReport(mode=mode, thresholds=(under, tilde), extras=extras,
                                 note=_ROOT_NOTE)
     samples = tuple(

@@ -10,8 +10,9 @@ the kernel CDF (the mass a point at depth x keeps on its inner side, the
 habitat being unbounded to the right of the front only through j).  The
 diagonal blocks are symmetric Toeplitz plus diagonal and the couplings are
 multiples of the identity, so with D = diag(I, sqrt(a21/a12) I) the matrix
-D^-1 L D is symmetric.  Its largest eigenvalue is found by one Lanczos
-solve (ARPACK, deterministic start vector), mapped back through D, and
+D^-1 L D is symmetric.  Its largest eigenvalue is found by one
+thick-restart Lanczos solve in numpy (Wu and Simon, SIAM J. Matrix Anal.
+Appl. 22, 2000; the start vector is all ones), mapped back through D, and
 certified on L itself: sup-norm residual below 1e-10 and a positive
 eigenvector (a12, a21 > 0 make L irreducible, so the principal
 eigenfunction is positive).  Roots of the eigenvalue in a parameter are
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grids import Discretization, KernelConvolver, default_cells
 from .model import Kernel, ModelParams, _brentq, derived_constants
@@ -52,6 +52,9 @@ __all__ = [
 SIGN_BAND = 1e-6  # |eigenvalue| below this is treated as zero (critical)
 RESIDUAL_TOL = 1e-10
 ROOT_XTOL = 1e-9  # absolute width of the final sign bracket of an eigenvalue root
+KRYLOV = 20  # Lanczos basis size at which the solve restarts
+KEEP = 10  # Ritz vectors kept across a restart
+EPS = float(np.finfo(float).eps)
 
 
 class EigenGridError(ValueError):
@@ -163,6 +166,57 @@ def assemble(spec: OperatorSpec) -> DiscreteOperator:
 # eigensolve
 # ---------------------------------------------------------------------------
 
+def _lanczos(apply, dim: int):
+    """Largest eigenvalue and unit eigenvector of the symmetric operator
+    ``apply`` on R^dim: (theta, y, converged).
+
+    Thick-restart Lanczos: the basis grows to KRYLOV vectors, each
+    orthogonalized against all earlier ones by two classical Gram-Schmidt
+    passes, and restarts from the KEEP largest Ritz vectors and the
+    residual direction.  It stops when the top Ritz pair's residual norm
+    is at most EPS times the largest |Ritz value| (relative to the top
+    value alone, a root where it is near 0 would take several times the
+    operator applications), when the basis is invariant or spans R^dim,
+    after 10 dim restarts (ARPACK's default), or on a non-finite value
+    (an operator scaled past the float range), the last two unconverged.
+    """
+    m = min(KRYLOV, dim)
+    keep = min(KEEP, m - 1)
+    basis = np.empty((m + 1, dim))
+    basis[0] = 1.0 / math.sqrt(dim)
+    proj = np.zeros((m, m))
+    start, theta, y = 0, math.nan, basis[0]
+    with np.errstate(all="ignore"):
+        for _ in range(10 * dim):
+            size = m
+            for i in range(start, m):
+                w = apply(basis[i])
+                h = basis[: i + 1] @ w
+                w -= h @ basis[: i + 1]
+                again = basis[: i + 1] @ w
+                w -= again @ basis[: i + 1]
+                h += again
+                beta = math.sqrt(w @ w)
+                if not (math.isfinite(beta) and np.isfinite(h).all()):
+                    return theta, y, False
+                proj[: i + 1, i] = proj[i, : i + 1] = h
+                if beta <= EPS * math.sqrt(h @ h):
+                    size = i + 1  # the basis spans an invariant subspace
+                    break
+                basis[i + 1] = w / beta
+            vals, vecs = np.linalg.eigh(proj[:size, :size])
+            theta, y = float(vals[-1]), vecs[:, -1] @ basis[:size]
+            if (size < m or m == dim
+                    or abs(beta * vecs[-1, -1]) <= EPS * float(np.max(np.abs(vals)))):
+                return theta, y, True
+            basis[:keep] = vecs[:, -keep:].T @ basis[:m]
+            basis[keep] = basis[m]
+            proj[:] = 0.0
+            proj[range(keep), range(keep)] = vals[-keep:]
+            start = keep
+    return theta, y, False
+
+
 def _principal(matvec, scale: np.ndarray, label: str):
     """Largest eigenvalue of L and its positive eigenvector, sup-norm 1.
 
@@ -170,7 +224,6 @@ def _principal(matvec, scale: np.ndarray, label: str):
     solve runs on that matrix and the pair is certified on L.  Returns
     (lambda, x, matvecs, residual).
     """
-    dim = scale.size
     count = 0
 
     def apply(w: np.ndarray) -> np.ndarray:
@@ -178,18 +231,12 @@ def _principal(matvec, scale: np.ndarray, label: str):
         count += 1
         return matvec(w)
 
-    sym = LinearOperator((dim, dim), matvec=lambda y: apply(scale * y) / scale, dtype=float)
-    try:
-        vals, vecs = eigsh(sym, k=1, which="LA", v0=np.ones(dim))
-    except ArpackNoConvergence as exc:
-        found = len(exc.eigenvalues) > 0
-        lam = float(exc.eigenvalues[0]) if found else math.nan
-        x = scale * exc.eigenvectors[:, 0] if found else scale
+    lam, y, converged = _lanczos(lambda v: apply(scale * v) / scale, scale.size)
+    x = scale * y
+    if not converged:
         raise EigenConvergenceError(
             f"{label}: Lanczos solve did not converge", lam, x, count, math.inf,
-        ) from exc
-    lam = float(vals[0])
-    x = scale * vecs[:, 0]
+        )
     x = x / x[np.argmax(np.abs(x))]
     resid = float(np.max(np.abs(apply(x) - lam * x)))
     if not resid < RESIDUAL_TOL:

@@ -17,11 +17,13 @@ solver and the eigen operator all convolve through it (the last two via
 `Discretization.convolve`).  The semi-wave's profile grids call the FFT
 stack directly: they span the whole truncated half-line, far above
 DENSE_MAX cells on every preset, where the switch picks that same stack.
+
+The FFTs are numpy's pocketfft real transforms on 5-smooth lengths, into
+spectrum buffers each stack keeps per operand shape.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sfft
 
 from .model import Kernel
 
@@ -39,8 +41,8 @@ __all__ = [
 
 # Largest cell count convolved with a dense block; above it the stacked FFT
 # (sized to its quarter-octave rung) is cheaper.  Dense / FFT time for both
-# species at once on a 2-vCPU x86 VM (numpy 2.4, scipy 1.17, OpenBLAS on one
-# thread), one product shared by equal kernels: 0.09 at 44 cells, 0.40 at
+# species at once on a 2-vCPU x86 VM (numpy 2.4, scipy 1.17's FFT, OpenBLAS on
+# one thread), one product shared by equal kernels: 0.09 at 44 cells, 0.40 at
 # 200, 0.50 at 256, 0.76 at 320, 1.02 at 384; one product per kernel: 0.11,
 # 0.62, 0.82, 1.45.  Equal kernels alone would move the crossover near 384
 # cells; DENSE_MAX keeps the one that unequal kernels need.
@@ -66,21 +68,39 @@ def cell_nodes(left: float, dx: float, n: int) -> np.ndarray:
 
 def _embedding_length(n: int) -> int:
     """Length of the circulant embedding of an n-cell Toeplitz matrix: the
-    smallest 5-smooth length >= 2n.  The default fast lengths admit factors
-    7 and 11 (896, 3584, 13230), on which pocketfft's real transforms cost
-    up to 1.6x more per element than on a 5-smooth length (13230 at 45.7
-    against 13824 at 28.3 ns per element, 2-vCPU x86 VM, scipy 1.17)."""
-    return sfft.next_fast_len(2 * n, real=True)
+    smallest 5-smooth length >= 2n.  Lengths with factors 7 or 11 (896,
+    3584, 13230) cost pocketfft's real transforms up to 1.6x more per
+    element than a 5-smooth length (13230 at 45.7 against 13824 at 28.3 ns
+    per element, 2-vCPU x86 VM)."""
+    target = 2 * n
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of 3^i 5^j reaching target
+            best = min(best, p35 << max(0, (-(-target // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def _circulant_apply(u: np.ndarray, kfft: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad u to the embedding length m, multiply spectra, cut back."""
-    # an explicit buffer, not rfft(u, n=m): scipy pads by the same copy but
-    # through a slower Python path (measured 2-4 us more per call at n ~ 200)
-    buf = np.zeros(u.shape[:-1] + (m,))
-    buf[..., : u.shape[-1]] = u
-    out = sfft.irfft(sfft.rfft(buf, axis=-1) * kfft, n=m, axis=-1)
-    return out[..., : u.shape[-1]]
+def _circulant_apply(u: np.ndarray, kfft: np.ndarray, m: int, bufs: dict) -> np.ndarray:
+    """Zero-pad u to the embedding length m, multiply spectra, cut back.
+
+    ``bufs`` keeps one padded input and one spectrum per operand shape:
+    fresh temporaries made the apply about 1.5x slower on 2 x 13,500 points
+    (the accelerate preset's semi-wave grid).  The result is a new array.
+    """
+    lead, k = u.shape[:-1], u.shape[-1]
+    if lead not in bufs:
+        bufs[lead] = (np.zeros(lead + (m,)), np.empty(lead + (m // 2 + 1,), complex))
+    pad, spec = bufs[lead]
+    pad[..., :k] = u
+    pad[..., k:] = 0.0
+    np.fft.rfft(pad, axis=-1, out=spec)
+    spec *= kfft
+    return np.fft.irfft(spec, n=m, axis=-1)[..., :k]
 
 
 def _cell_masses(kernel: Kernel, dx: float, n: int) -> np.ndarray:
@@ -131,12 +151,13 @@ class KernelConvolver:
         circ[: self.n] = col
         circ[m - self.n + 1:] = col[1:][::-1]
         self._m = m
-        self._kfft = sfft.rfft(circ)
+        self._kfft = np.fft.rfft(circ)
+        self._bufs: dict = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         if u.shape[-1] != self.n:
             raise ValueError("vector length does not match the grid")
-        return _circulant_apply(u, self._kfft, self._m)
+        return _circulant_apply(u, self._kfft, self._m, self._bufs)
 
     def dense(self) -> np.ndarray:
         return _toeplitz(self.column).copy()
@@ -155,6 +176,7 @@ class ConvolverStack:
         # equal kernels share one spectrum
         self._kfft = _rows(kernels, _equal(kernels), lambda k: KernelConvolver(k, dx, n)._kfft)
         self.n, self._m = int(n), _embedding_length(int(n))
+        self._bufs: dict = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Convolve row r of the (..., rows, k) array u, k <= n, by kernel r.
@@ -164,7 +186,7 @@ class ConvolverStack:
         k = u.shape[-1]
         if u.shape[-2] != self._kfft.shape[0] or k > self.n:
             raise ValueError("stack shape does not match the kernels and grid")
-        return _circulant_apply(u, self._kfft, self._m)
+        return _circulant_apply(u, self._kfft, self._m, self._bufs)
 
 
 class CdfInterpolant:
@@ -300,8 +322,8 @@ def stacked_convolution(grids, k: int):
 
     if k > DENSE_MAX:
         kfft = operand(lambda g: g.stack(k)._kfft)
-        m = grids[0].stack(k)._m
-        return lambda src: _circulant_apply(src, kfft, m)
+        m, bufs = grids[0].stack(k)._m, {}
+        return lambda src: _circulant_apply(src, kfft, m, bufs)
     if grids[0]._shared:
         blocks = operand(lambda g: g.block()[0, :k, :k])
         return lambda src: np.matmul(src, blocks)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ModelError",
@@ -35,6 +34,9 @@ KERNEL_FAMILIES = ("laplace", "gaussian", "cauchy", "table")
 MOMENT_MAX_K = 20
 MOMENT_RTOL = 1e-10
 MOMENT_HUGE = 1e12
+# terms of the Euler-transformed series in w <= 1/2 of the power-tail
+# integrals: the first term left out is below 2^-56 of the sum
+SERIES_TERMS = 56
 
 
 class ModelError(ValueError):
@@ -171,11 +173,9 @@ class Kernel:
         if self.family == "laplace":
             return (1.0 - np.exp(-u / s)) / 2.0
         if self.family == "gaussian":
-            return special.erf(u / s) / 2.0
+            return _erf(u / s) / 2.0
         if self.family == "cauchy":
-            g = self.exponent
-            t = u / s
-            return self._cauchy_c * s * t * special.hyp2f1(1.0, 1.0 / g, 1.0 + 1.0 / g, -(t**g))
+            return self._cauchy_c * s * _cauchy_integral(1.0, self.exponent, u / s)
         u, i = self._knot(u)
         du = u - self._tx[i]
         return self._tcum[i] + self._ty[i] * du + self._tslope[i] * du**2 / 2.0
@@ -189,15 +189,13 @@ class Kernel:
         """
         s = self.scale
         if self.family == "laplace":
-            return math.factorial(k) * s**k / 2.0 * special.gammainc(k + 1.0, u / s)
+            return math.factorial(k) * s**k / 2.0 * _gammainc(k + 1.0, u / s)
         if self.family == "gaussian":
             h = (k + 1) / 2.0
             return (s**k * math.gamma(h) / (2.0 * math.sqrt(math.pi))
-                    * special.gammainc(h, (u / s) ** 2))
+                    * _gammainc(h, (u / s) ** 2))
         if self.family == "cauchy":
-            g, t, j = self.exponent, u / s, k + 1
-            return (self._cauchy_c * s**j * t**j / j
-                    * special.hyp2f1(1.0, j / g, 1.0 + j / g, -(t**g)))
+            return self._cauchy_c * s ** (k + 1) * _cauchy_integral(k + 1.0, self.exponent, u / s)
         u, i = self._knot(u)
         return self._tcum_k[k - 1][i] + _segment_moment(self._tx[i], u, self._ty[i],
                                                         self._tslope[i], k)
@@ -278,6 +276,90 @@ class Kernel:
         if self.n is not None:
             raise ModelError("kernel is already truncated")
         return replace(self, n=float(n))
+
+
+# ---------------------------------------------------------------------------
+# special functions of the kernel families
+# ---------------------------------------------------------------------------
+
+_erf = np.vectorize(math.erf, otypes=[float])
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _split(x, at: float, below: Callable, above: Callable):
+    """below(x) where x <= at, above(x) elsewhere, elementwise.  A 0-d x
+    runs as a Python float, on which the series loops cost about 5x less
+    than on a numpy array (30 against 165 us per power-tail integral); the
+    accelerate preset makes about 260 such calls."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        return below(x) if x <= at else above(x)
+    x = _as_array(x)
+    out = np.empty_like(x)
+    low = x <= at
+    out[low] = below(x[low])
+    out[~low] = above(x[~low])
+    return out
+
+
+def _lower_power_integral(p: float, g: float, x):
+    """∫_0^x s^(p-1)/(1+s^g) ds for 0 <= x <= 1, p > 0.
+
+    That is x^p/p 2F1(1, p/g; 1 + p/g; -z), z = x^g; Euler's transformation
+    turns the 2F1 into (1+z)^-1 sum_k k!/(1+p/g)_k w^k, w = z/(1+z) <= 1/2,
+    a series of positive terms summed by Horner's rule.
+    """
+    coef = [1.0]
+    for k in range(1, SERIES_TERMS):
+        coef.append(coef[-1] * k / (k + p / g))
+    z = x**g
+    w = z / (1.0 + z)
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = acc * w + c
+    return x**p / (p * (1.0 + z)) * acc
+
+
+def _upper_power_integral(q: float, g: float, x):
+    """∫_x^1 s^(q-1)/(1+s^g) ds for 0 < x <= 1.
+
+    For q < 1/2 the elementary ∫_x^1 s^(q-1) ds is split off through
+    1/(1+s^g) = 1 - s^g/(1+s^g), leaving the same integral at q + g; at
+    larger q the difference of two series does not cancel.
+    """
+    if q >= 0.5:
+        return _lower_power_integral(q, g, 1.0) - _lower_power_integral(q, g, x)
+    head = -np.log(x) if q == 0.0 else -np.expm1(q * np.log(x)) / q
+    return head - _upper_power_integral(q + g, g, x)
+
+
+def _cauchy_integral(p: float, g: float, t):
+    """∫_0^t s^(p-1)/(1+s^g) ds for t >= 0: the power-tail kernels' partial
+    integrals, ∫_0^u r^(p-1) c/(1+(r/s)^g) dr = c s^p I(u/s).  Beyond t = 1
+    the substitution s -> 1/s maps the rest onto [1/t, 1], exponent g - p."""
+    head = _lower_power_integral(p, g, 1.0)
+    return _split(t, 1.0, lambda x: _lower_power_integral(p, g, x),
+                  lambda x: head + _upper_power_integral(g - p, g, 1.0 / x))
+
+
+def _gammainc(a: float, x):
+    """Regularized lower incomplete gamma P(a, x), x >= 0, for the a the
+    kernel moments need: 1, 1.5, 2 and 3.  Below a + 1 its series
+    x^a e^-x / Gamma(a+1) sum_n x^n / ((a+1)...(a+n)), 36 terms by Horner's
+    rule; above, 1 - Q with Q closed-form (for half-integer a through erfc)."""
+    def series(x):
+        acc = 1.0
+        for n in range(36, 0, -1):
+            acc = 1.0 + x / (a + n) * acc
+        return x**a * np.exp(-x) / math.gamma(a + 1.0) * acc
+
+    def complement(x):
+        if a == 1.5:
+            return 1.0 - _erfc(np.sqrt(x)) - 2.0 * np.sqrt(x / math.pi) * np.exp(-x)
+        # e^-x x^k as one exp: x^k alone overflows far out
+        return 1.0 - sum(np.exp(k * np.log(x) - x) / math.factorial(k) for k in range(int(a)))
+
+    return _split(x, a + 1.0, series, complement)
 
 
 def _segment_moment(x0, x1, y0, m, k: int):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grids import Discretization
 from .model import Kernel, ModelParams, MomentUndetermined, _equilibrium, first_moment
@@ -43,6 +42,7 @@ MAX_SWEEPS = 200_000
 MAX_OUTER = 400
 DEFAULT_DX = 0.05
 DEFAULT_L = 60.0
+BLOCK = 32  # nodes per block of the backward recurrence's batched product
 
 
 class SpeedEscape(RuntimeError):
@@ -92,29 +92,35 @@ def _far_tail_integral(kernel: Kernel, s0: float) -> float:
 
 
 def _backward_recurrence(alpha: np.ndarray, n: int):
-    """Exact solver of x_i = b_i + alpha_r x_{i+1} (i < n - 1), x_{n-1} = b_{n-1},
+    """Solver of x_i = b_i + alpha_r x_{i+1} (i < n - 1), x_{n-1} = b_{n-1},
     for each row r of a (len(alpha), n) array b.
 
-    The rows form one unit upper-bidiagonal system, superdiagonal -alpha_r
-    and 0 where one row ends and the next begins, factored here by LAPACK's
-    dgttrf; the returned function solves it by dgttrs, whose back
-    substitution (b_i - (-alpha) x_{i+1}) / 1 rounds exactly as the direct
-    recurrence b_i + alpha x_{i+1} does.  b is overwritten.  scipy's
-    wrapper refuses fewer than 3 unknowns; two rows of n >= 2 nodes, each
-    ending in the clamped front node, have at least 4.
+    The nodes, zero-padded on the far side to whole blocks of BLOCK, are
+    solved block by block with no carry from the front side by one batched
+    product with each row's matrix of powers alpha^(j - i), j >= i.  The
+    value entering each block from the front side then obeys the same
+    recurrence over the blocks with coefficient alpha^BLOCK, which the same
+    construction solves one level up; it adds alpha^(BLOCK - i) times that
+    value to node i of the block.  Each x_i = sum_j alpha^j b_{i+j} is
+    exact to within a few ulps of sum_j alpha^j |b_{i+j}|, as for the
+    direct recurrence, with O(n) work and memory and no Python loop over
+    the nodes.  b is left as it is.
     """
-    size = len(alpha) * n
-    du = np.repeat(-np.asarray(alpha, dtype=float), n)[:-1]
-    du[n - 1::n] = 0.0
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(np.zeros(size - 1), np.ones(size), du)
-    if info != 0:
-        raise RuntimeError(f"profile recurrence: dgttrf info = {info}")
+    alpha = np.asarray(alpha, dtype=float)
+    rows, blocks = alpha.size, -(-n // BLOCK)
+    size = blocks * BLOCK
+    lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK)
+    within = np.where(lag >= 0, alpha[:, None, None] ** np.maximum(lag, 0), 0.0)
+    carry = alpha[:, None, None] ** (BLOCK - np.arange(BLOCK))
+    entering = _backward_recurrence(alpha**BLOCK, blocks) if blocks > 1 else None
+    pad = np.zeros((rows, size))
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b.reshape(size, 1), overwrite_b=True)
-        if info != 0:
-            raise RuntimeError(f"profile recurrence: dgttrs info = {info}")
-        return x.reshape(b.shape)
+        pad[:, size - n:] = b
+        x = np.matmul(pad.reshape(rows, blocks, BLOCK), within)
+        if entering is not None:
+            x[:, :-1] += carry * entering(x[:, :, 0])[:, 1:, None]
+        return x.reshape(rows, size)[:, size - n:]
 
     return solve
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import params_with
 from nlfront import criteria, eigen, freeboundary as fb
+from nlfront.model import derived_constants
 
 
 def test_threshold_result_validation():
@@ -48,7 +49,7 @@ def test_seed_mu_lower_value(p1_d6):
     # (and with the eigen product's), while the eigvalsh check below holds
     # whatever the bits
     ell = criteria.find_ell_star(p1_d6).value
-    assert criteria._seed_mu_lower(p1_d6, ell, lambda s: s) == 0.0009201032270605027
+    assert criteria._seed_mu_lower(p1_d6, ell, lambda s: s) == 0.000920103227060556
     # the barrier's lambda1(h1) is the top eigenvalue of the symmetrized
     # assembled operator D^-1 L D, D = diag(I, sqrt(a21/a12) I)
     bar = fb._barrier(p1_d6, p1_d6.h0, ell, None, p1_d6.u0, p1_d6.v0, m_floor=1.0)
@@ -239,6 +240,26 @@ def test_in_regime_small_d2_skips_the_kappa_solve(p1, monkeypatch):
                         lambda *args: calls.append(args) or solve(*args))
     rep = criteria.find_d_thresholds(p1, "fixed_d2_small")
     assert [t.name for t in rep.thresholds] == ["d1_hat"] and calls == []
+
+
+def test_d2_under_bracket_closes_to_its_tolerance():
+    # nu1 near its root through the cancelling (-s + sqrt(disc)) / 2 was
+    # exactly 0 at Brent's iterate, which left a 5.2e-5-wide bracket
+    params = params_with(d2=10.0)
+    kappa = eigen.scalar_principal(1.0, 0.0, params.kernel2, params.h0)
+    under = criteria._d2_under_threshold(params, kappa, derived_constants(params).Lambda)
+    lo, hi = under.bracket
+    assert lo <= under.value <= hi and hi - lo <= 1e-12
+    assert under.certificate["below"] > 0.0 > under.certificate["above"]
+
+
+def test_mid_d2_thresholds_solve_no_spec_twice(monkeypatch):
+    specs = []
+    solve = eigen.principal_eigenpair
+    monkeypatch.setattr(eigen, "principal_eigenpair",
+                        lambda spec: specs.append(spec) or solve(spec))
+    criteria.find_d_thresholds(params_with(d2=10.0), "fixed_d2_mid")
+    assert len(specs) == len(set(specs)) > 0
 
 
 @pytest.mark.parametrize("d2, mode", [(20.0, "fixed_d2_mid"), (10.0, "fixed_d2_large")])

@@ -1,10 +1,10 @@
 """Principal eigenvalue solver: anchors, comparison bounds, limits, sweeps."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import params_with
 from nlfront import eigen, grids
@@ -110,18 +110,46 @@ def test_degenerate_row_still_solvable():
 def test_failed_solve_raises_with_last_iterate(p1, monkeypatch):
     spec = eigen.lambda1_spec(2.0, p1)
     dim = 2 * spec.num_cells
-
-    def stalled(op, **kw):
-        raise ArpackNoConvergence("stalled", np.array([0.5]), np.ones((dim, 1)))
-
-    monkeypatch.setattr(eigen, "eigsh", stalled)
+    monkeypatch.setattr(eigen, "_lanczos", lambda apply, n: (0.5, np.ones(n), False))
     with pytest.raises(eigen.EigenConvergenceError, match="did not converge") as err:
         eigen.principal_eigenpair(spec)
     assert err.value.lambda_p == 0.5 and err.value.vector.shape == (dim,)
     # a pair that misses the residual contract on the assembled operator
-    monkeypatch.setattr(eigen, "eigsh", lambda op, **kw: (np.array([0.5]), np.ones((dim, 1))))
+    monkeypatch.setattr(eigen, "_lanczos", lambda apply, n: (0.5, np.ones(n), True))
     with pytest.raises(eigen.EigenConvergenceError, match="eigen-residual"):
         eigen.principal_eigenpair(spec)
+
+
+def test_operator_past_the_float_range_fails_without_warnings():
+    # d1 = 1e300 overflows the Lanczos basis norms: a solver failure (exit
+    # 3 from the CLI), with no numpy warning on the way
+    spec = eigen.lambda1_spec(2.0, params_with(d1=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(eigen.EigenConvergenceError, match="did not converge"):
+            eigen.principal_eigenpair(spec)
+
+
+@pytest.mark.parametrize("l, cells", [(2.187, 200), (9.275, 371)])
+def test_lanczos_matches_dense_symmetric_spectrum(l, cells):
+    # lambda near 0 at the critical length (P1 at d = 6), and a grid above
+    # DENSE_MAX, whose matvec convolves by FFT
+    spec = eigen.lambda1_spec(l, params_with(d1=6.0, d2=6.0), num_cells=cells)
+    op = eigen.assemble(spec)
+    scale = np.ones(op.dim)
+    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
+    sym = op.dense() * scale[None, :] / scale[:, None]
+    top = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
+    assert abs(eigen.principal_eigenpair(spec).lambda_p - top) < 1e-12
+
+
+def test_critical_length_solve_stays_near_arpack_cost(p1_d6):
+    # ARPACK took 51 operator applications for lambda1 at ell* (P1, d = 6);
+    # a stop rule relative to |lambda| ~ 1e-7 alone took 300
+    ell = eigen.critical_length(p1_d6)
+    pair = eigen.principal_eigenpair(eigen.lambda1_spec(ell.value, p1_d6,
+                                                        num_cells=ell.num_cells))
+    assert pair.iterations <= 2 * 51
 
 
 def test_grid_floor_and_spec_validation(p1, laplace):

@@ -34,3 +34,14 @@ def test_cli_import_leaves_signal_processing_and_statistics_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's array-API layer alone cost every run about 0.3 s of start-up
+    # and 20 MB; the package runs on numpy alone
+    code = "import sys, nlfront.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(nlfront.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -107,6 +107,27 @@ def test_truncated_partial_first_moment_matches_mpmath(base, n):
             assert abs(value - ref) <= 1e-12 * ref, (u, float(abs(value - ref) / ref))
 
 
+@pytest.mark.parametrize("g", [1.3, 2.0, 2.5, 3.0, 3.5])
+def test_power_tail_partial_moments_match_mpmath(g):
+    # int_0^u t^k J(t) dt for k = 0, 1, 2 far into the tail; scipy's
+    # hyp2f1(1, a; 1 + a; -z) lost digits at integer a for large z (g = 2's
+    # first moment 8e-7 off at u = 1e6, g = 3's second moment inf from 1e5)
+    kernel = Kernel("cauchy", 1.0, exponent=g)
+    us = [0.3, 1.0, 1.7, 1e2, 1e4, 1e5, 1e6]
+    got = [kernel.half_integral(us), kernel.partial_first_moment(us),
+           kernel._base_moment(np.array(us), 2)]
+    density = _mp_density(kernel)
+    with mpmath.workdps(40):
+        for k, values in enumerate(got):
+            for u, value in zip(us, values):
+                cuts = [0.0] + [c for c in (1.0, 1e2, 1e4) if c < u] + [u]
+                ref = mpmath.quad(lambda t: t**k * density(t), [mpmath.mpf(c) for c in cuts])
+                assert abs(value - ref) <= 1e-13 * ref, (k, u, float(abs(value - ref) / ref))
+    if g == 3.0:
+        # the truncated kernel's first moment was NaN through that inf
+        assert abs(first_moment(kernel.truncate(1e5)) - 0.4999971338594792) < 1e-13
+
+
 _ROOT_FAMILIES = {  # each vanishes at r
     "tanh": lambda r, k, c: lambda x: math.tanh(k * (x - r)) + c * (x - r),
     "cubic": lambda r, k, c: lambda x: (x - r) ** 3 + c * (x - r),
@@ -503,6 +524,12 @@ def test_non_finite_kernel_and_nonlinearity_inputs_are_refused(build, message):
     with pytest.raises(ModelError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_fft_embedding_length_is_the_next_five_smooth_length():
+    from scipy import fft  # here only: nlfront itself must not load scipy
+    for n in list(range(1, 3000)) + [6601, 13230, 99991, 131072, 299999]:
+        assert grids._embedding_length(n) == fft.next_fast_len(2 * n, real=True), n
 
 
 @pytest.mark.parametrize("n", [448, 896, 1201, 1801, 3401, 6601])

@@ -131,20 +131,37 @@ def test_speed_closure_outer_iterations_on_cutoff_table():
     assert outer <= 24
 
 
+def _exact(x: float, shift: int) -> int:
+    """x * 2**shift, exactly, for shift >= 1100 (past every double's binary
+    denominator)."""
+    num, den = x.as_integer_ratio()
+    return num << (shift - den.bit_length() + 1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 1200, 6600])
-def test_backward_recurrence_matches_lfilter_bitwise(m):
-    # the relaxation sweep's exact solve rounds as the direct recurrence
-    # x_i = b_i + alpha x_{i+1}, i.e. lfilter run backward from the front
-    from scipy import signal  # here only: nlfront itself must not load it
+def test_backward_recurrence_matches_exact_sums(m):
+    # the relaxation sweep's solve of x_i = b_i + alpha x_{i+1} from the
+    # clamped front node, against exact rational arithmetic (integers over
+    # a power of two: alpha = A / 2^e makes x_i an integer over
+    # 2^(1100 + e (m - i))), to the direct recurrence's bound of 64 ulps of
+    # sum_j alpha^j |b_{i+j}|
     rng = np.random.default_rng(m)
+    eps = np.finfo(float).eps
     for alpha in ([0.3, 0.82], [0.999, 0.0], [0.5, 1.0 - 1e-12]):
         rhs = np.zeros((2, m + 1))
         rhs[:, :-1] = rng.standard_normal((2, m)) * [[1.0], [1e-8]]
-        ref = [signal.lfilter([1.0], [1.0, -a], row[-2::-1])[::-1] for a, row in zip(alpha, rhs)]
-        out = semiwave._backward_recurrence(np.array(alpha), m + 1)(rhs.copy())
+        held = rhs.copy()
+        out = semiwave._backward_recurrence(np.array(alpha), m + 1)(rhs)
         assert out.shape == (2, m + 1) and np.all(out[:, -1] == 0.0)
-        for r in range(2):
-            assert np.array_equal(out[r, :-1].view(np.int64), ref[r].view(np.int64))
+        assert np.array_equal(rhs, held)
+        for a, row, got in zip(alpha, rhs.tolist(), out.tolist()):
+            num, den = a.as_integer_ratio()
+            exact, size = 0, 0.0
+            for i in range(m, -1, -1):
+                shift = 1100 + (den.bit_length() - 1) * (m - i)
+                exact = _exact(row[i], shift) + num * exact
+                size = abs(row[i]) + a * size
+                assert abs(_exact(got[i], shift) - exact) <= _exact(64 * eps * size, shift)
 
 
 def test_one_cell_semiwave(p1):
