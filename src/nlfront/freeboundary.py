@@ -301,7 +301,16 @@ class _Master:
             self.grow(cells)
 
     def weights(self, h: float, k: int) -> np.ndarray:
-        return np.clip(h - self.edges[:k], 0.0, self.dx)
+        """np.clip(h - edges[:k], 0, dx) bit for bit: `_active_count`'s
+        1e-9 guard puts h at least dx (1 + 1e-9) past edge k - 2, so the
+        clip returns exactly dx on every cell but the last.  Near MAX_CELLS
+        the rounding of h / dx and of edge k - 2 can use that margin up, so
+        the last two cells are clipped, as scalars (np.clip's own call
+        costs more than a whole small front's clip)."""
+        w = np.full(k, self.dx)
+        for i in range(max(k - 2, 0), k):
+            w[i] = min(max(h - self.edges[i], 0.0), self.dx)
+        return w
 
     def front(self, h: float) -> tuple[int, np.ndarray, np.ndarray]:
         """Covered cell count k, cell weights w and covered fractions w / dx
@@ -339,12 +348,18 @@ class _Master:
             acc = np.zeros(k)
             escape = None
             # only a species that moves the front asks for (and so builds) a
-            # tail table; equal kernels share one escaping-mass evaluation
+            # tail table; equal kernels share one escaping-mass evaluation.
+            # Cells at s >= the table's reach lose exactly no mass, so only
+            # the cells from `near` on, where s (falling along the grid) is
+            # below it, are evaluated; the rest of acc stays the 0 they add
             for r, mu in enumerate((p.mu1, p.mu2)):
                 if mu > 0.0:
                     if escape is None or not self._same_kernels:
-                        escape = self.grid.mass[r] - self.grid.tail(r)(s)
-                    acc += mu * act[0, r] * escape
+                        table = self.grid.tail(r)
+                        near = (0 if s[0] < table.reach
+                                else k - int(np.searchsorted(s[::-1], table.reach)))
+                        escape = self.grid.mass[r] - table(s[near:])
+                    acc[near:] += mu * act[0, r, near:] * escape
             flux = float(np.dot(w, acc))
         return f, flux
 

@@ -23,6 +23,8 @@ spectrum buffers each stack keeps per operand shape.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import Kernel
@@ -199,6 +201,12 @@ class CdfInterpolant:
     def __init__(self, kernel: Kernel, x_max: float, step: float, x_min: float = 0.0):
         self.x = np.arange(x_min, x_max + 2 * step, step)
         self.y = np.asarray(kernel.cdf(self.x))
+        # the first abscissa from which the table equals the kernel's mass
+        # exactly, so that the interpolant does too at every x >= reach (inf
+        # when the table never gets there, as for heavy tails)
+        flat = self.y == float(kernel.mass)
+        trailing = flat.size if flat.all() else int(np.argmin(flat[::-1]))
+        self.reach = float(self.x[-trailing]) if trailing else math.inf
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.x, self.y, left=float(self.y[0]), right=float(self.y[-1]))

@@ -8,6 +8,7 @@ can be assembled from exact per-cell masses.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -49,6 +50,18 @@ class MomentUndetermined(ModelError):
 
 class NoPositiveEquilibrium(ModelError):
     """The reaction system has no positive constant state at this perturbation."""
+
+
+def _overflow_is_inf(method: Callable) -> Callable:
+    """`method` with floating overflow giving inf, and log 0 giving -inf,
+    without a warning: a scaled argument u / scale past the float range lies
+    far out in the tail, where inf (and the power-tail integrals' 1 / inf =
+    0) gives every kernel integral its limit."""
+    @functools.wraps(method)
+    def wrapped(*args):
+        with np.errstate(over="ignore", divide="ignore"):
+            return method(*args)
+    return wrapped
 
 
 def _as_array(x) -> np.ndarray:
@@ -156,6 +169,7 @@ class Kernel:
         u = np.minimum(u, xs[-1])
         return u, np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 2)
 
+    @_overflow_is_inf
     def _base_pdf(self, r: np.ndarray) -> np.ndarray:
         s = self.scale
         if self.family == "laplace":
@@ -167,6 +181,7 @@ class Kernel:
         # table
         return np.interp(r, self._tx, self._ty, right=0.0)
 
+    @_overflow_is_inf
     def _base_half(self, u: np.ndarray) -> np.ndarray:
         """∫_0^u J, vectorized, exact, for u >= 0."""
         s = self.scale
@@ -180,6 +195,7 @@ class Kernel:
         du = u - self._tx[i]
         return self._tcum[i] + self._ty[i] * du + self._tslope[i] * du**2 / 2.0
 
+    @_overflow_is_inf
     def _base_moment(self, u: np.ndarray, k: int) -> np.ndarray:
         """Partial moment ∫_0^u t^k J(t) dt for k = 1, 2, exact, for u >= 0.
 
@@ -195,7 +211,8 @@ class Kernel:
             return (s**k * math.gamma(h) / (2.0 * math.sqrt(math.pi))
                     * _gammainc(h, (u / s) ** 2))
         if self.family == "cauchy":
-            return self._cauchy_c * s ** (k + 1) * _cauchy_integral(k + 1.0, self.exponent, u / s)
+            # c s first: c ~ 1/s, and s^(k+1) alone underflows at tiny scales
+            return self._cauchy_c * s * s**k * _cauchy_integral(k + 1.0, self.exponent, u / s)
         u, i = self._knot(u)
         return self._tcum_k[k - 1][i] + _segment_moment(self._tx[i], u, self._ty[i],
                                                         self._tslope[i], k)
@@ -210,7 +227,7 @@ class Kernel:
             g = self.exponent
             if g <= 2.0:
                 return math.inf
-            return self._cauchy_c * s**2 * (math.pi / g) / math.sin(2.0 * math.pi / g)
+            return self._cauchy_c * s * s * (math.pi / g) / math.sin(2.0 * math.pi / g)
         return None  # table: resolved by the window loop
 
     # -- public surface ------------------------------------------------------
@@ -354,6 +371,9 @@ def _gammainc(a: float, x):
         return x**a * np.exp(-x) / math.gamma(a + 1.0) * acc
 
     def complement(x):
+        # past x = 1e3, Q(a, x) < e^-990 is 0 in floating point: the cap
+        # changes no value and keeps inf - inf (P(a, inf) = 1) out of exp
+        x = np.minimum(x, 1e3)
         if a == 1.5:
             return 1.0 - _erfc(np.sqrt(x)) - 2.0 * np.sqrt(x / math.pi) * np.exp(-x)
         # e^-x x^k as one exp: x^k alone overflows far out

@@ -11,6 +11,24 @@ g(c) = F(c) - c, F(c) being the flux quadrature of the profiles relaxed at
 c; where the secant is unusable the damped step c + g(c)/2 is taken.  When
 a kernel's first moment diverges no finite speed exists; the c-iteration
 escapes upward and the condition is reported rather than fought.
+
+Each relaxation is a monotone descent: one sweep T_c is monotone in the
+profiles, and its result is clamped below its input, so every iterate is a
+supersolution at its c.  On profiles that do not increase toward the front
+T_c <= T_c' for c' <= c (the upwind term c (p_{i+1} - p_i)/dx only falls as
+c grows), so an iterate at c' is a supersolution at every c >= c' too, and
+a descent started from it converges to the same fixed point as one started
+from the far-field constant.  Each solve keeps one profile, the one relaxed
+at the largest speed c' not above the next c, and starts there (from the
+constant while there is none).  Relaxations are inexact while the speed is
+far off, in the manner of an inexact Newton forcing term (Eisenstat and
+Walker, 1996): the first stops once a sweep moves the profiles by less than
+LOOSE_TOL, relaxation k at max(RELAX_TOL, min(LOOSE_TOL, GAP_FORCING
+|g_{k-1}|)).  Only a profile relaxed to RELAX_TOL is accepted: when a looser
+one already closes the gap to C_TOL, the same descent goes on at the same c
+to RELAX_TOL and the gap is tested again.  `outer_iterations` counts the
+speeds tried, the accepted one included, and `sweeps` every sweep of every
+relaxation.
 """
 from __future__ import annotations
 
@@ -38,6 +56,8 @@ __all__ = [
 C_CAP = 1e3
 C_TOL = 1e-6
 RELAX_TOL = 1e-9
+LOOSE_TOL = 1e-4  # relaxation tolerance while the speed gap is unknown or large
+GAP_FORCING = 1e-6  # relaxation tolerance per unit of the last speed gap
 MAX_SWEEPS = 200_000
 MAX_OUTER = 400
 DEFAULT_DX = 0.05
@@ -189,15 +209,19 @@ def solve_semiwave(
     rates = np.array([[params.d1], [params.d2]])
     decay = np.array([[params.a], [params.b]]) + sigma
 
-    def relax(c: float) -> tuple[np.ndarray, int]:
-        # monotone descent from the constant supersolution: the far-field
-        # state maps below itself for every c, and forcing each sweep to
+    # the constant supersolution: the far-field state, clamped to 0 at the
+    # front node, maps below itself for every c
+    top = np.repeat(np.array(far_field)[:, None], m + 1, axis=1)
+    top[:, -1] = 0.0
+
+    def relax(c: float, pq: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+        # monotone descent at speed c from the supersolution pq until a
+        # sweep moves the profiles by less than tol; forcing each sweep to
         # be a descent step keeps amplified roundoff from ever feeding back
-        # (long grids at supercritical c amplify noise exponentially)
+        # (long grids at supercritical c amplify noise exponentially).  pq
+        # is never written: every sweep makes new arrays
         den = rates + decay + c / dx
         recurrence = _backward_recurrence((c / dx) / den[:, 0], m + 1)
-        pq = np.repeat(np.array(far_field)[:, None], m + 1, axis=1)
-        pq[:, -1] = 0.0
         for sweep in range(1, MAX_SWEEPS + 1):
             # with the convolution lagged, the transport + local part of a
             # row is a two-term backward recurrence from the clamped front
@@ -213,10 +237,10 @@ def solve_semiwave(
             np.minimum(new, pq, out=new)
             delta = float(np.max(pq - new))
             pq = new
-            if delta < RELAX_TOL:
+            if delta < tol:
                 return pq, sweep
         raise RuntimeError(
-            f"profile relaxation failed to reach {RELAX_TOL:g} in {MAX_SWEEPS} sweeps"
+            f"profile relaxation failed to reach {tol:g} in {MAX_SWEEPS} sweeps"
         )
 
     def flux(pq: np.ndarray) -> float:
@@ -231,15 +255,25 @@ def solve_semiwave(
         raise ValueError("initial speed guess must be >= 0")
     sweeps = 0
     gap = math.inf
+    tol = LOOSE_TOL
+    # the one kept profile: (c', profile relaxed at c'), a supersolution at
+    # every c >= c'
+    kept: tuple[float, np.ndarray] | None = None
     # secant on g(c) = F(c) - c; the damped fixed-point step c + g/2 is taken
     # on the first update, when the secant is degenerate, non-finite or
     # negative, and when it would leave the bracket where g changed sign
     prev: tuple[float, float] | None = None
     pos = neg = None  # latest c with g > 0, latest c with g < 0
     for outer in range(1, MAX_OUTER + 1):
-        pq, used = relax(c)
+        pq, used = relax(c, top if kept is None else kept[1], tol)
         sweeps += used
         c_new = flux(pq)
+        if abs(c_new - c) < C_TOL and tol > RELAX_TOL:
+            # only a profile relaxed to RELAX_TOL is accepted: carry the
+            # same descent on at the same c and test again
+            pq, used = relax(c, pq, RELAX_TOL)
+            sweeps += used
+            c_new = flux(pq)
         g = c_new - c
         gap = abs(g)
         if gap < C_TOL:
@@ -260,7 +294,12 @@ def solve_semiwave(
             if math.isfinite(target) and target >= 0.0 and inside:
                 step = secant
         prev = (c, g)
+        # of the kept profile and this one, keep the one relaxed at the
+        # largest speed not above the next
+        kept = max((one for one in (kept, (c, pq)) if one is not None and one[0] <= c + step),
+                   key=lambda one: one[0], default=None)
         c = c + step
+        tol = max(RELAX_TOL, min(LOOSE_TOL, GAP_FORCING * gap))
         if c > C_CAP:
             raise SpeedEscape(
                 f"speed escape: c exceeded {C_CAP:g} after {outer} updates",

@@ -239,6 +239,43 @@ def test_pinned_engine_computes_its_weights_once(p1, monkeypatch):
     assert calls == [2.0]
 
 
+def test_front_weights_are_the_full_clip_bitwise(p1):
+    # `weights` clips only the last cells and takes the rest as whole; that
+    # must be np.clip(h - edges[:k], 0, dx) bit for bit, fronts on a cell
+    # edge (to within a few ulps) included
+    for dx in (0.05, 0.1, 1.0 / 3.0):
+        eng = fb._Master(p1, dx, 4096)
+        rng = np.random.default_rng(7)
+        fronts = list(rng.uniform(0.0, 4000 * dx, 300))
+        for k in (1, 2, 3, 17, 1000, 3999):
+            for step in range(-4, 5):
+                fronts.append(float(np.float64(k * dx) + step * np.spacing(k * dx)))
+        for h in fronts:
+            k = fb._active_count(h, dx)
+            full = np.clip(h - eng.edges[:k], 0.0, dx)
+            assert np.array_equal(eng.weights(h, k), full)
+            _, w, frac = eng.front(h)
+            assert np.array_equal(w, full) and np.array_equal(frac, full / dx)
+
+
+@pytest.mark.parametrize("kernel2", [Kernel("laplace", 1.0), Kernel("gaussian", 0.8),
+                                     Kernel("cauchy", 1.0, exponent=2.5)],
+                         ids=lambda k: k.family)
+def test_front_flux_is_the_full_tail_sum_bitwise(kernel2):
+    # rhs evaluates the escaping mass only on cells within the tail table's
+    # reach; the flux must equal the sum over every covered cell bit for bit
+    params = params_with(kernel2=kernel2)
+    eng = fb._Master(params, 0.05, 2048)
+    eng.uv[0, :, :1600] = np.random.default_rng(3).uniform(0.0, 1.0, (2, 1600))
+    assert eng.grid.tail(0).reach < 40.0
+    for h in (0.03, 2.0, 25.1995, 41.7, 79.99):
+        k, w, _ = eng.front(h)
+        s = h - eng.x[:k]
+        acc = sum(mu * eng.uv[0, r, :k] * (eng.grid.mass[r] - eng.grid.tail(r)(s))
+                  for r, mu in enumerate((params.mu1, params.mu2)))
+        assert eng.rhs(eng.uv, h)[1] == float(np.dot(w, acc))
+
+
 def test_growing_front_builds_the_dense_block_once(p1, monkeypatch):
     built = []
     toeplitz = grids._toeplitz

@@ -1,5 +1,7 @@
 """Kernels, nonlinearities, parameter validation, derived constants, grids."""
 import math
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -239,6 +241,20 @@ def test_first_moment_closed_forms():
     assert math.isinf(first_moment(Kernel("cauchy", 1.0, exponent=2.0)))
     # compact support restores a finite moment even for the heaviest tail
     assert math.isfinite(first_moment(Kernel("cauchy", 1.0, exponent=1.3).truncate(8.0)))
+
+
+@pytest.mark.parametrize("kernel", [Kernel("laplace", 1.0), Kernel("gaussian", 1.0),
+                                    Kernel("cauchy", 1.0, exponent=3.5)],
+                         ids=lambda k: k.family)
+def test_kernel_integrals_reach_their_limits_at_infinity(kernel):
+    # an infinite argument, or a finite one whose u / scale overflows,
+    # gives the full integrals, with no warning (P(a, inf) was nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, u in ((kernel, math.inf), (replace(kernel, scale=1e-300), 1e300)):
+            assert float(k.partial_first_moment(u)) == pytest.approx(first_moment(k), rel=1e-14)
+            assert 0.0 < first_moment(k) < math.inf
+            assert float(k.cdf(u)) == k.mass
 
 
 def test_nonlinearity_shapes():

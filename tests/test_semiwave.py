@@ -131,6 +131,70 @@ def test_speed_closure_outer_iterations_on_cutoff_table():
     assert outer <= 24
 
 
+# the accelerate preset's cutoff column and its speeds, relaxed from the
+# far-field constant to RELAX_TOL at every speed
+COLUMN = {20: 1.2144087168436921, 40: 2.3989078585940407, 80: 4.56124075738982,
+          160: 8.452545712936816}
+
+
+def _relaxed_at(params, c, monkeypatch, tol=None, **grid):
+    """Profiles relaxed at the one speed c from the far-field constant (to
+    RELAX_TOL, or to `tol` when given): with C_TOL infinite the first speed
+    tried is accepted."""
+    monkeypatch.setattr(semiwave, "C_TOL", math.inf)
+    if tol is not None:
+        monkeypatch.setattr(semiwave, "RELAX_TOL", tol)
+        monkeypatch.setattr(semiwave, "LOOSE_TOL", tol)
+    wave = semiwave.solve_semiwave(params, c0=c, **grid)
+    monkeypatch.undo()
+    return np.stack([wave.p, wave.q])
+
+
+@pytest.mark.parametrize("case", ["p1", "cutoff"])
+def test_profiles_fall_as_the_speed_grows(p1, case, monkeypatch):
+    # the warm start's premise: a profile relaxed at c1, even loosely, lies
+    # above the one relaxed at any c2 > c1, so it is a supersolution there
+    params, grid, speeds = {
+        "p1": (p1, {}, (0.3, 0.45, 0.6)),
+        "cutoff": (params_with(kernel1=HEAVY, kernel2=HEAVY), {"sigma": 0.01, "n": 40},
+                   (2.0, 2.4, 3.0)),
+    }[case]
+    tight = [_relaxed_at(params, c, monkeypatch, **grid) for c in speeds]
+    loose = [_relaxed_at(params, c, monkeypatch, tol=1e-4, **grid) for c in speeds]
+    for prof in tight + loose:
+        # nonincreasing toward the front, up to an ulp of the far field
+        assert np.all(np.diff(prof) <= 4e-16)
+    for lo, hi in zip(tight, tight[1:]):
+        assert np.all(lo >= hi) and np.any(lo > hi)
+    for lo, hi, tight_lo in zip(loose, tight[1:], tight):
+        assert np.all(lo >= tight_lo) and np.all(lo >= hi)
+
+
+def test_speeds_and_sweeps_of_the_warm_started_solves(wave_p1):
+    # every speed within 1e-6 of the one relaxed from the constant each
+    # time, at fewer sweeps (1,690 on P1 and 1,749 on the column that way)
+    assert wave_p1.c == pytest.approx(0.45459295606960437, rel=1e-6)
+    assert wave_p1.residual_profile < 1e-7 and wave_p1.sweeps <= 1250
+    p = params_with(kernel1=HEAVY, kernel2=HEAVY)
+    warm, sweeps = None, 0
+    for n, c in COLUMN.items():
+        w = semiwave.solve_semiwave(p, sigma=0.01, n=n, c0=warm)
+        assert w.c == pytest.approx(c, rel=1e-6)
+        assert w.residual_profile < 1e-7 and w.residual_speed < semiwave.C_TOL
+        warm, sweeps = w.c, sweeps + w.sweeps
+    assert sweeps <= 1100
+
+
+@pytest.mark.parametrize("params, sigma, n, c", [
+    (params_with(kernel2=Kernel("gaussian", 0.8)), 0.2, None, 0.24113361482663287),
+    (params_with(), 0.0, 3, 0.40678964801191414),
+], ids=["unequal-sigma", "truncated-n3"])
+def test_warm_started_solve_keeps_its_speed(params, sigma, n, c):
+    w = semiwave.solve_semiwave(params, sigma=sigma, n=n)
+    assert w.c == pytest.approx(c, rel=1e-6)
+    assert w.residual_profile < 1e-7 and w.residual_speed < semiwave.C_TOL
+
+
 def _exact(x: float, shift: int) -> int:
     """x * 2**shift, exactly, for shift >= 1100 (past every double's binary
     denominator)."""
@@ -166,7 +230,7 @@ def test_backward_recurrence_matches_exact_sums(m):
 
 def test_one_cell_semiwave(p1):
     # L = 0.06, dx = 0.05 leaves one cell behind the clamped front node
-    assert semiwave.solve_semiwave(p1, L=0.06, dx=0.05).c == 1.3051037865184938
+    assert semiwave.solve_semiwave(p1, L=0.06, dx=0.05).c == 1.3051037865174255
 
 
 def test_far_tail_past_the_support_needs_no_moment(laplace, monkeypatch):
