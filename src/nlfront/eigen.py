@@ -118,7 +118,7 @@ class DiscreteOperator:
 
     The matvec convolves through `Discretization.convolve`, so up to
     DENSE_MAX cells it reads the grid's cached dense block and above that
-    the FFT stack.
+    the grid's FFT convolver.
 
     Row r of the (2, n) arrays belongs to species r: ``diag`` holds
     -d_r j_r + a_rr, ``coupling`` the off-diagonal entry that multiplies the
@@ -148,8 +148,9 @@ class DiscreteOperator:
 
     def dense(self) -> np.ndarray:
         s, n = self.spec, self.n
-        own = [d * KernelConvolver(k, self.dx, n).dense() + np.diag(diag)
-               for d, k, diag in zip((s.d1, s.d2), (s.kernel1, s.kernel2), self.diag)]
+        blocks = KernelConvolver((s.kernel1, s.kernel2), self.dx, n).dense()
+        own = [d * block + np.diag(diag)
+               for d, block, diag in zip((s.d1, s.d2), blocks, self.diag)]
         return np.block([[own[0], s.a12 * np.eye(n)], [s.a21 * np.eye(n), own[1]]])
 
 

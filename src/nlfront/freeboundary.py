@@ -224,6 +224,20 @@ def _active_count(h: float, dx: float) -> int:
     return max(1, int(math.ceil(h / dx - 1e-9)))
 
 
+def _front_weights(h: float, dx: float, k: int) -> np.ndarray:
+    """Covered width of each of the k cells below front h, k =
+    `_active_count(h, dx)`: np.clip(h - i dx, 0, dx) over i < k bit for
+    bit.  `_active_count`'s 1e-9 guard puts h at least dx (1 + 1e-9) past
+    edge k - 2, so the clip returns exactly dx on every cell but the last.
+    Near MAX_CELLS the rounding of h / dx and of edge k - 2 can use that
+    margin up, so the last two cells are clipped, as scalars (np.clip's
+    own call costs more than a whole small front's clip)."""
+    w = np.full(k, dx)
+    for i in range(max(k - 2, 0), k):
+        w[i] = min(max(h - i * dx, 0.0), dx)
+    return w
+
+
 class _Master:
     """Mutable stepping engine on the master grid (internal).
 
@@ -237,8 +251,8 @@ class _Master:
     `dx` and `h` (h0 when None) are one member's cell width and front, or
     one of each per member.  Only a lone member's front moves: a batch of
     several members must be pinned (mu1 = mu2 = 0) and cover equal cell
-    counts, and each Heun stage then convolves all of them with one stacked
-    product.
+    counts, and each Heun stage then convolves all of them through one
+    `grids.stacked_convolution` operator.
     """
 
     def __init__(self, params: ModelParams, dx, capacity: int, h=None):
@@ -264,10 +278,10 @@ class _Master:
         self._front_h: float | None = None
         self._alloc()
         if self.B > 1:
-            # pinned fronts never move: the weights (as `weights` computes
-            # them, on each member's cells) are built once, here
+            # pinned fronts never move: each member's weights are built
+            # once, here
             k = counts.pop()
-            w = np.stack([np.clip(f - np.arange(k) * d, 0.0, d)
+            w = np.stack([_front_weights(float(f), float(d), k)
                           for f, d in zip(fronts, widths)])[:, None]
             self._front = (k, w, w / widths[:, None, None])
             self._front_h = self.h
@@ -300,18 +314,6 @@ class _Master:
         if cells > self.cap:
             self.grow(cells)
 
-    def weights(self, h: float, k: int) -> np.ndarray:
-        """np.clip(h - edges[:k], 0, dx) bit for bit: `_active_count`'s
-        1e-9 guard puts h at least dx (1 + 1e-9) past edge k - 2, so the
-        clip returns exactly dx on every cell but the last.  Near MAX_CELLS
-        the rounding of h / dx and of edge k - 2 can use that margin up, so
-        the last two cells are clipped, as scalars (np.clip's own call
-        costs more than a whole small front's clip)."""
-        w = np.full(k, self.dx)
-        for i in range(max(k - 2, 0), k):
-            w[i] = min(max(h - self.edges[i], 0.0), self.dx)
-        return w
-
     def front(self, h: float) -> tuple[int, np.ndarray, np.ndarray]:
         """Covered cell count k, cell weights w and covered fractions w / dx
         at front h, recomputed only when h changes (a pinned front never
@@ -319,7 +321,7 @@ class _Master:
         batch."""
         if h != self._front_h:
             k = _active_count(h, self.dx)
-            w = self.weights(h, k)
+            w = _front_weights(h, self.dx, k)
             self._front = (k, w, w / self.dx)
             self._front_h = h
         return self._front
@@ -398,14 +400,14 @@ class _Master:
         return float(np.dot(w, self.u[:k] + (self.nl.hp0 / self.params.b) * self.v[:k]))
 
     def state(self) -> FreeBoundaryState:
-        k = _active_count(self.h, self.dx)
+        k, w, _ = self.front(self.h)
         return FreeBoundaryState(
             t=self.t,
             h=self.h,
             dx=self.dx,
             u=self.u[:k].copy(),
             v=self.v[:k].copy(),
-            front_weight=float(np.clip(self.h - (k - 1) * self.dx, 0.0, self.dx)),
+            front_weight=float(w[..., -1].flat[0]),  # member 0's last cell
         )
 
     def sups(self) -> np.ndarray:

@@ -12,14 +12,13 @@ builds on: exact cell masses, the retained mass j = CDF at the cell nodes,
 and the escaping tail mass - CDF.
 
 `stacked_convolution` is the one choice between the dense and the FFT
-product.  The moving-front stepping engine, the fixed domain of the steady
-solver and the eigen operator all convolve through it (the last two via
-`Discretization.convolve`).  The semi-wave's profile grids call the FFT
-stack directly: they span the whole truncated half-line, far above
-DENSE_MAX cells on every preset, where the switch picks that same stack.
+product, and the only way a solver forms K u.  The moving-front stepping
+engine, the fixed domain of the steady solver, the eigen operator and the
+semi-wave's profile grids all convolve through it (all but the first via
+`Discretization.convolve`).
 
 The FFTs are numpy's pocketfft real transforms on 5-smooth lengths, into
-spectrum buffers each stack keeps per operand shape.
+spectrum buffers each `KernelConvolver` keeps per operand shape.
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from .model import Kernel
 __all__ = [
     "cell_nodes",
     "KernelConvolver",
-    "ConvolverStack",
     "CdfInterpolant",
     "Discretization",
     "stacked_convolution",
@@ -41,13 +39,15 @@ __all__ = [
     "MAX_CELLS",
 ]
 
-# Largest cell count convolved with a dense block; above it the stacked FFT
-# (sized to its quarter-octave rung) is cheaper.  Dense / FFT time for both
-# species at once on a 2-vCPU x86 VM (numpy 2.4, scipy 1.17's FFT, OpenBLAS on
-# one thread), one product shared by equal kernels: 0.09 at 44 cells, 0.40 at
-# 200, 0.50 at 256, 0.76 at 320, 1.02 at 384; one product per kernel: 0.11,
-# 0.62, 0.82, 1.45.  Equal kernels alone would move the crossover near 384
-# cells; DENSE_MAX keeps the one that unequal kernels need.
+# Largest cell count convolved with a dense block; above it the FFT convolver
+# (sized to its quarter-octave rung) is cheaper.  Dense / FFT time of one
+# product for both species on a 2-vCPU x86 VM (numpy 2.4.6 and its pocketfft,
+# OpenBLAS on one thread; the median of 21 back-to-back ratios, the range of
+# three runs), one product shared by equal kernels: 0.07 at 44 cells,
+# 0.28-0.33 at 200, 0.41-0.54 at 256, 0.55-0.76 at 320, 0.80-0.89 at 384; one
+# product per kernel: 0.10-0.11, 0.44-0.56, 0.68-0.95, 1.13-1.58, 1.96-2.69.
+# Equal kernels alone would move the crossover above 384 cells; DENSE_MAX
+# keeps the one that unequal kernels need.
 DENSE_MAX = 256
 
 # Most cells any grid may have: 128 times the largest grid the test suite
@@ -133,51 +133,41 @@ def _rows(kernels, shared: bool, build) -> np.ndarray:
     return np.stack([build(k) for k in kernels])
 
 
+def _toeplitz_rows(kernels, dx: float, n: int) -> np.ndarray:
+    """(rows, n, n) dense convolution matrices, row r kernel r's on n cells
+    of width dx; equal kernels share one matrix."""
+    return _rows(kernels, _equal(kernels), lambda k: _toeplitz(_cell_masses(k, dx, n)))
+
+
 class KernelConvolver:
-    """(K u)_j = sum_m mass(|j-m| dx) u_m with exact cell masses.
+    """(K u)_rj = sum_m mass_r(|j-m| dx) u_rm with exact cell masses, row r
+    by kernel r, all rows by one forward and one inverse FFT.
 
-    Approximates ∫ J(x_j - y) u(y) dy over the grid's span, treating u as
-    piecewise constant per cell; the per-cell kernel masses are exact CDF
-    differences, so row sums reproduce ∫ J(x_j - y) dy over the span exactly.
-    """
-
-    def __init__(self, kernel: Kernel, dx: float, n: int):
-        if n < 1 or dx <= 0:
-            raise ValueError("convolver needs n >= 1 cells of positive width")
-        self.kernel = kernel
-        self.dx = float(dx)
-        self.n = int(n)
-        col = self.column = _cell_masses(kernel, self.dx, self.n)
-        m = _embedding_length(self.n)
-        circ = np.zeros(m)
-        circ[: self.n] = col
-        circ[m - self.n + 1:] = col[1:][::-1]
-        self._m = m
-        self._kfft = np.fft.rfft(circ)
-        self._bufs: dict = {}
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        if u.shape[-1] != self.n:
-            raise ValueError("vector length does not match the grid")
-        return _circulant_apply(u, self._kfft, self._m, self._bufs)
-
-    def dense(self) -> np.ndarray:
-        return _toeplitz(self.column).copy()
-
-
-class ConvolverStack:
-    """Several kernels convolved on one grid by one forward and one inverse FFT.
-
-    Row r of ``apply(u)`` equals ``KernelConvolver(kernels[r], dx, n).apply``
-    of row r bit for bit: the rows share the embedding length and each is
-    transformed, multiplied and inverted exactly as on its own.
+    Approximates ∫ J_r(x_j - y) u_r(y) dy over the grid's span, treating u
+    as piecewise constant per cell; the per-cell kernel masses are exact CDF
+    differences, so row sums reproduce ∫ J_r(x_j - y) dy over the span
+    exactly.  Equal kernels share one column and one spectrum.  Row r of
+    ``apply`` equals a one-kernel convolver of kernels[r] bit for bit: the
+    rows share the embedding length and each is transformed, multiplied
+    and inverted exactly as on its own.
     """
 
     def __init__(self, kernels, dx: float, n: int):
-        kernels = tuple(kernels)
-        # equal kernels share one spectrum
-        self._kfft = _rows(kernels, _equal(kernels), lambda k: KernelConvolver(k, dx, n)._kfft)
-        self.n, self._m = int(n), _embedding_length(int(n))
+        if n < 1 or dx <= 0:
+            raise ValueError("convolver needs n >= 1 cells of positive width")
+        self.kernels = tuple(kernels)
+        self.dx = float(dx)
+        self.n = int(n)
+        m = self._m = _embedding_length(self.n)
+
+        def spectrum(kernel: Kernel) -> np.ndarray:
+            col = _cell_masses(kernel, self.dx, self.n)
+            circ = np.zeros(m)
+            circ[: self.n] = col
+            circ[m - self.n + 1:] = col[1:][::-1]
+            return np.fft.rfft(circ)
+
+        self._kfft = _rows(self.kernels, _equal(self.kernels), spectrum)
         self._bufs: dict = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -185,10 +175,13 @@ class ConvolverStack:
 
         Cells k..n-1 count as zero; the result covers the first k cells.
         """
-        k = u.shape[-1]
-        if u.shape[-2] != self._kfft.shape[0] or k > self.n:
-            raise ValueError("stack shape does not match the kernels and grid")
+        if u.shape[-2] != len(self.kernels) or u.shape[-1] > self.n:
+            raise ValueError("operand shape does not match the kernels and grid")
         return _circulant_apply(u, self._kfft, self._m, self._bufs)
+
+    def dense(self) -> np.ndarray:
+        """(rows, n, n): row r is kernel r's Toeplitz matrix."""
+        return _toeplitz_rows(self.kernels, self.dx, self.n)
 
 
 class CdfInterpolant:
@@ -217,7 +210,7 @@ class Discretization:
 
     Owns the cell nodes ``x``, the retained masses ``j`` (row r: kernel r's
     CDF at the nodes, the mass a node keeps on its inner side), the kernel
-    masses, one convolver stack per size and, built on first use, the
+    masses, one `KernelConvolver` per size and, built on first use, the
     dense dispersal block and each row's flux-tail table.
     """
 
@@ -233,23 +226,23 @@ class Discretization:
         self._shared = _equal(self.kernels)
         self.j = _rows(self.kernels, self._shared, lambda k: np.asarray(k.cdf(self.x)))
         self.mass = tuple(float(k.mass) for k in self.kernels)
-        self._stacks: dict[int, ConvolverStack] = {}
+        self._convs: dict[int, KernelConvolver] = {}
         self._block: np.ndarray | None = None
         self._tails: list[CdfInterpolant | None] = [None] * len(self.kernels)
         self._conv: tuple = (None, None)  # (k, stacked_convolution([self], k))
 
     def extended(self, n: int) -> "Discretization":
-        """The same kernels and width on n >= self.n cells; the convolver
-        stacks carry over, since they do not depend on the cell count, and
+        """The same kernels and width on n >= self.n cells; the convolvers
+        carry over, since they do not depend on the cell count, and
         so does the dense block once it is full-size."""
         out = Discretization(self.kernels, self.dx, n)
-        out._stacks = self._stacks
+        out._convs = self._convs
         if self.n >= DENSE_MAX:
             out._block = self._block
         return out
 
-    def stack(self, k: int) -> ConvolverStack:
-        """Convolver stack for the first k cells.
+    def stack(self, k: int) -> KernelConvolver:
+        """Convolver of every row for the first k cells.
 
         Sized to the smallest quarter-octave rung 2^p {1, 5/4, 3/2, 7/4}
         >= k (at least 256) but at most n, so k = n always gets size n, a
@@ -258,21 +251,19 @@ class Discretization:
         """
         quarter = 1 << max(6, int(k - 1).bit_length() - 3)
         size = min(max(256, -(-k // quarter) * quarter), self.n)
-        stack = self._stacks.get(size)
-        if stack is None:
-            stack = self._stacks[size] = ConvolverStack(self.kernels, self.dx, size)
-        return stack
+        conv = self._convs.get(size)
+        if conv is None:
+            conv = self._convs[size] = KernelConvolver(self.kernels, self.dx, size)
+        return conv
 
     def block(self) -> np.ndarray:
         """(rows, s, s) dense convolution matrices, s = min(n, DENSE_MAX):
-        row r is kernel r's `KernelConvolver.dense` on s cells, whose leading
+        row r is kernel r's Toeplitz matrix on s cells, whose leading
         k x k block convolves the first k cells; equal kernels share one
         matrix.  Each entry depends only on its offset, so the block of a
         short grid is the leading block of a full-size one."""
         if self._block is None:
-            size = min(self.n, DENSE_MAX)
-            self._block = _rows(self.kernels, self._shared,
-                                lambda k: _toeplitz(_cell_masses(k, self.dx, size)))
+            self._block = _toeplitz_rows(self.kernels, self.dx, min(self.n, DENSE_MAX))
         return self._block
 
     def tail(self, r: int) -> CdfInterpolant:
@@ -292,17 +283,6 @@ class Discretization:
             self._conv = (k, stacked_convolution([self], k))
         return self._conv[1](src)
 
-    def dispersal(self, rates: np.ndarray, uv: np.ndarray,
-                  frac: np.ndarray | None = None) -> np.ndarray:
-        """rates * (K(frac uv) - j uv) on the first k = uv.shape[-1] cells.
-
-        ``rates`` is a (rows, 1) column, ``frac`` each cell's covered
-        fraction (all cells whole when None).
-        """
-        k = uv.shape[-1]
-        conv = self.convolve(uv if frac is None else uv * frac)
-        return rates * (conv - self.j[:, :k] * uv)
-
 
 def stacked_convolution(grids, k: int):
     """The operator src -> K src on the first k cells, row r by kernel r.
@@ -311,27 +291,27 @@ def stacked_convolution(grids, k: int):
     grids[b]; the grids share their kernels and cell count and may differ
     in cell width.  Its callers are the stepping engine
     (`freeboundary._Master`, lone fronts and pinned batches), and through
-    `Discretization.convolve` the steady solver's fixed domain and the
-    eigen operator's matvec; the semi-wave's long profile grids apply the
-    FFT stack themselves (see the module docstring).  This is the
-    package's one choice of product: up to
-    DENSE_MAX cells the leading k x k blocks of each grid's cached
-    `Discretization.block`, which skips the FFT's per-call overhead, as
-    one product ``src @ block`` for all rows when every row has the same
-    kernel (exact because the Toeplitz block is symmetric, reading the
-    matrix once) and one per row otherwise; beyond DENSE_MAX the stacked
-    FFT at k's stack size.  Several members' operands are stacked into one
-    product, so member b's result equals the one-grid operator on grids[b]
-    bit for bit.
+    `Discretization.convolve` the steady solver's fixed domain, the eigen
+    operator's matvec and the semi-wave's relaxation and residuals.  This
+    is the package's one choice of product: up to DENSE_MAX cells the
+    leading k x k blocks of each grid's cached `Discretization.block`,
+    which skips the FFT's per-call overhead, as one product
+    ``src @ block`` for all rows when every row has the same kernel (exact
+    because the Toeplitz block is symmetric, reading the matrix once) and
+    one per row otherwise, with several members' blocks stacked into one
+    product; beyond DENSE_MAX the `apply` of the grid's convolver at k's
+    size, each member by its own.  Member b's result equals the one-grid
+    operator on grids[b] bit for bit.
     """
     def operand(of):
         ops = [of(g) for g in grids]
         return ops[0] if len(ops) == 1 else np.stack(ops)
 
     if k > DENSE_MAX:
-        kfft = operand(lambda g: g.stack(k)._kfft)
-        m, bufs = grids[0].stack(k)._m, {}
-        return lambda src: _circulant_apply(src, kfft, m, bufs)
+        convs = [g.stack(k) for g in grids]
+        if len(convs) == 1:
+            return convs[0].apply
+        return lambda src: np.stack([conv.apply(one) for conv, one in zip(convs, src)])
     if grids[0]._shared:
         blocks = operand(lambda g: g.block()[0, :k, :k])
         return lambda src: np.matmul(src, blocks)

@@ -239,39 +239,37 @@ class Kernel:
             out = out * np.clip(2.0 - r / self.n, 0.0, 1.0)
         return out
 
-    def half_integral(self, u) -> np.ndarray:
-        """∫_0^u J(t) dt for u >= 0 (truncation applied if present)."""
+    def _truncated_moment(self, u, k: int) -> np.ndarray:
+        """∫_0^u t^k J(t) dt for k = 0, 1 and u >= 0 (truncation applied if
+        present).
+
+        On the ramp [n, 2n] the truncated density is J(t)(2 - t/n), whose
+        k-th moment is twice the increment of the base k-th partial moment
+        minus the increment of the (k + 1)-th over n.
+        """
+        def base(x, j):
+            return self._base_half(x) if j == 0 else self._base_moment(x, j)
+
         u = np.maximum(_as_array(u), 0.0)
         if self.n is None:
-            return self._base_half(u)
+            return base(u, k)
         n = self.n
-        u1 = np.minimum(u, n)
-        out = self._base_half(u1)
         u2 = np.clip(u, n, 2.0 * n)
-        hn = self._base_half(np.asarray(n, dtype=float))
-        pn = self._base_moment(np.asarray(n, dtype=float), 1)
-        out = out + 2.0 * (self._base_half(u2) - hn) - (self._base_moment(u2, 1) - pn) / n
-        return out
+        at_n = np.asarray(n, dtype=float)
+        return (base(np.minimum(u, n), k) + 2.0 * (base(u2, k) - base(at_n, k))
+                - (base(u2, k + 1) - base(at_n, k + 1)) / n)
+
+    def half_integral(self, u) -> np.ndarray:
+        """∫_0^u J(t) dt for u >= 0 (truncation applied if present)."""
+        return self._truncated_moment(u, 0)
 
     def cdf(self, x) -> np.ndarray:
         x = _as_array(x)
         return self.mass / 2.0 + np.sign(x) * self.half_integral(np.abs(x))
 
     def partial_first_moment(self, u) -> np.ndarray:
-        """∫_0^u t J(t) dt for u >= 0 (truncation applied if present).
-
-        On the ramp [n, 2n] the truncated density is J(t)(2 - t/n), whose
-        first moment is twice the increment of the base partial first moment
-        minus the increment of the partial second moment ∫_0^u t^2 J over n.
-        """
-        u = np.maximum(_as_array(u), 0.0)
-        if self.n is None:
-            return self._base_moment(u, 1)
-        n = self.n
-        u2 = np.clip(u, n, 2.0 * n)
-        pn, qn = (self._base_moment(np.asarray(n, dtype=float), k) for k in (1, 2))
-        return (self._base_moment(np.minimum(u, n), 1) + 2.0 * (self._base_moment(u2, 1) - pn)
-                - (self._base_moment(u2, 2) - qn) / n)
+        """∫_0^u t J(t) dt for u >= 0 (truncation applied if present)."""
+        return self._truncated_moment(u, 1)
 
     @property
     def mass(self) -> float:

@@ -200,7 +200,6 @@ def solve_semiwave(
     L = m * dx
     grid = Discretization(kernels, dx, m + 1)
     x = -L + np.arange(m + 1) * dx
-    stack = grid.stack(m + 1)
     far = _far_reach(grid, far_field)
     # front-crossing tails for the speed quadrature (static, exact CDF)
     cross = np.stack([np.asarray(k.mass - k.cdf(-x)) for k in kernels])
@@ -229,7 +228,7 @@ def solve_semiwave(
             # of the grid length
             reaction = np.stack([nl.H(pq[1, :-1]), nl.G(pq[0, :-1])])
             rhs = np.zeros_like(pq)
-            rhs[:, :-1] = (rates * (stack.apply(pq) + far)[:, :-1] + reaction) / den
+            rhs[:, :-1] = (rates * (grid.convolve(pq) + far)[:, :-1] + reaction) / den
             new = recurrence(rhs)
             # profiles are nonnegative; without the clamp, roundoff noise is
             # amplified exponentially across long grids at supercritical c
@@ -322,7 +321,7 @@ def solve_semiwave(
         L=float(L),
         far_field=far_field,
         residual_profile=_residual(params, float(c), float(sigma), pq,
-                                   stack.apply(pq) + far, dx),
+                                   grid.convolve(pq) + far, dx),
         residual_speed=float(gap),
         outer_iterations=outer,
         sweeps=sweeps,
@@ -349,7 +348,7 @@ def profile_residual(
     own = np.stack([profile.p, profile.q])
     if quadrature == "cells":
         grid = Discretization((k1, k2), dx, m + 1)
-        conv = grid.stack(m + 1).apply(own) + _far_reach(grid, profile.far_field)
+        conv = grid.convolve(own) + _far_reach(grid, profile.far_field)
     elif quadrature == "trapezoid":
         diffs = np.abs(np.subtract.outer(x, x))
         wt = np.full(m + 1, dx)

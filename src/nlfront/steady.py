@@ -70,7 +70,7 @@ class FixedDomain:
         """Sup-norm of the steady equations' right-hand side at (u, v)."""
         nl = self.params.nonlinearity
         uv = np.stack([u, v])
-        f = (self.grid.dispersal(self.rates, uv) - self._decay * uv
+        f = (self.rates * (self.grid.convolve(uv) - self.grid.j * uv) - self._decay * uv
              + np.stack([nl.H(v), nl.G(u)]))
         return float(np.max(np.abs(f)))
 
@@ -209,8 +209,9 @@ def evolve_lengths(lengths, params: ModelParams, horizon: float, initial=_tents,
     tents of amplitude 1 and 1/2.  Every length is checked, its principal
     eigenvalue computed and its initial fields sampled before any stepping.
     Lengths with the same cell count then step together as one batch of the
-    pinned engine, whose Heun stages convolve every member with one stacked
-    product; all share the schedule, which does not depend on the length.
+    pinned engine, whose Heun stages convolve every member through one
+    `grids.stacked_convolution` operator; all share the schedule, which
+    does not depend on the length.
     A SchemeError or BlowUpError names the length it arose at.
     """
     for l in lengths:

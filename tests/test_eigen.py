@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import params_with
-from nlfront import eigen, grids
+from nlfront import eigen, grids, semiwave
 from nlfront.grids import default_cells
 from nlfront.model import Kernel, Nonlinearity, derived_constants
 
@@ -197,25 +197,56 @@ def test_critical_length_keeps_the_lower_end_solve(p1_d6, monkeypatch):
 def test_eigen_products_go_through_the_one_switch(p1, laplace, monkeypatch):
     # up to DENSE_MAX cells the eigen operator convolves with the cached
     # dense block (shared by equal kernels, one per row otherwise) and never
-    # applies the FFT stack; above it, the product is that stack bit for bit
+    # makes an FFT product; above it, the product is the grid's convolver
+    # bit for bit.  The semi-wave makes every FFT product through the same
+    # switch: one per sweep and one for its final residual
     for params in (p1, params_with(kernel2=Kernel("gaussian", 0.8))):
         op = eigen.assemble(eigen.lambda1_spec(2.0, params, num_cells=200))
         w = np.random.default_rng(0).uniform(0.5, 1.0, op.dim)
         assert np.max(np.abs(op.matvec(w) - op.dense() @ w)) < 1e-14
 
-    def refuse(self, u):
-        raise AssertionError("FFT stack applied on a dense-size grid")
+    def refuse(*args):
+        raise AssertionError("FFT product on a dense-size grid")
 
     with monkeypatch.context() as patch:
-        patch.setattr(grids.ConvolverStack, "apply", refuse)
+        patch.setattr(grids, "_circulant_apply", refuse)
         eigen.principal_eigenpair(eigen.lambda1_spec(2.0, p1, num_cells=200))
         eigen.scalar_principal(1.0, 0.0, laplace, 2.0, num_cells=200)
+        # the guard sees the FFT branch: a grid above DENSE_MAX trips it
+        with pytest.raises(AssertionError, match="FFT product"):
+            eigen.principal_eigenpair(eigen.lambda1_spec(18.3, p1, num_cells=733))
     n = 733
     big = eigen.assemble(eigen.lambda1_spec(18.3, p1, num_cells=n))
     w = np.random.default_rng(1).uniform(0.5, 1.0, big.dim)
     uv = w.reshape(2, n)
-    ref = big.diag * uv + big.coupling * uv[::-1] + big.rates * big.grid.stack(n).apply(uv)
+    conv = grids.KernelConvolver((p1.kernel1, p1.kernel2), big.dx, n)
+    ref = big.diag * uv + big.coupling * uv[::-1] + big.rates * conv.apply(uv)
     assert np.array_equal(big.matvec(w), ref.ravel())
+
+    inside, products = [], []
+    switch, circulant = grids.stacked_convolution, grids._circulant_apply
+
+    def traced_switch(members, k):
+        op = switch(members, k)
+
+        def run(src):
+            inside.append(k)
+            try:
+                return op(src)
+            finally:
+                inside.pop()
+        return run
+
+    def traced_circulant(*args):
+        assert inside, "FFT product outside the switch"
+        products.append(args[0].shape)
+        return circulant(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grids, "stacked_convolution", traced_switch)
+        patch.setattr(grids, "_circulant_apply", traced_circulant)
+        wave = semiwave.solve_semiwave(p1, L=20.0, dx=0.05)
+    assert products == [(2, 401)] * (wave.sweeps + 1)
 
 
 def test_critical_length_rejects_one_signed_families(p1, vanish_params):

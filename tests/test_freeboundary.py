@@ -49,9 +49,9 @@ def _dense_heun(state, params, dt):
     n = state.u.size + 8
     x = (np.arange(n) + 0.5) * dx
     edges = np.arange(n) * dx
-    mats, loss, tails = [], [], []
+    mats = grids.KernelConvolver((params.kernel1, params.kernel2), dx, n).dense()
+    loss, tails = [], []
     for kern in (params.kernel1, params.kernel2):
-        mats.append(grids.KernelConvolver(kern, dx, n).dense())
         loss.append(np.asarray(kern.cdf(x)))
         tails.append(grids.CdfInterpolant(kern, n * dx + 1.0, dx / 8, x_min=-1.0))
 
@@ -232,17 +232,22 @@ def test_pinned_run_builds_no_tail_tables(p1):
 
 def test_pinned_engine_computes_its_weights_once(p1, monkeypatch):
     calls = []
-    weights = fb._Master.weights
-    monkeypatch.setattr(fb._Master, "weights",
-                        lambda self, h, k: calls.append(h) or weights(self, h, k))
+    weights = fb._front_weights
+    monkeypatch.setattr(fb, "_front_weights",
+                        lambda h, dx, k: calls.append(h) or weights(h, dx, k))
     steady.evolve_fixed(2.0, p1, p1.u0, p1.v0, horizon=1.0)
     assert calls == [2.0]
+    # a batch builds each member's weights once, as it is made
+    calls.clear()
+    steady.evolve_lengths([2.0, 2.05], p1, horizon=1.0)
+    assert sorted(calls) == [2.0, 2.05]
 
 
 def test_front_weights_are_the_full_clip_bitwise(p1):
-    # `weights` clips only the last cells and takes the rest as whole; that
-    # must be np.clip(h - edges[:k], 0, dx) bit for bit, fronts on a cell
-    # edge (to within a few ulps) included
+    # `_front_weights` clips only the last cells and takes the rest as
+    # whole; that must be np.clip(h - edges[:k], 0, dx) bit for bit, fronts
+    # on a cell edge (to within a few ulps) included; the engine's front and
+    # state use it
     for dx in (0.05, 0.1, 1.0 / 3.0):
         eng = fb._Master(p1, dx, 4096)
         rng = np.random.default_rng(7)
@@ -253,9 +258,11 @@ def test_front_weights_are_the_full_clip_bitwise(p1):
         for h in fronts:
             k = fb._active_count(h, dx)
             full = np.clip(h - eng.edges[:k], 0.0, dx)
-            assert np.array_equal(eng.weights(h, k), full)
+            assert np.array_equal(fb._front_weights(h, dx, k), full)
             _, w, frac = eng.front(h)
             assert np.array_equal(w, full) and np.array_equal(frac, full / dx)
+            eng.h = h
+            assert eng.state().front_weight == full[-1]
 
 
 @pytest.mark.parametrize("kernel2", [Kernel("laplace", 1.0), Kernel("gaussian", 0.8),

@@ -387,43 +387,63 @@ def test_discretization_refuses_more_cells_than_the_ceiling(laplace):
         grids.Discretization((laplace, laplace), 0.05, 2**40)
 
 
+def _direct_sum(kernel, dx, u):
+    """(K u)_j = sum_m mass(|j - m| dx) u_m by np.convolve against the
+    symmetric column of exact cell masses, with no n x n matrix."""
+    k = u.size
+    offs = np.arange(k)
+    col = np.asarray(kernel.cdf((offs + 0.5) * dx) - kernel.cdf((offs - 0.5) * dx))
+    return np.convolve(u, np.concatenate([col[:0:-1], col]))[k - 1:2 * k - 1]
+
+
 def test_convolver_matches_direct_sum(laplace):
     n, dx = 64, 0.1
-    conv = grids.KernelConvolver(laplace, dx, n)
+    conv = grids.KernelConvolver((laplace,), dx, n)
     rng = np.random.default_rng(3)
-    u = rng.uniform(0.0, 1.0, n)
+    u = rng.uniform(0.0, 1.0, (1, n))
     dense = conv.dense()
-    assert np.max(np.abs(conv.apply(u) - dense @ u)) < 1e-12
+    assert dense.shape == (1, n, n)
+    assert np.max(np.abs(conv.apply(u) - dense @ u[0])) < 1e-12
+    assert np.max(np.abs(conv.apply(u)[0] - _direct_sum(laplace, dx, u[0]))) < 1e-12
     # row sums equal the kernel mass retained over the grid's span
     x = grids.cell_nodes(0.0, dx, n)
     span = np.asarray(laplace.cdf(n * dx - x)) - np.asarray(laplace.cdf(-x))
-    assert np.max(np.abs(conv.apply(np.ones(n)) - span)) < 1e-12
+    assert np.max(np.abs(conv.apply(np.ones((1, n))) - span)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [200, 1201, 2048])
 def test_convolver_stack_rows_equal_single_applies(laplace, n):
-    # the stepper's output must not depend on whether species share an FFT
+    # the stepper's output must not depend on whether species share an FFT:
+    # each row of a two-kernel convolver is a one-kernel convolver's, and
+    # equal kernels share one spectrum
     kernels = (laplace, Kernel("cauchy", 1.0, exponent=1.3))
-    stack = grids.ConvolverStack(kernels, 0.05, n)
-    singles = [grids.KernelConvolver(k, 0.05, n) for k in kernels]
+    pair = grids.KernelConvolver(kernels, 0.05, n)
+    singles = [grids.KernelConvolver((k,), 0.05, n) for k in kernels]
+    same = grids.KernelConvolver((laplace, laplace), 0.05, n)
+    assert np.shares_memory(same._kfft[0], same._kfft[1])
     rng = np.random.default_rng(n)
     for k in (n, n // 2 + 1):
         u = rng.uniform(0.0, 1.0, (2, k))
-        padded = np.zeros((2, n))
-        padded[:, :k] = u
-        out = stack.apply(u)
+        padded = np.zeros((1, n))
+        out = pair.apply(u)
         assert out.shape == (2, k)
         for row, conv in enumerate(singles):
-            assert np.array_equal(out[row], conv.apply(padded[row])[:k])
-    with pytest.raises(ValueError, match="stack shape"):
-        stack.apply(np.zeros((2, n + 1)))
+            padded[0, :k] = u[row]
+            assert np.array_equal(out[row], conv.apply(u[row:row + 1])[0])
+            assert np.array_equal(out[row], conv.apply(padded)[0, :k])
+        assert np.array_equal(same.apply(u), singles[0].apply(u[:, None])[:, 0])
+    with pytest.raises(ValueError, match="operand shape"):
+        pair.apply(np.zeros((2, n + 1)))
+    with pytest.raises(ValueError, match="operand shape"):
+        pair.apply(np.zeros((1, n)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 44, 200, grids.DENSE_MAX, grids.DENSE_MAX + 1])
 def test_dense_dispersal_matches_fft_and_dense_reference(laplace, k):
-    # up to DENSE_MAX cells dispersal applies the dense block, beyond it the
-    # stacked FFT; both are the same linear map as KernelConvolver.dense(),
-    # here with a partial last cell as under a moving front
+    # up to DENSE_MAX cells the dispersal term d (K u - j u) applies the
+    # dense block, beyond it the FFT convolver; both are the same linear map
+    # as KernelConvolver.dense(), here with a partial last cell as under a
+    # moving front
     dx = 0.05
     kernels = (laplace, Kernel("gaussian", 0.8))
     grid = grids.Discretization(kernels, dx, 2 * grids.DENSE_MAX)
@@ -432,11 +452,11 @@ def test_dense_dispersal_matches_fft_and_dense_reference(laplace, k):
     frac = np.ones(k)
     frac[-1] = 0.3
     rates = np.array([[1.5], [0.7]])
-    out = grid.dispersal(rates, uv, frac)
     loss = grid.j[:, :k] * uv
+    out = rates * (grid.convolve(uv * frac) - loss)
     fft = rates * (grid.stack(k).apply(uv * frac) - loss)
-    dense = np.stack([grids.KernelConvolver(kern, dx, k).dense() @ (row * frac)
-                      for kern, row in zip(kernels, uv)])
+    dense = np.stack([block @ (row * frac) for block, row
+                      in zip(grids.KernelConvolver(kernels, dx, k).dense(), uv)])
     ref = rates * (dense - loss)
     scale = float(np.max(np.abs(ref)))
     assert np.max(np.abs(out - fft)) <= 1e-14 * scale
@@ -455,8 +475,8 @@ def test_equal_kernel_dispersal_matches_dense_reference(kernel, k):
     frac = np.ones(k)
     frac[-1] = 0.3
     rates = np.array([[1.5], [0.7]])
-    out = grid.dispersal(rates, uv, frac)
-    dense = grids.KernelConvolver(kernel, dx, k).dense()
+    out = rates * (grid.convolve(uv * frac) - grid.j[:, :k] * uv)
+    dense = grids.KernelConvolver((kernel,), dx, k).dense()[0]
     ref = rates * (np.stack([dense @ (row * frac) for row in uv]) - grid.j[:, :k] * uv)
     assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
 
@@ -509,8 +529,7 @@ def test_stack_rungs_match_dense_reference(laplace, k):
     grid = grids.Discretization(kernels, dx, 4096)
     uv = np.random.default_rng(k).uniform(0.0, 1.0, (2, k))
     out = grid.stack(k).apply(uv)
-    ref = np.stack([grids.KernelConvolver(kern, dx, k).dense() @ row
-                    for kern, row in zip(kernels, uv)])
+    ref = np.stack([_direct_sum(kern, dx, row) for kern, row in zip(kernels, uv)])
     assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
 
 
@@ -552,15 +571,15 @@ def test_fft_embedding_length_is_the_next_five_smooth_length():
 def test_fft_embedding_is_five_smooth(laplace, n):
     # 7- and 11-smooth real transforms are slow in pocketfft; the embedding
     # keeps to factors 2, 3 and 5 and still holds the whole Toeplitz matrix
-    m = grids.KernelConvolver(laplace, 0.05, n)._m
+    kernels = (laplace, Kernel("gaussian", 0.8))
+    conv = grids.KernelConvolver(kernels, 0.05, n)
+    m = conv._m
     assert m >= 2 * n
     for p in (2, 3, 5):
         while m % p == 0:
             m //= p
     assert m == 1
-    kernels = (laplace, Kernel("gaussian", 0.8))
     uv = np.random.default_rng(n).uniform(0.0, 1.0, (2, n))
-    out = grids.ConvolverStack(kernels, 0.05, n).apply(uv)
-    ref = np.stack([grids.KernelConvolver(kern, 0.05, n).dense() @ row
-                    for kern, row in zip(kernels, uv)])
+    out = conv.apply(uv)
+    ref = np.stack([_direct_sum(kern, 0.05, row) for kern, row in zip(kernels, uv)])
     assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
