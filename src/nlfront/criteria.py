@@ -157,10 +157,12 @@ def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], floa
     """Constructive lower bound on the response sum that forces retreat.
 
     The comparison barrier `freeboundary._barrier` over the initial data:
-    with eps keeping h0(1+eps) below the critical length, decay rate delta
-    from the (negative) eigenvalue there, and M scaling the eigenfunction
-    over the initial data, any mu1 + mu2 below eps*delta*h0 / (M*h1) keeps
-    the front trapped.  M is taken at least 1, which only lowers the seed.
+    with eps keeping h1 = h0(1+eps) below the critical length, decay rate
+    delta from the (negative) eigenvalue there, M scaling the eigenfunction
+    over the initial data and m(h1) = max_r ∫_0^h1 T_r bounding the kernel
+    mass a field below M can send past the front (T_r the mass beyond a
+    distance), any mu1 + mu2 below eps*delta*h0 / (M*m(h1)) keeps the
+    front trapped.  M is taken at least 1, which only lowers the seed.
     """
     bar = freeboundary._barrier(params, params.h0, ell, None, params.u0, params.v0,
                                 m_floor=1.0)

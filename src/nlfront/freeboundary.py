@@ -177,14 +177,17 @@ class Barrier:
     """Comparison barrier on [0, h1], h1 = h (1 + eps), from front position h.
 
     ``delta`` = -lambda1(h1) is its decay rate, ``M`` scales the principal
-    eigenfunction over the fields, and every mu1 + mu2 <= ``bound`` =
-    eps delta h / (M h1) keeps the front below h1 (see `_barrier`).
+    eigenfunction over the fields, ``flux_factor`` = m(h1) = max_r ∫_0^h1
+    T_r, T_r kernel r's mass beyond a distance, bounds the mass a unit
+    field can send past the front, and every mu1 + mu2 <= ``bound`` =
+    eps delta h / (M m(h1)) keeps the front below h1 (see `_barrier`).
     """
 
     eps: float
     delta: float
     M: float
     h1: float
+    flux_factor: float
     bound: float
 
 
@@ -568,16 +571,22 @@ def _barrier(params: ModelParams, h: float, ell: float, x: np.ndarray | None,
         gbar(t) = h (1 + eps - eps e^{-delta t})
 
     is an upper solution whenever u <= M phi1 and v <= M phi2 on [0, h] and
-    mu1 + mu2 <= bound = eps delta h / (M h1):
+    mu1 + mu2 <= bound = eps delta h / (M m(h1)), with T_r(s) = mass_r/2 -
+    ∫_0^s J_r kernel r's mass beyond s and m(h1) = max_r ∫_0^h1 T_r
+    (`Kernel.tail_integral`, h1 T_r(h1) plus the partial first moment):
     - interior: H(v) <= H'(0) v and G(u) <= G'(0) u, because H(z)/z and
       G(z)/z are nonincreasing with H(0) = G(0) = 0 (the sublinearity that
       `Nonlinearity.check_hypotheses` enforces), so the linearization
       dominates; and cutting the kernel integral from [0, h1] down to
       [0, gbar] only lowers it for positive phi, so the eigen-equation on
       [0, h1] gives ubar_t >= the right-hand side;
-    - front: the escaping flux is at most (mu1 + mu2) M e^{-delta t} gbar
-      (phi <= 1, kernel mass <= 1, gbar < h1), which is at most
-      gbar' = eps delta h e^{-delta t} under the bound.
+    - front: the escaping flux is mu1 ∫_0^gbar ubar(x) T_1(gbar - x) dx
+      plus the same with mu2, vbar and T_2; phi <= 1 bounds each integral
+      by M e^{-delta t} ∫_0^gbar T_r <= M e^{-delta t} m(h1) (T_r >= 0,
+      gbar < h1), so the flux is at most (mu1 + mu2) M e^{-delta t} m(h1),
+      which is at most gbar' = eps delta h e^{-delta t} under the bound.
+      Since m(h1) <= h1 mass/2 <= h1/2, the bound is at least twice the
+      eps delta h / (M h1) of assuming that all kernel mass escapes.
     The system is autonomous, so this holds from any instant: h stays below
     h1 for all later time, and lambda1(h1) < 0 puts h1 below the critical
     length, so the population vanishes.
@@ -604,8 +613,9 @@ def _barrier(params: ModelParams, h: float, ell: float, x: np.ndarray | None,
     else:
         phi1, phi2 = _cell_minima(pair, x, h)
     big = max(float(np.max(u / phi1)), float(np.max(v / phi2)), m_floor)
-    bound = eps * delta * h / (big * h1) if big > 0.0 else math.inf
-    return Barrier(eps=eps, delta=delta, M=big, h1=h1, bound=bound)
+    flux = max(float(k.tail_integral(h1)) for k in (params.kernel1, params.kernel2))
+    bound = eps * delta * h / (big * flux) if big > 0.0 else math.inf
+    return Barrier(eps=eps, delta=delta, M=big, h1=h1, flux_factor=flux, bound=bound)
 
 
 def classify(
@@ -625,6 +635,11 @@ def classify(
     where the spreading certificate starts, or else by a stalled front,
     near-zero mass and a negative eigenvalue at the final length.  Anything
     else is undecided.
+
+    The barrier's bound is eps delta h / (M m(h1)), with m(h1) =
+    max_r ∫_0^h1 T_r the most kernel mass a unit field on [0, h1] can send
+    past its front (`Barrier`); assuming that every cell loses all its mass
+    would put h1 in its place and at most halve the bound.
 
     The barrier fires only when mu1 + mu2 <= bound / 2.  Its proof is for
     the continuous system, while delta and phi come from the discrete

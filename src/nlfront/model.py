@@ -265,11 +265,22 @@ class Kernel:
 
     def cdf(self, x) -> np.ndarray:
         x = _as_array(x)
-        return self.mass / 2.0 + np.sign(x) * self.half_integral(np.abs(x))
+        # left of 0 the CDF is the tail mass/2 - half_integral(-x), a
+        # difference of O(1) numbers far out, which rounding can take below 0
+        return np.maximum(self.mass / 2.0 + np.copysign(self.half_integral(np.abs(x)), x), 0.0)
 
     def partial_first_moment(self, u) -> np.ndarray:
         """∫_0^u t J(t) dt for u >= 0 (truncation applied if present)."""
         return self._truncated_moment(u, 1)
+
+    def tail_integral(self, u) -> np.ndarray:
+        """∫_0^u T(s) ds for u >= 0, with T(s) = cdf(-s) the mass beyond s.
+
+        Closed form u T(u) + ∫_0^u t J(t) dt, by parts, since T' = -J.  It is
+        at most u mass/2 (T <= T(0) = mass/2).
+        """
+        u = _as_array(u)
+        return u * self.cdf(-u) + self.partial_first_moment(u)
 
     @property
     def mass(self) -> float:

@@ -145,7 +145,7 @@ def test_classify_reports_its_certificate(tmp_path):
     outcome = json.loads((out / "outcome.json").read_text())
     assert outcome["verdict"] == "vanishing" and outcome["certificate"] == "barrier"
     barrier = outcome["barrier"]
-    assert sorted(barrier) == ["M", "bound", "delta", "eps", "h1"]
+    assert sorted(barrier) == ["M", "bound", "delta", "eps", "flux_factor", "h1"]
     assert outcome["h_front"] < barrier["h1"] and 0.04 <= 0.5 * barrier["bound"]
 
 

@@ -49,10 +49,16 @@ def test_seed_mu_lower_value(p1_d6):
     # (and with the eigen product's), while the eigvalsh check below holds
     # whatever the bits
     ell = criteria.find_ell_star(p1_d6).value
-    assert criteria._seed_mu_lower(p1_d6, ell, lambda s: s) == 0.000920103227060556
+    seed = criteria._seed_mu_lower(p1_d6, ell, lambda s: s)
+    assert seed == 0.004394091295083386
+    bar = fb._barrier(p1_d6, p1_d6.h0, ell, None, p1_d6.u0, p1_d6.v0, m_floor=1.0)
+    # the flux factor m(h1) in place of the h1 of all kernel mass escaping
+    # raises the seed by h1 / m(h1), and the seed still vanishes
+    all_escape = 0.5 * bar.eps * bar.delta * p1_d6.h0 / (bar.M * bar.h1)
+    assert seed == pytest.approx(all_escape * bar.h1 / bar.flux_factor, rel=1e-12, abs=0.0)
+    assert fb.classify(replace(p1_d6, mu1=seed, mu2=seed)).verdict == "vanishing"
     # the barrier's lambda1(h1) is the top eigenvalue of the symmetrized
     # assembled operator D^-1 L D, D = diag(I, sqrt(a21/a12) I)
-    bar = fb._barrier(p1_d6, p1_d6.h0, ell, None, p1_d6.u0, p1_d6.v0, m_floor=1.0)
     spec = eigen.lambda1_spec(bar.h1, p1_d6)
     op = eigen.assemble(spec)
     scale = np.ones(op.dim)

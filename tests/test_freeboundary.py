@@ -168,22 +168,25 @@ def test_stepper_keeps_order_and_bounds(kernel1, kernel2, nonlinearity, d1, d2, 
 
 # h0 as a fraction of the critical length at d = 5, the lowest d drawn:
 # the critical length grows with d, so every example starts below it
-_ELL_AT_D5 = {"laplace": 1.7742, "gaussian": 1.1138}
+_ELL_AT_D5 = {("laplace", "laplace"): 1.7742, ("gaussian", "gaussian"): 1.1138,
+              ("gaussian", "laplace"): 1.3593}
 
 
 @settings(max_examples=16, derandomize=True, deadline=None)
-@given(family=st.sampled_from(["laplace", "gaussian"]), d=st.floats(5.0, 7.0),
+@given(families=st.sampled_from(sorted(_ELL_AT_D5)), d=st.floats(5.0, 7.0),
        frac=st.floats(0.8, 0.95), log_mu=st.floats(-2.3, 0.3))
-def test_barrier_verdicts_hold(family, d, frac, log_mu):
+def test_barrier_verdicts_hold(families, d, frac, log_mu):
     # squeeze regime (Rstar < 1 < R0, gammaA = 1): the verdict turns on mu.
     # A barrier verdict claims the front never passes h1; the run continued
     # to twice the decision time and at least to t_max must bear that out.
     # Since h1 lies below the length where classify certifies spreading,
     # without the barrier it could not have certified spreading by t_max.
-    kernel = Kernel(family, 1.0)
+    # In the unequal pair the laplace kernel, the second, lets more mass
+    # escape, so the barrier's flux factor is its tail integral.
+    kernels = [Kernel(family, 1.0) for family in families]
     mu = 10.0 ** log_mu
-    p = params_with(d1=d, d2=d, mu1=mu, mu2=mu, h0=frac * _ELL_AT_D5[family],
-                    kernel1=kernel, kernel2=kernel)
+    p = params_with(d1=d, d2=d, mu1=mu, mu2=mu, h0=frac * _ELL_AT_D5[families],
+                    kernel1=kernels[0], kernel2=kernels[1])
     t_max = 60.0
     out = fb.classify(p, t_max=t_max, dx=0.1)
     if out.certificate != "barrier":
@@ -192,6 +195,7 @@ def test_barrier_verdicts_hold(family, d, frac, log_mu):
     bar = out.barrier
     assert out.verdict == "vanishing" and out.lambda_front < 0.0
     assert p.mu1 + p.mu2 <= 0.5 * bar.bound and out.h_front < bar.h1
+    assert bar.flux_factor == float(kernels[1].tail_integral(bar.h1))
     assert bar.delta == -eigen.lambda1(bar.h1, p, num_cells=grids.default_cells(bar.h1))
     trace = fb.simulate(p, horizon=max(2.0 * out.t_decided, t_max), dx=0.1)
     assert trace.h.max() < bar.h1

@@ -130,6 +130,64 @@ def test_power_tail_partial_moments_match_mpmath(g):
         assert abs(first_moment(kernel.truncate(1e5)) - 0.4999971338594792) < 1e-13
 
 
+def _mp_tail(kernel: Kernel):
+    """T(s), the kernel's mass beyond s, in mpmath arithmetic; truncated
+    kernels only for the laplace family."""
+    sc = mpmath.mpf(kernel.scale)
+    g = mpmath.mpf(kernel.exponent)
+    c = mpmath.sin(mpmath.pi / g) / (2 * sc * mpmath.pi / g)
+    base = {
+        "laplace": lambda s: mpmath.exp(-s / sc) / 2,
+        "gaussian": lambda s: mpmath.erfc(s / sc) / 2,
+        "cauchy": lambda s: 0.5 - c * s * mpmath.hyp2f1(1, 1 / g, 1 + 1 / g, -(s / sc) ** g),
+    }[kernel.family]
+    if kernel.n is None:
+        return base
+    assert kernel.family == "laplace"
+    n = mpmath.mpf(kernel.n)
+
+    def moment(s):  # ∫_s^∞ t J(t) dt
+        return (s + sc) * mpmath.exp(-s / sc) / 2
+
+    def tail(s):
+        if s >= 2 * n:
+            return mpmath.mpf(0)
+        t = max(s, n)  # the ramp's part, ∫_t^2n J(t') (2 - t'/n) dt'
+        ramp = 2 * (base(t) - base(2 * n)) - (moment(t) - moment(2 * n)) / n
+        return ramp + (base(s) - base(n) if s < n else 0)
+
+    return tail
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel("laplace", 1.0),
+    Kernel("gaussian", 1.0),
+    Kernel("cauchy", 1.0, exponent=3.5),
+    Kernel("cauchy", 1.0, exponent=1.3),
+    Kernel("laplace", 0.5).truncate(1.5),
+], ids=lambda k: f"{k.family}-{k.exponent}-{k.n}")
+def test_tail_integral_matches_mpmath(kernel):
+    # m(u) = ∫_0^u T(s) ds, the comparison barrier's flux factor, against a
+    # quadrature of the tail itself; at most u mass/2, the bound it replaces
+    tail = _mp_tail(kernel)
+    for u in (0.1, 2.2, 50.0):
+        got = float(kernel.tail_integral(u))
+        cuts = sorted({0.0, u} | {c for c in (1.0, kernel.n, 2.0 * (kernel.n or 0.0))
+                                  if c and c < u})
+        with mpmath.workdps(30):
+            ref = mpmath.quad(tail, [mpmath.mpf(c) for c in cuts])
+        assert abs(got - ref) <= 1e-10 * ref, (u, float(abs(got - ref) / ref))
+        assert got <= u * kernel.mass / 2.0
+
+
+def test_cdf_never_falls_below_zero():
+    # left of 0 the CDF is mass/2 - half_integral, a difference of O(1)
+    # numbers far out in a power tail, which rounding took to -1.1e-16 and
+    # -3.3e-16 here
+    assert float(Kernel("cauchy", 1.0, exponent=3.5).cdf(-1e7)) >= 0.0
+    assert float(Kernel("cauchy", 1.0, exponent=1.3).cdf(-math.inf)) == 0.0
+
+
 _ROOT_FAMILIES = {  # each vanishes at r
     "tanh": lambda r, k, c: lambda x: math.tanh(k * (x - r)) + c * (x - r),
     "cubic": lambda r, k, c: lambda x: (x - r) ** 3 + c * (x - r),
