@@ -304,6 +304,7 @@ def _cmd_eigen(cfg: ScenarioConfig, sink: _Sink) -> int:
         "l": l, "num_cells": spec.num_cells,
         "lambda1": pair.lambda_p, "lambda2": lam2,
         "iterations": pair.iterations, "residual": pair.residual,
+        "lambda1_enclosure": pair.enclosure,
     })
     sink.csv("eigenfunction.csv", "x,phi1,phi2",
              zip(pair.x, pair.phi1, pair.phi2))
@@ -366,7 +367,8 @@ def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
     sink.json("outcome.json", {
         "verdict": outcome.verdict, "t_decided": outcome.t_decided,
         "horizon": outcome.horizon, "h_front": outcome.h_front,
-        "lambda_front": outcome.lambda_front, "mass": outcome.mass,
+        "lambda_front": outcome.lambda_front,
+        "lambda_enclosure": outcome.lambda_enclosure, "mass": outcome.mass,
         "stall_gap": outcome.stall_gap, "message": outcome.message,
         "certificate": outcome.certificate,
         "barrier": None if outcome.barrier is None else asdict(outcome.barrier),

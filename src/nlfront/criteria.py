@@ -137,6 +137,7 @@ def find_ell_star(params: ModelParams) -> ThresholdResult:
         "kind": "eigenvalue",
         "quantity": "lambda1(l)",
         "at_value": crit.lam_at_value,
+        "bracket_enclosures": crit.bracket_enclosures,
         "below": below,
         "above": above,
         "probe_offset": 0.01,
@@ -311,19 +312,24 @@ def _reproduction_root(params: ModelParams, d2_of: Callable[[float], float]) -> 
     return _brentq(g, 0.0, hi, xtol=1e-13)[0]
 
 
+def _lambda2_pair(params: ModelParams, d1: float, d2: float) -> eigen.Eigenpair:
+    spec = eigen.lambda2_spec(params.h0, replace(params, d1=d1, d2=d2), default_cells(params.h0))
+    return eigen.principal_eigenpair(spec)
+
+
 def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
                         d2_of: Callable[[float], float],
-                        f_lo: float | None = None) -> ThresholdResult:
+                        lo_pair: eigen.Eigenpair | None = None) -> ThresholdResult:
     """Root in d1 of the slope-normalized eigenvalue at fixed length h0;
-    ``f_lo`` is that eigenvalue at d1 = lo when the caller holds it."""
-    cells = default_cells(params.h0)
+    ``lo_pair`` is its eigenpair at d1 = lo when the caller holds it."""
+    enclosures = {}
 
-    def lam2(d1: float) -> float:
-        probe = replace(params, d1=d1, d2=float(d2_of(d1)))
-        return eigen.lambda2(params.h0, probe, num_cells=cells)
+    def lam2(d1: float, pair: eigen.Eigenpair | None = None) -> float:
+        pair = pair or _lambda2_pair(params, d1, float(d2_of(d1)))
+        enclosures[d1] = pair.enclosure
+        return pair.lambda_p
 
-    if f_lo is None:
-        f_lo = lam2(lo)
+    f_lo = lam2(lo, lo_pair)
     if f_lo <= 0.0:
         raise RuntimeError(
             f"no positive eigenvalue at the lower end d1={lo:g}; threshold {name} undefined"
@@ -345,7 +351,8 @@ def _d1_eigen_threshold(params: ModelParams, name: str, lo: float,
         "at_value": f_mid,
         "below": f_lo,
         "above": f_hi,
-        "num_cells": cells,
+        "bracket_enclosures": (enclosures[bracket[0]], enclosures[bracket[1]]),
+        "num_cells": default_cells(params.h0),
     }
     return ThresholdResult(name, value, bracket, cert)
 
@@ -420,12 +427,11 @@ def find_d_thresholds(params: ModelParams, mode: str,
     extras = {"Lambda": Lam, "kappa1": kappa}
     if mode == "fixed_d2_mid":
         lo = 1e-3
-        while (f_lo := eigen.lambda2(params.h0, replace(params, d1=lo),
-                                     num_cells=default_cells(params.h0))) <= 0.0:
+        while (lo_pair := _lambda2_pair(params, lo, d2)).lambda_p <= 0.0:
             lo /= 10.0
             if lo < 1e-8:
                 raise RuntimeError("no positive eigenvalue at small d1")
-        tilde = _d1_eigen_threshold(params, "d1_tilde", lo, lambda _d: d2, f_lo)
+        tilde = _d1_eigen_threshold(params, "d1_tilde", lo, lambda _d: d2, lo_pair)
         return DThresholdReport(mode=mode, thresholds=(under, tilde), extras=extras,
                                 note=_ROOT_NOTE)
     samples = tuple(
@@ -492,9 +498,8 @@ def decision_tree(params: ModelParams) -> dict:
     ell = find_ell_star(params)
     report["ell_star"] = float(ell.value)
     report["thresholds"].append(ell.to_dict())
-    lam_h0 = eigen.lambda1(params.h0, params)
-    report["certificates"].append(
-        {"kind": "eigenvalue", "quantity": "lambda1(h0)", "value": float(lam_h0)}
-    )
-    report["verdict"] = "spreading" if lam_h0 >= 0.0 else "mu_dependent"
+    pair = eigen.principal_eigenpair(eigen.lambda1_spec(params.h0, params))
+    report["certificates"].append({"kind": "eigenvalue", "quantity": "lambda1(h0)",
+                                   "value": pair.lambda_p, "enclosure": pair.enclosure})
+    report["verdict"] = "spreading" if pair.lambda_p >= 0.0 else "mu_dependent"
     return report

@@ -15,9 +15,17 @@ thick-restart Lanczos solve in numpy (Wu and Simon, SIAM J. Matrix Anal.
 Appl. 22, 2000; the start vector is all ones), mapped back through D, and
 certified on L itself: sup-norm residual below 1e-10 and a positive
 eigenvector (a12, a21 > 0 make L irreducible, so the principal
-eigenfunction is positive).  Roots of the eigenvalue in a parameter are
-found by `model._brentq`, the one root finder of the package, to the
-absolute tolerance ROOT_XTOL.
+eigenfunction is positive).  The same product (on an FFT grid, one more
+in extended precision) gives the Collatz-Wielandt enclosure of the
+eigenvalue, min_i (L x)_i / x_i <= lambda <= max_i (L x)_i / x_i for x >
+0, widened by a stated rounding margin (`DiscreteOperator.enclosure`).
+The solve stops at machine precision, or earlier: once the top Ritz
+residual is at most LOOSE_TOL relative, a pair whose certificate meets
+the residual bound and gives an enclosure narrower than WIDTH_TOL max(1,
+|lambda|) that excludes 0 is accepted, since that settles the
+eigenvalue's sign.  Roots of the eigenvalue in a parameter are found by
+`model._brentq`, the one root finder of the package, to the absolute
+tolerance ROOT_XTOL.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Discretization, KernelConvolver, default_cells
+from .grids import DENSE_MAX, Discretization, default_cells
 from .model import Kernel, ModelParams, _brentq, derived_constants
 
 __all__ = [
@@ -51,6 +59,8 @@ __all__ = [
 
 SIGN_BAND = 1e-6  # |eigenvalue| below this is treated as zero (critical)
 RESIDUAL_TOL = 1e-10
+LOOSE_TOL = 1e-12  # relative Ritz residual at which a Lanczos solve tries to stop early
+WIDTH_TOL = 1e-11  # widest enclosure, relative to max(1, |lambda|), that stops it
 ROOT_XTOL = 1e-9  # absolute width of the final sign bracket of an eigenvalue root
 KRYLOV = 20  # Lanczos basis size at which the solve restarts
 KEEP = 10  # Ritz vectors kept across a restart
@@ -105,12 +115,18 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class Eigenpair:
+    """``enclosure`` = (lo, hi) contains the principal eigenvalue of the
+    assembled operator (`DiscreteOperator.enclosure`), or is (-inf, inf)
+    when the eigenvector has an entry <= 0; ``lambda_p``, a weighted mean
+    of the quotients the enclosure widens, lies in it up to rounding."""
+
     lambda_p: float
     phi1: np.ndarray
     phi2: np.ndarray
     x: np.ndarray
     iterations: int
     residual: float
+    enclosure: tuple[float, float]
 
 
 class DiscreteOperator:
@@ -140,18 +156,41 @@ class DiscreteOperator:
     def dim(self) -> int:
         return 2 * self.n
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
+    def matvec(self, w: np.ndarray, conv: np.ndarray | None = None) -> np.ndarray:
+        """L w; ``conv``, when given, stands for K applied to w's rows."""
         uv = w.reshape(2, self.n)
         out = (self.diag * uv + self.coupling * uv[::-1]
-               + self.rates * self.grid.convolve(uv))
+               + self.rates * (self.grid.convolve(uv) if conv is None else conv))
         return out.ravel()
 
-    def dense(self) -> np.ndarray:
-        s, n = self.spec, self.n
-        blocks = KernelConvolver((s.kernel1, s.kernel2), self.dx, n).dense()
-        own = [d * block + np.diag(diag)
-               for d, block, diag in zip((s.d1, s.d2), blocks, self.diag)]
-        return np.block([[own[0], s.a12 * np.eye(n)], [s.a21 * np.eye(n), own[1]]])
+    def enclosure(self, x: np.ndarray, lx: np.ndarray, matvec) -> tuple[float, float]:
+        """Collatz-Wielandt enclosure of the principal eigenvalue from x > 0
+        and its computed product lx: min_i (L x)_i / x_i <= lambda <= max_i
+        (L x)_i / x_i, as L has no negative entry off its diagonal.
+
+        Each quotient is widened by a bound on its rounding error.  As |L| x
+        = L x + 2 max(-diag, 0) x for x > 0, on the dense path (n <=
+        DENSE_MAX), where an entry of L x is a dot product of n terms, a
+        product with the rate and two additions, and the quotient and the
+        margin are rounded once each, Higham's gamma_{n+4} (|L| x)_i / x_i
+        bounds it all, gamma_k = k u / (1 - k u), u = 2^-53 (Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., §3.1; the computed L x
+        in place of the exact one adds second-order terms that fit in the
+        same index).  On the FFT path the product is taken again, as
+        ``matvec(x, conv)`` with the convolution in extended precision
+        (`KernelConvolver.precise`, error at most E_i), and (gamma_6 (|L|
+        x)_i + (1 + gamma_6) d_r E_i) / x_i bounds it, the sixth rounding
+        being that of the extended product to float.
+        """
+        uv = x.reshape(2, self.n)
+        k, bound = self.n + 4, 0.0
+        if self.n > DENSE_MAX:
+            conv, bound = self.grid.stack(self.n).precise(uv)
+            lx, k = matvec(x, conv), 6
+        gamma = k * EPS / 2 / (1.0 - k * EPS / 2)
+        size = lx.reshape(uv.shape) + 2.0 * np.maximum(-self.diag, 0.0) * uv
+        q, slack = lx / x, (gamma * size + (1.0 + gamma) * self.rates * bound).ravel() / x
+        return float(np.min(q - slack)), float(np.max(q + slack))
 
 
 def assemble(spec: OperatorSpec) -> DiscreteOperator:
@@ -167,7 +206,7 @@ def assemble(spec: OperatorSpec) -> DiscreteOperator:
 # eigensolve
 # ---------------------------------------------------------------------------
 
-def _lanczos(apply, dim: int):
+def _lanczos(apply, dim: int, accept):
     """Largest eigenvalue and unit eigenvector of the symmetric operator
     ``apply`` on R^dim: (theta, y, converged).
 
@@ -180,6 +219,10 @@ def _lanczos(apply, dim: int):
     operator applications), when the basis is invariant or spans R^dim,
     after 10 dim restarts (ARPACK's default), or on a non-finite value
     (an operator scaled past the float range), the last two unconverged.
+    Where none of these holds but the residual norm is at most LOOSE_TOL
+    times the largest |Ritz value|, it stops too if ``accept(theta, y)``;
+    ``accept`` leaves the iteration as it was, so a rejected pair changes
+    nothing that follows.
     """
     m = min(KRYLOV, dim)
     keep = min(KEEP, m - 1)
@@ -207,8 +250,9 @@ def _lanczos(apply, dim: int):
                 basis[i + 1] = w / beta
             vals, vecs = np.linalg.eigh(proj[:size, :size])
             theta, y = float(vals[-1]), vecs[:, -1] @ basis[:size]
-            if (size < m or m == dim
-                    or abs(beta * vecs[-1, -1]) <= EPS * float(np.max(np.abs(vals)))):
+            resid, top = abs(beta * vecs[-1, -1]), float(np.max(np.abs(vals)))
+            if (size < m or m == dim or resid <= EPS * top
+                    or resid <= LOOSE_TOL * top and accept(theta, y)):
                 return theta, y, True
             basis[:keep] = vecs[:, -keep:].T @ basis[:m]
             basis[keep] = basis[m]
@@ -218,28 +262,54 @@ def _lanczos(apply, dim: int):
     return theta, y, False
 
 
-def _principal(matvec, scale: np.ndarray, label: str):
+def _principal(matvec, scale: np.ndarray, label: str, enclose=None):
     """Largest eigenvalue of L and its positive eigenvector, sup-norm 1.
 
     ``scale`` is the diagonal of D with D^-1 L D symmetric; the Lanczos
-    solve runs on that matrix and the pair is certified on L.  Returns
-    (lambda, x, matvecs, residual).
+    solve runs on that matrix and the pair is certified on L with one
+    product, from which ``enclose(x, L x, matvec)`` gives the enclosure of
+    lambda (`DiscreteOperator.enclosure`, which on an FFT grid takes one
+    more, extended-precision product); the enclosure is (-inf, inf)
+    without ``enclose`` or when x is not positive.  A Ritz pair the loose
+    Lanczos stop offers is accepted when its residual is below
+    RESIDUAL_TOL and its enclosure is narrower than WIDTH_TOL max(1,
+    |lambda|) and excludes 0; the enclosure is taken only when the
+    unwidened quotients already spread by less than that width.  Returns
+    (lambda, x, operator applications, residual, enclosure).
     """
     count = 0
 
-    def apply(w: np.ndarray) -> np.ndarray:
+    def apply(w: np.ndarray, *conv) -> np.ndarray:
         nonlocal count
         count += 1
-        return matvec(w)
+        return matvec(w, *conv)
 
-    lam, y, converged = _lanczos(lambda v: apply(scale * v) / scale, scale.size)
-    x = scale * y
+    def certify(lam: float, y: np.ndarray, width: float = math.inf):
+        # (x, residual, enclosure) from one product; the enclosure is taken
+        # only when the unwidened quotients spread by less than width
+        x = scale * y
+        x = x / x[np.argmax(np.abs(x))]
+        lx = apply(x)
+        wanted = enclose and x.min() > 0.0 and np.ptp(lx / x) < width
+        enclosure = enclose(x, lx, apply) if wanted else (-math.inf, math.inf)
+        return x, float(np.max(np.abs(lx - lam * x))), enclosure
+
+    accepted = []
+
+    def accept(lam: float, y: np.ndarray) -> bool:
+        width = WIDTH_TOL * max(1.0, abs(lam))
+        x, resid, (lo, hi) = found = certify(lam, y, width)
+        if resid < RESIDUAL_TOL and hi - lo < width and (lo > 0.0 or hi < 0.0):
+            accepted.append(found)
+        return bool(accepted)  # the solve stops at the first pair accepted
+
+    lam, y, converged = _lanczos(lambda v: apply(scale * v) / scale, scale.size,
+                                 accept if enclose else lambda lam, y: False)
     if not converged:
         raise EigenConvergenceError(
-            f"{label}: Lanczos solve did not converge", lam, x, count, math.inf,
+            f"{label}: Lanczos solve did not converge", lam, scale * y, count, math.inf,
         )
-    x = x / x[np.argmax(np.abs(x))]
-    resid = float(np.max(np.abs(apply(x) - lam * x)))
+    x, resid, enclosure = accepted[0] if accepted else certify(lam, y)
     if not resid < RESIDUAL_TOL:
         raise EigenConvergenceError(
             f"{label}: eigen-residual {resid:.3e} above {RESIDUAL_TOL:g}",
@@ -251,7 +321,7 @@ def _principal(matvec, scale: np.ndarray, label: str):
             f"{label}: converged vector is not positive (min {floor:.3e})",
             lam, x, count, resid,
         )
-    return lam, np.maximum(x, 1e-300), count, resid
+    return lam, np.maximum(x, 1e-300), count, resid, enclosure
 
 
 def principal_eigenpair(spec: OperatorSpec) -> Eigenpair:
@@ -263,10 +333,11 @@ def principal_eigenpair(spec: OperatorSpec) -> Eigenpair:
     op = assemble(spec)
     scale = np.ones(op.dim)
     scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
-    lam, x, iters, resid = _principal(op.matvec, scale, "principal_eigenpair")
+    lam, x, iters, resid, enclosure = _principal(op.matvec, scale, "principal_eigenpair",
+                                                 op.enclosure)
     return Eigenpair(
         lambda_p=lam, phi1=x[: op.n], phi2=x[op.n:], x=op.x,
-        iterations=iters, residual=resid,
+        iterations=iters, residual=resid, enclosure=enclosure,
     )
 
 
@@ -284,8 +355,7 @@ def scalar_principal(d: float, a_diag: float, kernel: Kernel, l: float,
     def matvec(u):
         return d * grid.convolve(u[None])[0] + diag * u
 
-    lam, _, _, _ = _principal(matvec, np.ones(n), "scalar_principal")
-    return lam
+    return _principal(matvec, np.ones(n), "scalar_principal")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +398,16 @@ def lambda2(l: float, params: ModelParams, num_cells: int | None = None) -> floa
 
 @dataclass(frozen=True)
 class CriticalLength:
+    """``bracket_enclosures`` enclose lambda1 at the two ends of
+    ``bracket`` (see `Eigenpair`); ``value`` is one of them unless lambda1
+    is exactly the target there."""
+
     value: float
     lam_at_value: float
     bracket: tuple[float, float]
     num_cells: int
     evaluations: int
+    bracket_enclosures: tuple[tuple[float, float], tuple[float, float]]
 
 
 def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0,
@@ -351,12 +426,12 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     and RuntimeError (a solver failure) when the pinned resolution loses
     it or the guarantee fails.
     """
-    evals = 0
+    solves = []  # (l, enclosure) of every evaluation, in order
 
     def lam(l: float, cells: int | None) -> float:
-        nonlocal evals
-        evals += 1
-        return lambda1(l, params, num_cells=cells) - target
+        pair = principal_eigenpair(lambda1_spec(l, params, cells))
+        solves.append((l, pair.enclosure))
+        return pair.lambda_p - target
 
     f_lo = lam(lo, num_cells)
     if f_lo >= 0:
@@ -383,8 +458,10 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
         raise RuntimeError(
             f"critical length certificate out of tolerance: |lambda| = {abs(f_value):.3e}"
         )
+    enclosures = dict(solves)  # a solve at the pinned resolution replaces an earlier one
     return CriticalLength(value=value, lam_at_value=f_value + target, bracket=bracket,
-                          num_cells=cells, evaluations=evals)
+                          num_cells=cells, evaluations=len(solves),
+                          bracket_enclosures=(enclosures[bracket[0]], enclosures[bracket[1]]))
 
 
 # ---------------------------------------------------------------------------

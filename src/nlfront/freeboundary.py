@@ -181,6 +181,7 @@ class Barrier:
     T_r, T_r kernel r's mass beyond a distance, bounds the mass a unit
     field can send past the front, and every mu1 + mu2 <= ``bound`` =
     eps delta h / (M m(h1)) keeps the front below h1 (see `_barrier`).
+    ``enclosure`` encloses lambda1(h1) (`eigen.Eigenpair`).
     """
 
     eps: float
@@ -189,6 +190,7 @@ class Barrier:
     h1: float
     flux_factor: float
     bound: float
+    enclosure: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,7 @@ class Outcome:
     positive principal eigenvalue at the front), ``barrier`` (vanishing: the
     comparison barrier, recorded in ``barrier``), ``stall`` (vanishing: a
     stalled front with vanishing mass) or ``none`` (undecided).
+    ``lambda_enclosure`` encloses ``lambda_front`` (`eigen.Eigenpair`).
     """
 
     verdict: str
@@ -211,6 +214,7 @@ class Outcome:
     stall_gap: float | None
     message: str = ""
     barrier: Barrier | None = None
+    lambda_enclosure: tuple[float, float] | None = None
 
 
 def _check_dx(dx: float) -> None:
@@ -615,7 +619,8 @@ def _barrier(params: ModelParams, h: float, ell: float, x: np.ndarray | None,
     big = max(float(np.max(u / phi1)), float(np.max(v / phi2)), m_floor)
     flux = max(float(k.tail_integral(h1)) for k in (params.kernel1, params.kernel2))
     bound = eps * delta * h / (big * flux) if big > 0.0 else math.inf
-    return Barrier(eps=eps, delta=delta, M=big, h1=h1, flux_factor=flux, bound=bound)
+    return Barrier(eps=eps, delta=delta, M=big, h1=h1, flux_factor=flux, bound=bound,
+                   enclosure=pair.enclosure)
 
 
 def classify(
@@ -671,19 +676,16 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
     once for all its probes."""
     _check_dx(dx)
     dt, n_steps, stride = _schedule(params, t_max, dt, sample_interval, "t_max")
-    lam0 = eigen.lambda1(params.h0, params)
-    if lam0 >= SIGN_BAND:
-        return Outcome(
-            verdict="spreading",
-            certificate="eigenvalue",
-            t_decided=0.0,
-            horizon=0.0,
-            h_front=params.h0,
-            lambda_front=lam0,
-            mass=math.nan,
-            stall_gap=None,
-            message="eigenvalue already positive at the initial length",
-        )
+
+    def front(h: float) -> eigen.Eigenpair:
+        return eigen.principal_eigenpair(eigen.lambda1_spec(h, params))
+
+    pair = front(params.h0)
+    if pair.lambda_p >= SIGN_BAND:
+        return Outcome(verdict="spreading", certificate="eigenvalue", t_decided=0.0,
+                       horizon=0.0, h_front=params.h0, lambda_front=pair.lambda_p,
+                       mass=math.nan, stall_gap=None, lambda_enclosure=pair.enclosure,
+                       message="eigenvalue already positive at the initial length")
 
     watch = watch_length()
     eng = _start(params, dx)
@@ -692,11 +694,11 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
     hist_h: list[float] = [eng.h]
     offset = 1.0
 
-    def decided(verdict: str, certificate: str, lam: float, message: str,
+    def decided(verdict: str, certificate: str, pair: eigen.Eigenpair, message: str,
                 stall_gap: float | None = None, barrier: Barrier | None = None) -> Outcome:
-        return Outcome(verdict=verdict, certificate=certificate, t_decided=eng.t,
-                       horizon=eng.t, h_front=eng.h, lambda_front=lam, mass=eng.mass(),
-                       stall_gap=stall_gap, message=message, barrier=barrier)
+        return Outcome(verdict=verdict, certificate=certificate, t_decided=eng.t, horizon=eng.t,
+                       h_front=eng.h, lambda_front=pair.lambda_p, mass=eng.mass(), barrier=barrier,
+                       stall_gap=stall_gap, message=message, lambda_enclosure=pair.enclosure)
 
     for samples, _ in enumerate(_march(eng, dt, n_steps, stride), start=1):
         hist_h.append(eng.h)
@@ -704,9 +706,9 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
             hist_h.pop(0)
 
         if watch is not None and eng.h >= watch * offset:
-            lam = eigen.lambda1(eng.h, params)
-            if lam >= SIGN_BAND:
-                return decided("spreading", "eigenvalue", lam,
+            pair = front(eng.h)
+            if pair.lambda_p >= SIGN_BAND:
+                return decided("spreading", "eigenvalue", pair,
                                "front crossed the positive-eigenvalue length")
             offset *= 1.02
 
@@ -714,19 +716,19 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
             k = _active_count(eng.h, eng.dx)
             bar = _barrier(params, eng.h, watch, eng.edges[:k], eng.u[:k], eng.v[:k])
             if bar is not None and params.mu1 + params.mu2 <= 0.5 * bar.bound:
-                return decided("vanishing", "barrier", eigen.lambda1(eng.h, params),
+                return decided("vanishing", "barrier", front(eng.h),
                                "front held below the comparison barrier", barrier=bar)
 
         if eng.t >= STALL_WINDOW and len(hist_h) > per_window:
             gap = hist_h[-1] - hist_h[0]
             if gap < STALL_TOL and eng.mass() < MASS_TOL:
-                lam = eigen.lambda1(eng.h, params)
-                if lam < 0.0:
-                    return decided("vanishing", "stall", lam,
+                pair = front(eng.h)
+                if pair.lambda_p < 0.0:
+                    return decided("vanishing", "stall", pair,
                                    "front stalled with vanishing mass", stall_gap=gap)
 
     gap = hist_h[-1] - hist_h[0] if len(hist_h) > 1 else 0.0
-    return decided("undecided", "none", eigen.lambda1(eng.h, params),
+    return decided("undecided", "none", front(eng.h),
                    f"no certificate reached by t={t_max:g}", stall_gap=gap)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "SpeedRow",
     "SpeedTable",
     "solve_semiwave",
-    "profile_residual",
     "speed_limits",
     "predicted_speed",
     "PredictedSpeed",
@@ -326,42 +325,6 @@ def solve_semiwave(
         outer_iterations=outer,
         sweeps=sweeps,
     )
-
-
-def profile_residual(
-    profile: SemiWaveProfile,
-    params: ModelParams,
-    quadrature: str = "cells",
-) -> float:
-    """Sup-norm of the discrete profile equations at the converged triple.
-
-    `quadrature="cells"` uses the solver's exact per-cell kernel masses
-    (on a grid rebuilt from the profile's nodes; the solver itself reuses
-    its own); `"trapezoid"` rebuilds the convolution from pointwise kernel
-    values with trapezoid weights, an independent check that the answer is
-    not an artifact of the solver's own quadrature.
-    """
-    k1, k2 = _kernels(params, profile.n)
-    x = profile.x
-    m = x.size - 1
-    dx = float(x[1] - x[0])
-    own = np.stack([profile.p, profile.q])
-    if quadrature == "cells":
-        grid = Discretization((k1, k2), dx, m + 1)
-        conv = grid.convolve(own) + _far_reach(grid, profile.far_field)
-    elif quadrature == "trapezoid":
-        diffs = np.abs(np.subtract.outer(x, x))
-        wt = np.full(m + 1, dx)
-        wt[0] = wt[-1] = dx / 2.0
-        # the node quadrature spans [-L, 0] exactly, so the frozen far field
-        # starts at -L here (not at the cell-partition cut -L - dx/2)
-        conv = np.stack([
-            np.asarray(k.pdf(diffs)) @ (wt * f) + far * np.asarray(k.mass - k.cdf(x + profile.L))
-            for k, f, far in zip((k1, k2), own, profile.far_field)
-        ])
-    else:
-        raise ValueError("quadrature must be 'cells' or 'trapezoid'")
-    return _residual(params, profile.c, profile.sigma, own, conv, dx)
 
 
 def _residual(params: ModelParams, c: float, sigma: float, own: np.ndarray,

@@ -7,8 +7,10 @@ closed forms (large-domain growth rate exactly 1, small-domain rate exactly
 d=6 variant sits in the regime where the outcome depends on the front
 response rates; the weak-interaction variant has no positive equilibrium.
 """
+import numpy as np
 import pytest
 
+from nlfront.grids import KernelConvolver
 from nlfront.model import Kernel, ModelParams, Nonlinearity, initial_profile
 
 LAPLACE = Kernel("laplace", 1.0)
@@ -27,6 +29,15 @@ def params_with(**overrides) -> ModelParams:
     base["u0"] = profiles.get("u0", initial_profile("tent", 1.0, h0))
     base["v0"] = profiles.get("v0", initial_profile("tent", 0.5, h0))
     return ModelParams(**base)
+
+
+def dense_operator(op) -> np.ndarray:
+    """The assembled eigen operator `op` as a dense matrix, built from the
+    convolvers' Toeplitz matrices: a reference for its matvec."""
+    s, n = op.spec, op.n
+    blocks = KernelConvolver((s.kernel1, s.kernel2), op.dx, n).dense()
+    own = [d * block + np.diag(diag) for d, block, diag in zip((s.d1, s.d2), blocks, op.diag)]
+    return np.block([[own[0], s.a12 * np.eye(n)], [s.a21 * np.eye(n), own[1]]])
 
 
 @pytest.fixture(scope="session")

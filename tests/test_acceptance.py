@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import params_with
+from conftest import dense_operator, params_with
 from nlfront import cli, criteria, eigen, freeboundary, semiwave, steady
 from nlfront.model import Kernel, derived_constants, initial_profile
 
@@ -42,7 +42,7 @@ def test_growth_rate_is_monotone_in_length_and_pair_keeps_one_sign(p1):
     # lam1/max_gain <= lam2 <= lam1/min_gain pinches to a single value
     assert np.max(np.abs(lam2 - lam1 / 2.0)) < 1e-6
     spec = eigen.lambda1_spec(2.0, p1, num_cells=400)
-    lam_dense = float(np.max(np.linalg.eigvals(eigen.assemble(spec).dense()).real))
+    lam_dense = float(np.max(np.linalg.eigvals(dense_operator(eigen.assemble(spec))).real))
     assert abs(eigen.principal_eigenpair(spec).lambda_p - lam_dense) < 1e-10
     assert time.monotonic() - t0 < 120.0
 

@@ -2,12 +2,14 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlfront import cli, eigen, freeboundary
+from nlfront.grids import default_cells
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> Path:
@@ -145,8 +147,13 @@ def test_classify_reports_its_certificate(tmp_path):
     outcome = json.loads((out / "outcome.json").read_text())
     assert outcome["verdict"] == "vanishing" and outcome["certificate"] == "barrier"
     barrier = outcome["barrier"]
-    assert sorted(barrier) == ["M", "bound", "delta", "eps", "flux_factor", "h1"]
+    assert sorted(barrier) == ["M", "bound", "delta", "enclosure", "eps", "flux_factor", "h1"]
     assert outcome["h_front"] < barrier["h1"] and 0.04 <= 0.5 * barrier["bound"]
+    # lambda1(h1) = -delta and lambda1 at the front each lie in their enclosure, below 0
+    lo, hi = barrier["enclosure"]
+    assert lo <= -barrier["delta"] <= hi < 0.0
+    lo, hi = outcome["lambda_enclosure"]
+    assert lo <= outcome["lambda_front"] <= hi < 0.0
 
 
 def test_simulate_command(tmp_path):
@@ -214,13 +221,15 @@ def test_threshold_command(tmp_path):
 def test_lost_bracket_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     # at d = 20 the doubling ends at l = 8, pinned to 320 cells, so the lower
     # end (200 cells) is solved again; that re-solve loses the sign change
-    solve = eigen.lambda1
+    solve = eigen.principal_eigenpair
 
-    def pinned_positive(l, params, num_cells=None):
-        lam = solve(l, params, num_cells)
-        return lam if num_cells is None else abs(lam)
+    def pinned_positive(spec):
+        pair = solve(spec)
+        if spec.num_cells == default_cells(spec.l):
+            return pair
+        return replace(pair, lambda_p=abs(pair.lambda_p))
 
-    monkeypatch.setattr(eigen, "lambda1", pinned_positive)
+    monkeypatch.setattr(eigen, "principal_eigenpair", pinned_positive)
     code, out = run_into(tmp_path, {
         "command": "threshold",
         "params": {"d1": 20.0, "d2": 20.0},

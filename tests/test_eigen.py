@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import params_with
+from conftest import dense_operator, params_with
 from nlfront import eigen, grids, semiwave
 from nlfront.grids import default_cells
 from nlfront.model import Kernel, Nonlinearity, derived_constants
@@ -27,7 +27,7 @@ def test_power_iteration_matches_dense(p1):
                    params_with(d1=0.0)):
         spec = eigen.lambda1_spec(2.0, params, num_cells=200)
         op = eigen.assemble(spec)
-        lam_dense = float(np.max(np.linalg.eigvals(op.dense()).real))
+        lam_dense = float(np.max(np.linalg.eigvals(dense_operator(op)).real))
         pair = eigen.principal_eigenpair(spec)
         assert abs(pair.lambda_p - lam_dense) < 1e-10
 
@@ -110,12 +110,12 @@ def test_degenerate_row_still_solvable():
 def test_failed_solve_raises_with_last_iterate(p1, monkeypatch):
     spec = eigen.lambda1_spec(2.0, p1)
     dim = 2 * spec.num_cells
-    monkeypatch.setattr(eigen, "_lanczos", lambda apply, n: (0.5, np.ones(n), False))
+    monkeypatch.setattr(eigen, "_lanczos", lambda apply, n, accept: (0.5, np.ones(n), False))
     with pytest.raises(eigen.EigenConvergenceError, match="did not converge") as err:
         eigen.principal_eigenpair(spec)
     assert err.value.lambda_p == 0.5 and err.value.vector.shape == (dim,)
     # a pair that misses the residual contract on the assembled operator
-    monkeypatch.setattr(eigen, "_lanczos", lambda apply, n: (0.5, np.ones(n), True))
+    monkeypatch.setattr(eigen, "_lanczos", lambda apply, n, accept: (0.5, np.ones(n), True))
     with pytest.raises(eigen.EigenConvergenceError, match="eigen-residual"):
         eigen.principal_eigenpair(spec)
 
@@ -138,9 +138,67 @@ def test_lanczos_matches_dense_symmetric_spectrum(l, cells):
     op = eigen.assemble(spec)
     scale = np.ones(op.dim)
     scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
-    sym = op.dense() * scale[None, :] / scale[:, None]
+    sym = dense_operator(op) * scale[None, :] / scale[:, None]
     top = float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
     assert abs(eigen.principal_eigenpair(spec).lambda_p - top) < 1e-12
+
+
+def _symmetric_top(spec: eigen.OperatorSpec) -> float:
+    """eigvalsh's top eigenvalue of the symmetrized dense operator D^-1 L D."""
+    op = eigen.assemble(spec)
+    scale = np.ones(op.dim)
+    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
+    sym = dense_operator(op) * scale[None, :] / scale[:, None]
+    return float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
+
+
+def test_enclosures_settle_signs_and_stay_narrow(p1_d6):
+    # at each end of ell*'s final bracket the enclosure lies on one side of
+    # 0, so lambda1 of the discrete operator changes sign inside the bracket
+    crit = eigen.critical_length(p1_d6)
+    (_, below), (above, _) = crit.bracket_enclosures
+    assert below < 0.0 < above
+    # an FFT-path grid (300 cells, unequal kernels): the extended-precision
+    # certificate product encloses the dense top eigenvalue
+    spec = eigen.lambda1_spec(9.0, params_with(d1=6.0, d2=6.0, kernel2=Kernel("gaussian", 0.8)),
+                              num_cells=300)
+    pair = eigen.principal_eigenpair(spec)
+    lo, hi = pair.enclosure
+    assert lo <= _symmetric_top(spec) <= hi and lo <= pair.lambda_p <= hi
+    # 16,000 unknowns at l = 200, where the eigenfunction falls to 0.008 at the edges
+    lo, hi = eigen.principal_eigenpair(eigen.lambda1_spec(200.0, p1_d6)).enclosure
+    assert 0.0 < hi - lo < 1e-11
+
+
+def test_solves_stop_once_the_enclosure_settles_the_sign(p1_d6, monkeypatch):
+    # the loose stop accepts the pair after one restart's 20 products and
+    # the certificate's one; the EPS stop alone takes 31
+    assert eigen.principal_eigenpair(eigen.lambda1_spec(1.0, p1_d6)).iterations <= 21
+    # critical_length at d = 6: 372 operator applications with the EPS stop
+    # alone, and a ceiling 25% below that
+    count = [0]
+    matvec = eigen.DiscreteOperator.matvec
+    monkeypatch.setattr(eigen.DiscreteOperator, "matvec",
+                        lambda op, *args: count.__setitem__(0, count[0] + 1) or matvec(op, *args))
+    eigen.critical_length(p1_d6)
+    assert count[0] <= 279
+
+
+def test_rejected_loose_stops_leave_the_solve_unchanged(p1_d6, monkeypatch):
+    # with every loose stop rejected, the solve returns the pair of the EPS
+    # stop alone bit for bit, one product per rejected check later
+    spec = eigen.lambda1_spec(1.0, p1_d6)
+    op = eigen.assemble(spec)
+    scale = np.ones(op.dim)
+    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
+    lam, x, count, _, enclosure = eigen._principal(op.matvec, scale, "EPS stop only")
+    assert enclosure == (-math.inf, math.inf)
+    monkeypatch.setattr(eigen, "WIDTH_TOL", 0.0)
+    pair = eigen.principal_eigenpair(spec)
+    assert pair.lambda_p == lam and np.array_equal(np.concatenate([pair.phi1, pair.phi2]), x)
+    assert pair.iterations > count
+    lo, hi = pair.enclosure
+    assert lo <= lam <= hi < 0.0
 
 
 def test_critical_length_solve_stays_near_arpack_cost(p1_d6):
@@ -203,7 +261,7 @@ def test_eigen_products_go_through_the_one_switch(p1, laplace, monkeypatch):
     for params in (p1, params_with(kernel2=Kernel("gaussian", 0.8))):
         op = eigen.assemble(eigen.lambda1_spec(2.0, params, num_cells=200))
         w = np.random.default_rng(0).uniform(0.5, 1.0, op.dim)
-        assert np.max(np.abs(op.matvec(w) - op.dense() @ w)) < 1e-14
+        assert np.max(np.abs(op.matvec(w) - dense_operator(op) @ w)) < 1e-14
 
     def refuse(*args):
         raise AssertionError("FFT product on a dense-size grid")
@@ -297,3 +355,21 @@ def test_growth_rate_between_closed_form_limits(kernel1, kernel2, d1, d2, a, b, 
     assert dc.gammaB - 1e-6 <= lam1 <= dc.gammaA + 1e-6
     if abs(lam1) > eigen.SIGN_BAND:
         assert (eigen.lambda2(l, p) > 0.0) == (lam1 > 0.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(kernel1=_KERNELS, kernel2=_KERNELS, d1=st.floats(0.1, 8.0), d2=st.floats(0.1, 8.0),
+       a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), hp=st.floats(0.5, 3.0),
+       gp=st.floats(0.5, 3.0), l=st.floats(0.1, 12.0), cells=st.integers(8, 200))
+def test_enclosure_contains_the_top_eigenvalue(kernel1, kernel2, d1, d2, a, b, hp, gp, l,
+                                              cells):
+    # the Collatz-Wielandt enclosure, widened by its rounding margin,
+    # contains the Lanczos value and eigvalsh's top eigenvalue of the
+    # symmetrized dense operator, on dense-path grids of up to 400 unknowns
+    p = params_with(kernel1=kernel1, kernel2=kernel2, d1=d1, d2=d2, a=a, b=b,
+                    nonlinearity=Nonlinearity("saturating", hp, gp))
+    spec = eigen.lambda1_spec(l, p, num_cells=cells)
+    pair = eigen.principal_eigenpair(spec)
+    lo, hi = pair.enclosure
+    assert lo <= pair.lambda_p <= hi
+    assert lo <= _symmetric_top(spec) <= hi

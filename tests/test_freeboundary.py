@@ -354,9 +354,10 @@ def test_watch_length_falls_back_when_the_bracket_is_lost(monkeypatch):
     # at d = 20 the upper end is pinned to 320 cells and the lower end is
     # solved again there, which the patched solve turns positive
     p = params_with(d1=20.0, d2=20.0)
-    solve = eigen.lambda1
-    monkeypatch.setattr(eigen, "lambda1", lambda l, params, num_cells=None: (
-        solve(l, params, num_cells) if num_cells is None else 1.0))
+    solve = eigen.principal_eigenpair
+    monkeypatch.setattr(eigen, "principal_eigenpair", lambda spec: (
+        solve(spec) if spec.num_cells == grids.default_cells(spec.l)
+        else replace(solve(spec), lambda_p=1.0)))
     with pytest.raises(RuntimeError, match="bracket lost"):
         eigen.critical_length(p, target=2e-6)
     assert fb._watch_length(p) is None
