@@ -6,7 +6,6 @@ from .model import (
     Kernel,
     ModelError,
     ModelParams,
-    MomentUndetermined,
     NoPositiveEquilibrium,
     Nonlinearity,
     derived_constants,
@@ -22,7 +21,6 @@ __all__ = [
     "Kernel",
     "ModelError",
     "ModelParams",
-    "MomentUndetermined",
     "NoPositiveEquilibrium",
     "Nonlinearity",
     "derived_constants",

@@ -98,8 +98,7 @@ _SCHEMA: dict = {
         "t_max": float, "sample_interval": float, "snapshot_times": _floats,
         "c0": float, "multi_start": _integer,
     },
-    "output": {"directory": _string, "formats": _list_of(_string),
-               "sample_schedule": _floats},
+    "output": {"directory": _string, "formats": _list_of(_string)},
     "threshold": {"name": _string, "mode": _string, "t_max": float, "dx": float,
                   "link": {"type": _string, "factor": float}},
     "sweep": {"variable": _string, "values": _floats},
@@ -333,23 +332,15 @@ def _cmd_evolve(cfg: ScenarioConfig, sink: _Sink) -> int:
     sink.csv("trajectory.csv", "t,norm_u,norm_v,norm_sum",
              zip(trace.t, trace.norm_u, trace.norm_v, trace.norm_sum))
     sink.csv("final_state.csv", "x,u,v", zip(trace.x, trace.u, trace.v))
-    sink.json("decay.json", {
-        "mode": decay.mode, "k": decay.k, "window": list(decay.window),
-        "r_squared": decay.r_squared, "lambda1": decay.lambda1,
-    })
+    sink.json("decay.json", asdict(decay))
     return EXIT_OK
-
-
-def _snapshot_times(cfg: ScenarioConfig):
-    return tuple(cfg.numeric.get("snapshot_times", cfg.output.get("sample_schedule", ())))
 
 
 def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
     horizon = _require(cfg.numeric, "T", "simulate")
     trace = freeboundary.simulate(
-        cfg.params, horizon, **_given(cfg.numeric, "dx", "dt", "sample_interval"),
-        snapshot_times=_snapshot_times(cfg),
-    )
+        cfg.params, horizon,
+        **_given(cfg.numeric, "dx", "dt", "sample_interval", "snapshot_times"))
     sink.csv("trace.csv", "t,h,sup_u,sup_v,mass",
              zip(trace.t, trace.h, trace.sup_u, trace.sup_v, trace.mass))
     if trace.snapshots:
@@ -364,15 +355,7 @@ def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
 def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
     outcome = freeboundary.classify(
         cfg.params, **_given(cfg.numeric, "t_max", "dx", "dt", "sample_interval"))
-    sink.json("outcome.json", {
-        "verdict": outcome.verdict, "t_decided": outcome.t_decided,
-        "horizon": outcome.horizon, "h_front": outcome.h_front,
-        "lambda_front": outcome.lambda_front,
-        "lambda_enclosure": outcome.lambda_enclosure, "mass": outcome.mass,
-        "stall_gap": outcome.stall_gap, "message": outcome.message,
-        "certificate": outcome.certificate,
-        "barrier": None if outcome.barrier is None else asdict(outcome.barrier),
-    })
+    sink.json("outcome.json", asdict(outcome))
     return EXIT_UNDECIDED if outcome.verdict == "undecided" else EXIT_OK
 
 

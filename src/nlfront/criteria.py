@@ -452,14 +452,14 @@ def find_d_thresholds(params: ModelParams, mode: str,
 # decision tree
 # ---------------------------------------------------------------------------
 
-def _front_bound(params: ModelParams, num_points: int = 20000) -> dict:
+def _front_bound(params: ModelParams) -> dict:
     """Closed-form ceiling on the front position in the subcritical regime.
 
     The initial weighted mass (integral of u0 + (H'(0)/b) v0 on [0, h0]) is
-    taken by the midpoint rule.
+    taken by the midpoint rule on 20000 cells.
     """
-    dx = params.h0 / num_points
-    x = (np.arange(num_points) + 0.5) * dx
+    dx = params.h0 / 20000
+    x = (np.arange(20000) + 0.5) * dx
     u0 = np.asarray(params.u0(x), dtype=float)
     v0 = np.asarray(params.v0(x), dtype=float)
     mass0 = float(np.sum(u0 + params.nonlinearity.hp0 / params.b * v0) * dx)

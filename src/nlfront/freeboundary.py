@@ -44,7 +44,6 @@ __all__ = [
     "Barrier",
     "simulate",
     "classify",
-    "vanishing_rate",
     "front_mass_bound",
     "MismatchRow",
     "symmetrization_mismatch",
@@ -156,7 +155,6 @@ class SimulationTrace:
 
     ``mass`` is the weighted total  integral of u + H'(0) v / b over the
     covered region, the quantity whose decrease drives the front bound.
-    M1 and M2 are the largest sup-norms observed over the whole run.
     """
 
     t: np.ndarray
@@ -165,8 +163,6 @@ class SimulationTrace:
     sup_v: np.ndarray
     mass: np.ndarray
     snapshots: tuple[Snapshot, ...]
-    M1: float
-    M2: float
     dx: float
     dt: float
     final: FreeBoundaryState
@@ -506,8 +502,6 @@ def simulate(
         sup_v=sup_v,
         mass=np.asarray(masses),
         snapshots=tuple(shots),
-        M1=float(sup_u.max()),
-        M2=float(sup_v.max()),
         dx=dx,
         dt=dt,
         final=eng.state(),
@@ -579,11 +573,11 @@ def _barrier(params: ModelParams, h: float, ell: float, x: np.ndarray | None,
     ∫_0^s J_r kernel r's mass beyond s and m(h1) = max_r ∫_0^h1 T_r
     (`Kernel.tail_integral`, h1 T_r(h1) plus the partial first moment):
     - interior: H(v) <= H'(0) v and G(u) <= G'(0) u, because H(z)/z and
-      G(z)/z are nonincreasing with H(0) = G(0) = 0 (the sublinearity that
-      `Nonlinearity.check_hypotheses` enforces), so the linearization
-      dominates; and cutting the kernel integral from [0, h1] down to
-      [0, gbar] only lowers it for positive phi, so the eigen-equation on
-      [0, h1] gives ubar_t >= the right-hand side;
+      G(z)/z are nonincreasing with H(0) = G(0) = 0 (both `Nonlinearity`
+      families are sublinear for every positive rate, by construction), so
+      the linearization dominates; and cutting the kernel integral from
+      [0, h1] down to [0, gbar] only lowers it for positive phi, so the
+      eigen-equation on [0, h1] gives ubar_t >= the right-hand side;
     - front: the escaping flux is mu1 ∫_0^gbar ubar(x) T_1(gbar - x) dx
       plus the same with mu2, vbar and T_2; phi <= 1 bounds each integral
       by M e^{-delta t} ∫_0^gbar T_r <= M e^{-delta t} m(h1) (T_r >= 0,
@@ -639,7 +633,9 @@ def classify(
     current state once per STALL_WINDOW of model time below the length
     where the spreading certificate starts, or else by a stalled front,
     near-zero mass and a negative eigenvalue at the final length.  Anything
-    else is undecided.
+    else is undecided.  The barrier rests on H and G being sublinear, which
+    both `Nonlinearity` families are for every positive rate by
+    construction; `Nonlinearity.check_hypotheses` does not sample it.
 
     The barrier's bound is eps delta h / (M m(h1)), with m(h1) =
     max_r ∫_0^h1 T_r the most kernel mass a unit field on [0, h1] can send
@@ -734,7 +730,7 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
 
 @dataclass(frozen=True)
 class DecayEstimate:
-    """Late-time behaviour of a vanishing or fixed-domain run.
+    """Late-time behaviour of a fixed-domain run.
 
     mode ``exponential``: fitted rate k of exp(-k t); ``algebraic``: fitted
     power k of (1+t)^-k; ``none``: the run converges to the positive steady
@@ -766,23 +762,6 @@ def _decay_fit(t: np.ndarray, y: np.ndarray, lam: float) -> DecayEstimate:
         r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
         lambda1=lam,
     )
-
-
-def vanishing_rate(trace: SimulationTrace, lam_front: float) -> DecayEstimate:
-    """Fit the temporal decay of a vanishing run's sup-norms.
-
-    Exponential when the final-length eigenvalue is clearly negative,
-    algebraic in the near-critical band.  Rejects traces that do not decay.
-    """
-    total = trace.sup_u + trace.sup_v
-    if trace.t.size < 8:
-        raise ValueError("trace too short to fit a decay rate")
-    if not (trace.mass[-1] < 0.5 * trace.mass[0] and total[-1] < total[0]):
-        raise ValueError(
-            "not a vanishing trace: mass and sup-norms did not decay"
-        )
-    half = trace.t.size // 2
-    return _decay_fit(trace.t[half:], np.log(np.maximum(total[half:], 1e-300)), lam_front)
 
 
 @dataclass(frozen=True)

@@ -130,13 +130,14 @@ def _equal(kernels) -> bool:
     return all(k == kernels[0] for k in kernels)
 
 
-def _rows(kernels, shared: bool, build) -> np.ndarray:
-    """np.stack of build(k) over the kernels; when they are all equal
-    (`shared`), build once and broadcast it as a read-only view."""
+def _rows(items, shared: bool, build) -> np.ndarray:
+    """np.stack of build(item) over the items (kernels, or their columns);
+    when they are all equal (`shared`), build once and broadcast it as a
+    read-only view."""
     if shared:
-        one = np.array(build(kernels[0]))
-        return np.broadcast_to(one, (len(kernels),) + one.shape)
-    return np.stack([build(k) for k in kernels])
+        one = np.array(build(items[0]))
+        return np.broadcast_to(one, (len(items),) + one.shape)
+    return np.stack([build(item) for item in items])
 
 
 def _toeplitz_rows(kernels, dx: float, n: int) -> np.ndarray:
@@ -165,9 +166,10 @@ class KernelConvolver:
         self.dx = float(dx)
         self.n = int(n)
         m = self._m = _embedding_length(self.n)
-
-        self._kfft = _rows(self.kernels, _equal(self.kernels), lambda kernel: np.fft.rfft(
-            _circulant(_cell_masses(kernel, self.dx, self.n), m)))
+        shared = self._shared = _equal(self.kernels)
+        # (rows, n) cell masses, the one kernel evaluation every product reads
+        self._cols = _rows(self.kernels, shared, lambda k: _cell_masses(k, self.dx, self.n))
+        self._kfft = _rows(self._cols, shared, lambda col: np.fft.rfft(_circulant(col, m)))
         self._bufs: dict = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -207,8 +209,8 @@ class KernelConvolver:
         """
         m = self._m
         self._bufs.clear()  # the float product's scratch, rebuilt when next needed
-        spectra = _rows(self.kernels, _equal(self.kernels), lambda kernel: np.fft.rfft(
-            _circulant(_cell_masses(kernel, self.dx, self.n).astype(np.longdouble), m)))
+        spectra = _rows(self._cols, self._shared, lambda col: np.fft.rfft(
+            _circulant(col.astype(np.longdouble), m)))
         # a row at a time, which keeps the extended-precision arrays small
         out = np.stack([np.fft.irfft(np.fft.rfft(row.astype(np.longdouble), n=m) * spectrum,
                                      n=m)[: u.shape[-1]] for row, spectrum in zip(u, spectra)])
@@ -220,7 +222,7 @@ class KernelConvolver:
 
     def dense(self) -> np.ndarray:
         """(rows, n, n): row r is kernel r's Toeplitz matrix."""
-        return _toeplitz_rows(self.kernels, self.dx, self.n)
+        return _rows(self._cols, self._shared, _toeplitz)
 
 
 class CdfInterpolant:

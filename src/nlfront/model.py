@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ModelError",
-    "MomentUndetermined",
     "NoPositiveEquilibrium",
     "Kernel",
     "Nonlinearity",
@@ -31,10 +30,6 @@ __all__ = [
 
 KERNEL_FAMILIES = ("laplace", "gaussian", "cauchy", "table")
 
-# window doubling limit for moment probing (windows 2**k, k <= MOMENT_MAX_K)
-MOMENT_MAX_K = 20
-MOMENT_RTOL = 1e-10
-MOMENT_HUGE = 1e12
 # terms of the Euler-transformed series in w <= 1/2 of the power-tail
 # integrals: the first term left out is below 2^-56 of the sum
 SERIES_TERMS = 56
@@ -42,10 +37,6 @@ SERIES_TERMS = 56
 
 class ModelError(ValueError):
     """Invalid model input (parameter domain or hypothesis violation)."""
-
-
-class MomentUndetermined(ModelError):
-    """Moment probing could not classify the kernel tail as finite or infinite."""
 
 
 class NoPositiveEquilibrium(ModelError):
@@ -217,19 +208,6 @@ class Kernel:
         return self._tcum_k[k - 1][i] + _segment_moment(self._tx[i], u, self._ty[i],
                                                         self._tslope[i], k)
 
-    def _base_first_moment(self) -> float:
-        s = self.scale
-        if self.family == "laplace":
-            return s / 2.0
-        if self.family == "gaussian":
-            return s / (2.0 * math.sqrt(math.pi))
-        if self.family == "cauchy":
-            g = self.exponent
-            if g <= 2.0:
-                return math.inf
-            return self._cauchy_c * s * s * (math.pi / g) / math.sin(2.0 * math.pi / g)
-        return None  # table: resolved by the window loop
-
     # -- public surface ------------------------------------------------------
 
     def pdf(self, x) -> np.ndarray:
@@ -400,27 +378,21 @@ def _segment_moment(x0, x1, y0, m, k: int):
 def first_moment(kernel: Kernel) -> float:
     """∫_0^∞ t J(t) dt, or +inf when the tail is too heavy.
 
-    Closed forms for the analytic families; tabulated and truncated kernels
-    are probed over doubling windows 2^k and classified by the increments.
-    Raises MomentUndetermined if the window budget cannot classify the tail.
+    A table or truncated kernel vanishes past its finite support radius, so
+    its partial first moment there is the whole; an untruncated laplace,
+    gaussian or cauchy kernel has a closed form.
     """
-    if kernel.n is None:
-        val = kernel._base_first_moment()
-        if val is not None:
-            return val
-    if kernel.support_radius < math.inf and kernel.n is not None:
+    if kernel.support_radius < math.inf:
         return float(kernel.partial_first_moment(kernel.support_radius))
-    prev = 0.0
-    for k in range(MOMENT_MAX_K + 1):
-        cur = float(kernel.partial_first_moment(2.0**k))
-        if cur > MOMENT_HUGE:
-            return math.inf
-        if k > 0 and cur - prev <= MOMENT_RTOL * max(1.0, cur):
-            return cur
-        prev = cur
-    raise MomentUndetermined(
-        "first moment undetermined after window 2^%d: partial sums still growing" % MOMENT_MAX_K
-    )
+    s = kernel.scale
+    if kernel.family == "laplace":
+        return s / 2.0
+    if kernel.family == "gaussian":
+        return s / (2.0 * math.sqrt(math.pi))
+    g = kernel.exponent
+    if g <= 2.0:
+        return math.inf
+    return kernel._cauchy_c * s * s * (math.pi / g) / math.sin(2.0 * math.pi / g)
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +432,6 @@ class Nonlinearity:
     def G(self, z):
         return self.beta * np.log1p(_as_array(z))
 
-    def dH(self, z):
-        z = _as_array(z)
-        if self.family == "saturating":
-            return self.alpha / (1.0 + z) ** 2
-        return np.full_like(z, self.c)
-
-    def dG(self, z):
-        return self.beta / (1.0 + _as_array(z))
-
     @property
     def hp0(self) -> float:
         """Slope of H at zero."""
@@ -479,16 +442,9 @@ class Nonlinearity:
         return self.beta
 
     def check_hypotheses(self, a: float, b: float) -> None:
-        """Sampled sublinearity and large-argument checks; raises ModelError."""
-        z = np.geomspace(1e-6, 1e3, 64)
-        if np.any(self.dH(z) <= 0) or np.any(self.dG(z) <= 0):
-            raise ModelError("H and G must be strictly increasing")
-        hz = self.H(z) / z
-        gz = self.G(z) / z
-        if np.any(np.diff(hz) > 1e-14):
-            raise ModelError("H(z)/z must be nonincreasing")
-        if np.any(np.diff(gz) >= 0):
-            raise ModelError("G(z)/z must be strictly decreasing")
+        """ModelError unless recovery dominates at large density for the
+        decay rates a, b.  Both families are increasing and sublinear (H(z)/z
+        and G(z)/z nonincreasing) for every positive rate by construction."""
         vstar = None
         if self.hp0 * self.gp0 > a * b:
             vstar = _positive_root(a, b, self)
@@ -614,7 +570,7 @@ class ModelParams:
     """Full parameter set for the two-component front problem.
 
     Immutable; all numeric fields are validated on construction, the
-    nonlinearity is checked against the sampled shape hypotheses, and the
+    nonlinearity's recovery must dominate at large density, and the
     initial data must be positive inside [0, h0) and vanish at h0.
     """
 
@@ -663,8 +619,7 @@ class ModelParams:
 class DerivedConstants:
     """Closed-form threshold constants plus constant equilibrium states.
 
-    ``U, V`` are None when the basic reproduction ratio R0 is at most 1;
-    ``Usigma, Vsigma`` are the sigma-perturbed analogues.
+    ``U, V`` are None when the basic reproduction ratio R0 is at most 1.
     """
 
     R0: float
@@ -676,9 +631,6 @@ class DerivedConstants:
     Lambda: float
     U: float | None
     V: float | None
-    Usigma: float | None
-    Vsigma: float | None
-    sigma: float
 
 
 def _perron_2x2(a11: float, a12: float, a21: float, a22: float) -> float:
@@ -712,13 +664,13 @@ def _perron_shift(a11: float, a12: float, a21: float, a22: float) -> float:
     return half + root if half >= 0.0 else a12 * (a21 / (root - half))
 
 
-def equilibrium(params: ModelParams, sigma: float = 0.0) -> tuple[float, float]:
-    """Positive constant state of the sigma-perturbed reaction system.
+def equilibrium(params: ModelParams) -> tuple[float, float]:
+    """Positive constant state of the reaction system.
 
-    Reduces to the scalar fixed-point equation G(H(V)/(a+sigma)) = (b+sigma)V,
-    brackets the root by doubling and solves it to machine precision.
+    Reduces to the scalar fixed-point equation G(H(V)/a) = bV, brackets the
+    root by doubling and solves it to machine precision.
     """
-    return _equilibrium(params.a + sigma, params.b + sigma, params.nonlinearity)
+    return _equilibrium(params.a, params.b, params.nonlinearity)
 
 
 def _equilibrium(a_eff: float, b_eff: float, nl: Nonlinearity) -> tuple[float, float]:
@@ -740,8 +692,8 @@ def _equilibrium(a_eff: float, b_eff: float, nl: Nonlinearity) -> tuple[float, f
     return u, v
 
 
-def derived_constants(params: ModelParams, sigma: float = 0.0) -> DerivedConstants:
-    """All closed-form constants at one perturbation level sigma."""
+def derived_constants(params: ModelParams) -> DerivedConstants:
+    """All closed-form constants and the positive equilibrium."""
     nl = params.nonlinearity
     a, b, d1, d2 = params.a, params.b, params.d1, params.d2
     hp, gp = nl.hp0, nl.gp0
@@ -752,16 +704,10 @@ def derived_constants(params: ModelParams, sigma: float = 0.0) -> DerivedConstan
     R0 = hp * gp / (a * b)
     Rstar = hp * gp / ((a + d1 / 2.0) * (b + d2 / 2.0))
     Lam = 2.0 * (hp * gp - a * b) / a
-    U = V = Us = Vs = None
+    U = V = None
     if R0 > 1.0:
-        U, V = equilibrium(params, 0.0)
-    if hp * gp > (a + sigma) * (b + sigma):
-        if sigma == 0.0:
-            Us, Vs = U, V
-        else:
-            Us, Vs = equilibrium(params, sigma)
+        U, V = equilibrium(params)
     return DerivedConstants(
         R0=R0, Rstar=Rstar, gammaA=gammaA, gammaB=gammaB,
-        thetaA=thetaA, thetaB=thetaB, Lambda=Lam,
-        U=U, V=V, Usigma=Us, Vsigma=Vs, sigma=sigma,
+        thetaA=thetaA, thetaB=thetaB, Lambda=Lam, U=U, V=V,
     )

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Discretization
-from .model import Kernel, ModelParams, MomentUndetermined, _equilibrium, first_moment
+from .model import Kernel, ModelParams, _equilibrium, first_moment
 
 __all__ = [
     "SpeedEscape",
@@ -182,10 +182,7 @@ def solve_semiwave(
     # mu = 0 is left out, not multiplied in: 0 * inf would be nan
     mus = (params.mu1, params.mu2)
     s0 = L + dx / 2.0
-    try:
-        reach = [_far_tail_integral(k, s0) for k in kernels]
-    except MomentUndetermined:
-        reach = [math.inf, math.inf]
+    reach = [_far_tail_integral(k, s0) for k in kernels]
     far_flux = sum((mu * f * t for mu, f, t in zip(mus, far_field, reach) if mu > 0.0), 0.0)
     if not math.isfinite(far_flux):
         raise SpeedEscape(

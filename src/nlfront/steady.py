@@ -98,14 +98,13 @@ class SteadyState:
         return float(np.max(self.u)) == 0.0 and float(np.max(self.v)) == 0.0
 
 
-def solve_steady(l: float, params: ModelParams, num_cells: int | None = None,
-                 tol: float = GAP_TOL) -> SteadyState:
+def solve_steady(l: float, params: ModelParams, num_cells: int | None = None) -> SteadyState:
     """Unique nonnegative steady state on [0, l].
 
     When the principal eigenvalue is positive the state is squeezed between
     the constant equilibrium from above and a small multiple of the principal
     eigenfunction from below; both sequences are monotone, and convergence
-    means they agree within `tol`.  A nonpositive eigenvalue certifies the
+    means they agree within GAP_TOL.  A nonpositive eigenvalue certifies the
     zero state, which is returned directly.
     """
     pair = eigen.principal_eigenpair(eigen.lambda1_spec(l, params, num_cells))
@@ -141,7 +140,7 @@ def solve_steady(l: float, params: ModelParams, num_cells: int | None = None,
         lo = dom.gamma(*lo)
         iters += 2
         gap = float(np.max(np.abs(up - lo)))
-        if gap < tol:
+        if gap < GAP_TOL:
             break
     else:
         raise SandwichError(
@@ -151,7 +150,7 @@ def solve_steady(l: float, params: ModelParams, num_cells: int | None = None,
 
     res = dom.residual(*up)
     extra = 0
-    while res >= tol and extra < 500:
+    while res >= GAP_TOL and extra < 500:
         up = dom.gamma(*up)
         res = dom.residual(*up)
         iters += 1

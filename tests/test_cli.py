@@ -50,6 +50,17 @@ def test_eigen_command(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_eigen_accepts_a_steep_linear_nonlinearity(tmp_path):
+    # H(z) = c z is sublinear for every c > 0, though c z / z rounds above c
+    # at some z once c is about 50 or more
+    steep = {"family": "linear", "beta": 2.0, "c": 100.0}
+    assert cli.build_params({"nonlinearity": steep}).nonlinearity.hp0 == 100.0
+    code, out = run_into(tmp_path, {"command": "eigen", "numeric": {"l": 2.0},
+                                    "params": {"nonlinearity": steep}})
+    assert code == 0
+    assert (out / "eigen.json").is_file()
+
+
 def test_eigen_reruns_are_byte_identical(tmp_path):
     doc = {"command": "eigen", "numeric": {"l": 3.0}}
     _, out_a = run_into(tmp_path, doc, sub="a")

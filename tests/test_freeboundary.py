@@ -1,4 +1,4 @@
-"""Moving-front simulator: front law, verdicts, bounds, decay fits."""
+"""Moving-front simulator: front law, verdicts, bounds."""
 from dataclasses import replace
 
 import numpy as np
@@ -422,41 +422,6 @@ def test_refinement_consistency(p1):
                        dt=coarse.dt / 2.0)
     rel = abs(coarse.h[-1] - fine.h[-1]) / fine.h[-1]
     assert rel < 0.02
-
-
-def test_vanishing_rate_exponential(vanish_params, vanish_trace):
-    lam = eigen.lambda1(float(vanish_trace.h[-1]), vanish_params)
-    fit = fb.vanishing_rate(vanish_trace, lam)
-    assert fit.mode == "exponential"
-    assert fit.k > 0.0
-    assert fit.r_squared > 0.98
-
-
-def _synthetic_trace(t, sup, mass):
-    return fb.SimulationTrace(
-        t=t, h=np.full(t.size, 2.0), sup_u=sup, sup_v=sup, mass=mass,
-        snapshots=(), M1=float(sup[0]), M2=float(sup[0]),
-        dx=0.05, dt=0.01, final=None)
-
-
-def test_vanishing_rate_algebraic_band():
-    t = np.linspace(0.0, 60.0, 121)
-    sup = 1.0 / (1.0 + t) ** 2
-    trace = _synthetic_trace(t, sup, mass=4.0 * sup)
-    fit = fb.vanishing_rate(trace, lam_front=0.0)
-    assert fit.mode == "algebraic"
-    assert abs(fit.k - 2.0) < 1e-6
-    assert fit.r_squared > 0.999999
-
-
-def test_vanishing_rate_rejections():
-    t = np.linspace(0.0, 60.0, 121)
-    growing = _synthetic_trace(t, 1.0 + t / 60.0, mass=4.0 + t)
-    with pytest.raises(ValueError, match="not a vanishing trace"):
-        fb.vanishing_rate(growing, lam_front=-0.5)
-    short = _synthetic_trace(t[:5], 1.0 / (1.0 + t[:5]), mass=1.0 / (1.0 + t[:5]))
-    with pytest.raises(ValueError, match="too short"):
-        fb.vanishing_rate(short, lam_front=-0.5)
 
 
 def test_mismatch_rows_structure(p1):
