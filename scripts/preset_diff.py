@@ -16,6 +16,10 @@ The relative difference of two numbers a, b is |a - b| / max(|a|, |b|).
 JSON artifacts are compared leaf by leaf and CSV artifacts cell by cell;
 a field is a JSON path or a CSV column, with list and row indices dropped.
 A changed string, flag, null or shape counts as a non-numeric change.
+
+Exits 1 when a preset's exit code changes, an artifact is only in one
+tree or a non-numeric field changes (a verdict or a flag), else 0: numeric
+differences alone are printed, not judged.
 """
 import argparse
 import json
@@ -87,10 +91,11 @@ def _csv_leaves(text: str):
             yield f"{header[j] if j < len(header) else j}[{i}]", cell
 
 
-def _compare(old: Path, new: Path) -> str:
+def _compare(old: Path, new: Path) -> tuple[str, bool]:
+    """The artifact's line, and whether a non-numeric field changed."""
     a, b = old.read_bytes(), new.read_bytes()
     if a == b:
-        return "identical"
+        return "identical", False
     if old.suffix == ".json":
         la, lb = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
     else:
@@ -120,7 +125,7 @@ def _compare(old: Path, new: Path) -> str:
             parts.append("by field: " + ", ".join(f"{f} {r:.2g}" for f, r in fields.items()))
     if other:
         parts.append("non-numeric changed: " + ", ".join(dict.fromkeys(other)))
-    return "; ".join(parts) or "bytes differ, no field differs"
+    return "; ".join(parts) or "bytes differ, no field differs", bool(other)
 
 
 def main() -> int:
@@ -134,20 +139,23 @@ def main() -> int:
         for src, root in zip((args.old, args.new), roots):
             root.mkdir()
             codes.append(_run_presets(src.resolve(), root))
+        changed = False
         for name in sorted(set(codes[0]) | set(codes[1])):
             if codes[0].get(name) != codes[1].get(name):
                 print(f"{name}: exit code {codes[0].get(name)} -> {codes[1].get(name)}")
+                changed = True
             files = [{p.name for p in (root / name).glob("*") if p.is_file()}
                      if (root / name).is_dir() else set() for root in roots]
             for fname in sorted(files[0] | files[1]):
                 if fname not in files[1]:
-                    line = "only in old"
+                    line, other = "only in old", True
                 elif fname not in files[0]:
-                    line = "only in new"
+                    line, other = "only in new", True
                 else:
-                    line = _compare(roots[0] / name / fname, roots[1] / name / fname)
+                    line, other = _compare(roots[0] / name / fname, roots[1] / name / fname)
                 print(f"{name} {fname}: {line}")
-    return 0
+                changed |= other
+    return int(changed)
 
 
 if __name__ == "__main__":

@@ -349,23 +349,19 @@ class _Master:
 
         flux = 0.0
         if p.mu1 > 0.0 or p.mu2 > 0.0:  # a lone member
-            s = h - self.x[:k]
-            acc = np.zeros(k)
+            s = h - float(self.x[k - 1])
             escape = None
             # only a species that moves the front asks for (and so builds) a
             # tail table; equal kernels share one escaping-mass evaluation.
-            # Cells at s >= the table's reach lose exactly no mass, so only
-            # the cells from `near` on, where s (falling along the grid) is
-            # below it, are evaluated; the rest of acc stays the 0 they add
+            # The cells' h - x are 8 table steps apart, so the table is read
+            # by stride from the last cell down, and only up to the table's
+            # flat part: the cells beyond it lose exactly no mass
             for r, mu in enumerate((p.mu1, p.mu2)):
                 if mu > 0.0:
                     if escape is None or not self._same_kernels:
-                        table = self.grid.tail(r)
-                        near = (0 if s[0] < table.reach
-                                else k - int(np.searchsorted(s[::-1], table.reach)))
-                        escape = self.grid.mass[r] - table(s[near:])
-                    acc[near:] += mu * act[0, r, near:] * escape
-            flux = float(np.dot(w, acc))
+                        escape = (self.grid.mass[r] - self.grid.tail(r).strided(s, 8, k))[::-1]
+                    near = k - escape.size
+                    flux += mu * float(np.dot(w[near:] * act[0, r, near:], escape))
         return f, flux
 
     def heun(self, dt: float) -> None:

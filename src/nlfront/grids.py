@@ -9,7 +9,8 @@ DENSE_MAX cells, through the leading block of the same matrix held dense.
 `Discretization` is the one discretization of the truncated nonlocal
 operator d_r (∫ J_r(x - y) u_r(y) dy - j_r(x) u_r(x)) that every solver
 builds on: exact cell masses, the retained mass j = CDF at the cell nodes,
-and the escaping tail mass - CDF.
+and the escaping tail mass - CDF, read from a table at step dx/8 that a
+moving front's cells, 8 steps apart, read by stride.
 
 `stacked_convolution` is the one choice between the dense and the FFT
 product, and the only way a solver forms K u.  The moving-front stepping
@@ -18,7 +19,9 @@ semi-wave's profile grids all convolve through it (all but the first via
 `Discretization.convolve`).
 
 The FFTs are numpy's pocketfft real transforms on 5-smooth lengths, into
-spectrum buffers each `KernelConvolver` keeps per operand shape.
+spectrum buffers each `KernelConvolver` keeps per operand shape.  A
+convolver's embedding length follows the kernels' reach, n + t for t
+nonzero taps, rather than 2n.
 """
 from __future__ import annotations
 
@@ -68,13 +71,12 @@ def cell_nodes(left: float, dx: float, n: int) -> np.ndarray:
     return left + (np.arange(n) + 0.5) * dx
 
 
-def _embedding_length(n: int) -> int:
-    """Length of the circulant embedding of an n-cell Toeplitz matrix: the
-    smallest 5-smooth length >= 2n.  Lengths with factors 7 or 11 (896,
-    3584, 13230) cost pocketfft's real transforms up to 1.6x more per
-    element than a 5-smooth length (13230 at 45.7 against 13824 at 28.3 ns
-    per element, 2-vCPU x86 VM)."""
-    target = 2 * n
+def _embedding_length(target: int) -> int:
+    """The smallest 5-smooth length >= target: a `KernelConvolver` embeds
+    its Toeplitz matrix in a circulant of length >= n + t, n cells and t
+    taps.  Lengths with factors 7 or 11 (896, 3584, 13230) cost pocketfft's
+    real transforms up to 1.6x more per element than a 5-smooth length
+    (13230 at 45.7 against 13824 at 28.3 ns per element, 2-vCPU x86 VM)."""
     best = 1 << (target - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -112,8 +114,9 @@ def _cell_masses(kernel: Kernel, dx: float, n: int) -> np.ndarray:
 
 
 def _circulant(col: np.ndarray, m: int) -> np.ndarray:
-    """First column of the size-m circulant that embeds the symmetric
-    Toeplitz matrix with first column `col`."""
+    """First column of the size-m circulant that embeds, on up to
+    m - col.size + 1 cells, the symmetric Toeplitz matrix whose first
+    column is `col` followed by zeros."""
     return np.concatenate([col, np.zeros(m - 2 * col.size + 1, col.dtype), col[:0:-1]])
 
 
@@ -153,10 +156,17 @@ class KernelConvolver:
     Approximates ∫ J_r(x_j - y) u_r(y) dy over the grid's span, treating u
     as piecewise constant per cell; the per-cell kernel masses are exact CDF
     differences, so row sums reproduce ∫ J_r(x_j - y) dy over the span
-    exactly.  Equal kernels share one column and one spectrum.  Row r of
-    ``apply`` equals a one-kernel convolver of kernels[r] bit for bit: the
-    rows share the embedding length and each is transformed, multiplied
-    and inverted exactly as on its own.
+    exactly.  Equal kernels share one column and one spectrum.
+
+    The circulant holds t taps, t = 1 + the offset of the last nonzero cell
+    mass over all rows (a compact or thin-tailed kernel's masses are exact
+    zeros past some offset; a heavy tail's never are, and then t = n), and
+    has the embedding length m, the smallest 5-smooth length >= n + t.
+    That embeds the whole n-cell Toeplitz matrix, with no wrap-around for
+    any k <= n.  Row r of ``apply`` equals a one-kernel convolver of
+    kernels[r] with the same m bit for bit (each row is transformed,
+    multiplied and inverted exactly as on its own); with another m it
+    differs by FFT rounding alone.
     """
 
     def __init__(self, kernels, dx: float, n: int):
@@ -165,11 +175,12 @@ class KernelConvolver:
         self.kernels = tuple(kernels)
         self.dx = float(dx)
         self.n = int(n)
-        m = self._m = _embedding_length(self.n)
         shared = self._shared = _equal(self.kernels)
         # (rows, n) cell masses, the one kernel evaluation every product reads
         self._cols = _rows(self.kernels, shared, lambda k: _cell_masses(k, self.dx, self.n))
-        self._kfft = _rows(self._cols, shared, lambda col: np.fft.rfft(_circulant(col, m)))
+        t = self._taps = 1 + int(np.flatnonzero(np.any(self._cols, axis=0)).max(initial=0))
+        m = self._m = _embedding_length(self.n + t)
+        self._kfft = _rows(self._cols, shared, lambda col: np.fft.rfft(_circulant(col[:t], m)))
         self._bufs: dict = {}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -191,8 +202,8 @@ class KernelConvolver:
         kernel spectra computed in that precision from the cell masses.
         Row r is irfft(rfft(p) K), p the row zero-padded to the embedding
         length m and K the spectrum of the circulant column c of kernel r's
-        cell masses.  Model each of the L = ceil(log2 m) + 1 passes of a
-        transform (one for the real-data packing) as a Cooley-Tukey stage
+        first t cell masses.  Model each of the L = ceil(log2 m) + 1 passes
+        of a transform (one for the real-data packing) as a Cooley-Tukey stage
         with unit-modulus weights and relative error η = 10ε (Higham's μ +
         γ_4 (√2 + μ) = 6.7ε for radix 2 with twiddles correct to ε, with
         room for the radix 3, 4 and 5 passes), and let e = Lη / (1 - Lη).
@@ -207,10 +218,10 @@ class KernelConvolver:
         ‖rfft(p)‖₂ = √m ‖p‖₂ and ‖K‖₂ = √m ‖c‖₂ bounds each entry's error
         by (3e + √2 γ_2 + ε)(1 + e)² ‖p‖₂ ‖c‖₂ <= 4e ‖p‖₂ ‖c‖₂.
         """
-        m = self._m
+        m, t = self._m, self._taps
         self._bufs.clear()  # the float product's scratch, rebuilt when next needed
         spectra = _rows(self._cols, self._shared, lambda col: np.fft.rfft(
-            _circulant(col.astype(np.longdouble), m)))
+            _circulant(col[:t].astype(np.longdouble), m)))
         # a row at a time, which keeps the extended-precision arrays small
         out = np.stack([np.fft.irfft(np.fft.rfft(row.astype(np.longdouble), n=m) * spectrum,
                                      n=m)[: u.shape[-1]] for row, spectrum in zip(u, spectra)])
@@ -226,24 +237,40 @@ class KernelConvolver:
 
 
 class CdfInterpolant:
-    """Dense linear-interpolation table for a kernel CDF on [x_min, x_max].
+    """Dense linear-interpolation table for a kernel CDF on [x_min, x_max],
+    at the abscissae x_min + i step.
 
     Used where the CDF must be evaluated at arguments that change every time
     step; static grid quantities always use the exact CDF instead.
     """
 
     def __init__(self, kernel: Kernel, x_max: float, step: float, x_min: float = 0.0):
-        self.x = np.arange(x_min, x_max + 2 * step, step)
+        self.step = float(step)
+        self.x = x_min + self.step * np.arange(math.ceil((x_max - x_min) / step) + 2)
         self.y = np.asarray(kernel.cdf(self.x))
-        # the first abscissa from which the table equals the kernel's mass
-        # exactly, so that the interpolant does too at every x >= reach (inf
-        # when the table never gets there, as for heavy tails)
+        # the first index from which the table equals the kernel's mass
+        # exactly, so that the interpolant does too at every x >= x[flat]
+        # (the table's size when it never gets there, as for heavy tails)
         flat = self.y == float(kernel.mass)
-        trailing = flat.size if flat.all() else int(np.argmin(flat[::-1]))
-        self.reach = float(self.x[-trailing]) if trailing else math.inf
+        self.flat = flat.size - (flat.size if flat.all() else int(np.argmin(flat[::-1])))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.x, self.y, left=float(self.y[0]), right=float(self.y[-1]))
+
+    def strided(self, s: float, stride: int, count: int) -> np.ndarray:
+        """The interpolant at s + q stride step for q = 0, 1, ..., count - 1,
+        cut before the first q whose table index j + stride q reaches
+        `flat` (there, and at every later q, the value is the mass).  The
+        points share s's fraction θ of a table step and j, s's table index,
+        so their values are one strided two-point blend y[j + stride q] +
+        θ (y[j + stride q + 1] - y[j + stride q]), with no search.  s must
+        lie in the table, and so must the points before the cut."""
+        p = (s - float(self.x[0])) / self.step
+        j = int(p)
+        theta = p - j
+        count = min(count, max(0, -(-(self.flat - j) // stride)))
+        lo = self.y[j: j + stride * count: stride]
+        return lo + theta * (self.y[j + 1: j + 1 + stride * count: stride] - lo)
 
 
 class Discretization:
@@ -308,12 +335,16 @@ class Discretization:
         return self._block
 
     def tail(self, r: int) -> CdfInterpolant:
-        """Row r's CDF table on [-1, n dx + 1] at step dx/8, for the flux
-        through a front inside the grid (arguments h - x change every step)."""
+        """Row r's CDF table on [-max(1, dx), n dx + 1] at step dx/8, for
+        the flux through a front inside the grid: the arguments h - x of
+        the covered cells change every step, and as they are whole cells,
+        8 table steps, apart, `CdfInterpolant.strided` reads them all at
+        one table fraction.  The table starts below -dx/2, the least h - x
+        a covered cell can have."""
         table = self._tails[r]
         if table is None:
             table = self._tails[r] = CdfInterpolant(
-                self.kernels[r], self.n * self.dx + 1.0, self.dx / 8, x_min=-1.0)
+                self.kernels[r], self.n * self.dx + 1.0, self.dx / 8, x_min=-max(1.0, self.dx))
         return table
 
     def convolve(self, src: np.ndarray) -> np.ndarray:

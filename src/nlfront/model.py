@@ -135,16 +135,17 @@ class Kernel:
         if raw_half <= 0:
             raise ModelError("table kernel has zero mass")
         ys = ys / (2.0 * raw_half)
-        # cumulative ∫J, ∫tJ and ∫t^2 J at the knots, exact for the linear interpolant
+        # cumulative ∫J, ∫tJ and ∫t^2 J at the knots, exact for the linear
+        # interpolant; a second moment past the float range (a last knot
+        # beyond about 1e154) is inf
         cum = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0)])
-        slopes = np.diff(ys) / np.diff(xs)
-        cum_k = tuple(np.concatenate([[0.0], np.cumsum(
-            _segment_moment(xs[:-1], xs[1:], ys[:-1], slopes, k))]) for k in (1, 2))
+        with np.errstate(over="ignore"):
+            cum_k = tuple(np.concatenate([[0.0], np.cumsum(
+                _segment_moment(xs[:-1], xs[1:], ys[:-1], ys[1:], k))]) for k in (1, 2))
         object.__setattr__(self, "_tx", xs)
         object.__setattr__(self, "_ty", ys)
         object.__setattr__(self, "_tcum", cum)
         object.__setattr__(self, "_tcum_k", cum_k)  # ∫t^k J for k = 1, 2
-        object.__setattr__(self, "_tslope", slopes)
 
     # -- base family pieces (no truncation) ---------------------------------
 
@@ -154,11 +155,16 @@ class Kernel:
         g = self.exponent
         return 1.0 / (2.0 * self.scale * (math.pi / g) / math.sin(math.pi / g))
 
-    def _knot(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u capped at the table's last knot, and the index of its knot segment."""
-        xs = self._tx
+    def _knot(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u capped at the table's last knot, the index i of its knot
+        segment and the density J(u), blended from the segment's ends by
+        the covered fraction of the segment (no slope, which underflows
+        on a long segment)."""
+        xs, ys = self._tx, self._ty
         u = np.minimum(u, xs[-1])
-        return u, np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 2)
+        i = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 2)
+        frac = (u - xs[i]) / (xs[i + 1] - xs[i])
+        return u, i, ys[i] + (ys[i + 1] - ys[i]) * frac
 
     @_overflow_is_inf
     def _base_pdf(self, r: np.ndarray) -> np.ndarray:
@@ -182,9 +188,8 @@ class Kernel:
             return _erf(u / s) / 2.0
         if self.family == "cauchy":
             return self._cauchy_c * s * _cauchy_integral(1.0, self.exponent, u / s)
-        u, i = self._knot(u)
-        du = u - self._tx[i]
-        return self._tcum[i] + self._ty[i] * du + self._tslope[i] * du**2 / 2.0
+        u, i, ju = self._knot(u)
+        return self._tcum[i] + (u - self._tx[i]) * (self._ty[i] + ju) / 2.0
 
     @_overflow_is_inf
     def _base_moment(self, u: np.ndarray, k: int) -> np.ndarray:
@@ -204,9 +209,8 @@ class Kernel:
         if self.family == "cauchy":
             # c s first: c ~ 1/s, and s^(k+1) alone underflows at tiny scales
             return self._cauchy_c * s * s**k * _cauchy_integral(k + 1.0, self.exponent, u / s)
-        u, i = self._knot(u)
-        return self._tcum_k[k - 1][i] + _segment_moment(self._tx[i], u, self._ty[i],
-                                                        self._tslope[i], k)
+        u, i, ju = self._knot(u)
+        return self._tcum_k[k - 1][i] + _segment_moment(self._tx[i], u, self._ty[i], ju, k)
 
     # -- public surface ------------------------------------------------------
 
@@ -369,10 +373,17 @@ def _gammainc(a: float, x):
     return _split(x, a + 1.0, series, complement)
 
 
-def _segment_moment(x0, x1, y0, m, k: int):
-    """∫_{x0}^{x1} t^k (y0 + m (t - x0)) dt, one segment of a table kernel."""
-    return ((y0 - m * x0) * (x1 ** (k + 1) - x0 ** (k + 1)) / (k + 1)
-            + m * (x1 ** (k + 2) - x0 ** (k + 2)) / (k + 2))
+def _segment_moment(x0, x1, y0, y1, k: int):
+    """∫_{x0}^{x1} t^k J(t) dt for k = 1, 2, J linear from y0 at x0 to y1
+    at x1: one segment of a table kernel.  Simpson's rule, exact for the
+    cubic t^k J(t).  Each t J(t) is formed before any further power of t,
+    and no slope is, so a far knot (J ~ 1/t there) overflows or underflows
+    no term before the moment itself does."""
+    def f(t, y):
+        return y * t * t ** (k - 1)
+
+    d = x1 - x0
+    return d / 6.0 * (f(x0, y0) + 4.0 * f(x0 + d / 2.0, (y0 + y1) / 2.0) + f(x1, y1))
 
 
 def first_moment(kernel: Kernel) -> float:

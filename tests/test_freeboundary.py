@@ -274,17 +274,48 @@ def test_front_weights_are_the_full_clip_bitwise(p1):
                          ids=lambda k: k.family)
 def test_front_flux_is_the_full_tail_sum_bitwise(kernel2):
     # rhs evaluates the escaping mass only on cells within the tail table's
-    # reach; the flux must equal the sum over every covered cell bit for bit
+    # reach; over every covered cell, the same strided blend gives exactly
+    # no escaping mass on the skipped cells and the kept cells' masses bit
+    # for bit, so the flux is the sum over the kept terms of the full one
     params = params_with(kernel2=kernel2)
     eng = fb._Master(params, 0.05, 2048)
     eng.uv[0, :, :1600] = np.random.default_rng(3).uniform(0.0, 1.0, (2, 1600))
-    assert eng.grid.tail(0).reach < 40.0
+    assert eng.grid.tail(0).x[eng.grid.tail(0).flat] < 40.0
+    skipped = 0
     for h in (0.03, 2.0, 25.1995, 41.7, 79.99):
         k, w, _ = eng.front(h)
-        s = h - eng.x[:k]
-        acc = sum(mu * eng.uv[0, r, :k] * (eng.grid.mass[r] - eng.grid.tail(r)(s))
-                  for r, mu in enumerate((params.mu1, params.mu2)))
-        assert eng.rhs(eng.uv, h)[1] == float(np.dot(w, acc))
+        flux = 0.0
+        for r, mu in enumerate((params.mu1, params.mu2)):
+            table = eng.grid.tail(r)
+            pos = (h - float(eng.x[k - 1]) - table.x[0]) / table.step
+            j = int(pos)
+            at = j + 8 * np.arange(k)[::-1]
+            full = eng.grid.mass[r] - (table.y[at] + (pos - j) * (table.y[at + 1] - table.y[at]))
+            near = int(np.count_nonzero(at >= table.flat))  # cells past the reach
+            assert not np.any(full[:near])
+            skipped += near
+            flux += mu * float(np.dot(w[near:] * eng.uv[0, r, near:k], full[near:]))
+        assert eng.rhs(eng.uv, h)[1] == flux
+    assert skipped > 0
+
+
+def test_coarse_front_flux_reads_its_table_below_minus_one(p1):
+    # a covered cell's h - x can be as low as -dx/2, below -1 when dx > 2;
+    # the tail table starts at -dx there, so the strided read stays inside
+    # it and agrees with np.interp over the same table
+    eng = fb._Master(p1, 3.0, 512)
+    eng.uv[0, :, :40] = np.random.default_rng(5).uniform(0.0, 1.0, (2, 40))
+    table = eng.grid.tail(0)
+    assert table.x[0] == -3.0
+    low = 0
+    for h in (0.2, 30.3, 102.1, 119.2):
+        k, w, _ = eng.front(h)
+        low += h - eng.x[k - 1] < -1.0
+        escape = p1.kernel1.mass - table(h - eng.x[:k])
+        ref = sum(mu * np.dot(w, eng.uv[0, r, :k] * escape)
+                  for r, mu in enumerate((p1.mu1, p1.mu2)))
+        assert eng.rhs(eng.uv, h)[1] == pytest.approx(ref, rel=1e-14)
+    assert low == 3
 
 
 def test_growing_front_builds_the_dense_block_once(p1, monkeypatch):
@@ -307,9 +338,9 @@ def test_growing_front_builds_the_dense_block_once(p1, monkeypatch):
 
 def test_equal_kernels_share_one_tail_evaluation(p1, monkeypatch):
     calls = []
-    call = grids.CdfInterpolant.__call__
-    monkeypatch.setattr(grids.CdfInterpolant, "__call__",
-                        lambda self, x: calls.append(x.size) or call(self, x))
+    strided = grids.CdfInterpolant.strided
+    monkeypatch.setattr(grids.CdfInterpolant, "strided",
+                        lambda self, *args: calls.append(args) or strided(self, *args))
     shared = fb._start(p1, 0.05)
     f, g = shared.rhs(shared.uv, shared.h)
     assert len(calls) == 1

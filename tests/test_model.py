@@ -474,13 +474,18 @@ def test_convolver_matches_direct_sum(laplace):
 @pytest.mark.parametrize("n", [200, 1201, 2048])
 def test_convolver_stack_rows_equal_single_applies(laplace, n):
     # the stepper's output must not depend on whether species share an FFT:
-    # each row of a two-kernel convolver is a one-kernel convolver's, and
-    # equal kernels share one spectrum
+    # a row of a two-kernel convolver is a one-kernel convolver's bit for
+    # bit when both have the same embedding length (the heavy cauchy tail
+    # sets the pair's; laplace alone needs a shorter one past 727 cells,
+    # and its row then matches the dense product to rounding), and equal
+    # kernels share one spectrum
     kernels = (laplace, Kernel("cauchy", 1.0, exponent=1.3))
     pair = grids.KernelConvolver(kernels, 0.05, n)
     singles = [grids.KernelConvolver((k,), 0.05, n) for k in kernels]
     same = grids.KernelConvolver((laplace, laplace), 0.05, n)
     assert np.shares_memory(same._kfft[0], same._kfft[1])
+    assert pair._m == singles[1]._m and (singles[0]._m < pair._m) == (n > 728)
+    dense = pair.dense()
     rng = np.random.default_rng(n)
     for k in (n, n // 2 + 1):
         u = rng.uniform(0.0, 1.0, (2, k))
@@ -489,8 +494,12 @@ def test_convolver_stack_rows_equal_single_applies(laplace, n):
         assert out.shape == (2, k)
         for row, conv in enumerate(singles):
             padded[0, :k] = u[row]
-            assert np.array_equal(out[row], conv.apply(u[row:row + 1])[0])
-            assert np.array_equal(out[row], conv.apply(padded)[0, :k])
+            if conv._m == pair._m:
+                assert np.array_equal(out[row], conv.apply(u[row:row + 1])[0])
+            else:
+                ref = dense[row, :k, :k] @ u[row]
+                assert np.max(np.abs(out[row] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(conv.apply(u[row:row + 1])[0], conv.apply(padded)[0, :k])
         assert np.array_equal(same.apply(u), singles[0].apply(u[:, None])[:, 0])
     with pytest.raises(ValueError, match="operand shape"):
         pair.apply(np.zeros((2, n + 1)))
@@ -623,18 +632,19 @@ def test_non_finite_kernel_and_nonlinearity_inputs_are_refused(build, message):
 
 def test_fft_embedding_length_is_the_next_five_smooth_length():
     from scipy import fft  # here only: nlfront itself must not load scipy
-    for n in list(range(1, 3000)) + [6601, 13230, 99991, 131072, 299999]:
-        assert grids._embedding_length(n) == fft.next_fast_len(2 * n, real=True), n
+    for target in list(range(1, 6000)) + [13202, 26460, 199982, 262144, 599998]:
+        assert grids._embedding_length(target) == fft.next_fast_len(target, real=True), target
 
 
 @pytest.mark.parametrize("n", [448, 896, 1201, 1801, 3401, 6601])
 def test_fft_embedding_is_five_smooth(laplace, n):
     # 7- and 11-smooth real transforms are slow in pocketfft; the embedding
-    # keeps to factors 2, 3 and 5 and still holds the whole Toeplitz matrix
+    # keeps to factors 2, 3 and 5 and still holds the whole Toeplitz matrix:
+    # n cells and the t taps of the longer-reaching kernel (laplace's, 728)
     kernels = (laplace, Kernel("gaussian", 0.8))
     conv = grids.KernelConvolver(kernels, 0.05, n)
     m = conv._m
-    assert m >= 2 * n
+    assert conv._taps == min(n, 728) and m >= n + conv._taps
     for p in (2, 3, 5):
         while m % p == 0:
             m //= p
@@ -643,3 +653,71 @@ def test_fft_embedding_is_five_smooth(laplace, n):
     out = conv.apply(uv)
     ref = np.stack([_direct_sum(kern, 0.05, row) for kern, row in zip(kernels, uv)])
     assert np.max(np.abs(out - ref)) <= 1e-14 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kernel, dx, n", [
+    (Kernel("laplace", 1.0), 0.1, 500),
+    (Kernel("gaussian", 0.8), 0.05, 300),
+    (Kernel("cauchy", 1.0, exponent=2.5).truncate(5.0), 0.05, 400),
+    (Kernel("table", points=((0.0, 1.0), (1.0, 0.6), (3.0, 0.0))), 0.05, 300),
+], ids=lambda v: v.family if isinstance(v, Kernel) else None)
+def test_cut_embedding_matches_the_dense_product_at_every_size(kernel, dx, n):
+    # past its last nonzero cell mass the column is exact zeros, so the
+    # circulant holds only t taps and an embedding of n + t points, below
+    # 2n, still holds the whole Toeplitz matrix: no wrap-around at any k
+    conv = grids.KernelConvolver((kernel,), dx, n)
+    t = conv._taps
+    assert t < n and not np.any(conv._cols[0, t:]) and conv._cols[0, t - 1] > 0.0
+    assert n + t <= conv._m < 2 * n
+    dense = conv.dense()[0]
+    u = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    for k in range(1, n + 1):
+        ref = dense[:k, :k] @ u[:k]
+        out = conv.apply(u[None, :k])[0]
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+
+def test_untruncated_cauchy_keeps_the_full_column_embedding():
+    # a heavy tail's cell masses never reach zero: all n taps stay, the
+    # embedding is the 5-smooth length >= 2n and the product the one of the
+    # full-column circulant, bit for bit
+    kernel, dx, n = Kernel("cauchy", 1.0, exponent=1.3), 0.05, 1201
+    conv = grids.KernelConvolver((kernel,), dx, n)
+    m = grids._embedding_length(2 * n)
+    assert conv._taps == n and conv._m == m
+    kfft = np.fft.rfft(grids._circulant(grids._cell_masses(kernel, dx, n), m))[None]
+    rng = np.random.default_rng(5)
+    for k in (1, 600, n):
+        u = rng.uniform(0.0, 1.0, (1, k))
+        assert np.array_equal(conv.apply(u), grids._circulant_apply(u, kfft, m, {}))
+
+
+@pytest.mark.parametrize("kernel", [Kernel("laplace", 1.0), Kernel("gaussian", 0.8),
+                                    Kernel("cauchy", 1.0, exponent=2.5)],
+                         ids=lambda k: k.family)
+def test_strided_lookup_matches_np_interp(kernel):
+    # points a whole number of strides apart share one table fraction; on
+    # a dyadic grid they, and the table's abscissae, are exact, so the
+    # strided blend and np.interp interpolate at the same points
+    dx = 2.0**-4
+    table = grids.CdfInterpolant(kernel, 100.0, dx / 8, x_min=-1.0)
+    rng = np.random.default_rng(11)
+    for s in np.round(rng.uniform(-dx / 2, 2.0, 40) * 2**20) / 2**20:
+        got = table.strided(float(s), 8, 1500)
+        ref = table(s + dx * np.arange(1500))
+        assert got.size == min(1500, -(-(table.flat - int((s + 1.0) / table.step)) // 8))
+        assert np.all(np.abs(got - ref[:got.size]) <= 4 * np.spacing(ref[:got.size]))
+        assert np.all(ref[got.size:] == float(kernel.mass))
+
+
+@pytest.mark.parametrize("far", [1e77, 1e103, 1e200])
+def test_table_kernel_with_a_far_last_knot(far):
+    # a triangle on [0, L]: its segment integrals neither overflow nor
+    # underflow on the way to values of the order of L (1e200^2 did, and
+    # the slope 1 / L^2 went to 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = Kernel("table", points=((0.0, 1.0), (far, 0.0)))
+        assert float(kernel.cdf(far / 2)) == pytest.approx(0.875, rel=1e-12)
+        assert first_moment(kernel) == pytest.approx(far / 6, rel=1e-12)
+        assert float(kernel.tail_integral(far / 2)) == pytest.approx(7 * far / 48, rel=1e-12)
