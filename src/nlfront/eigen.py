@@ -433,13 +433,15 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
         solves.append((l, pair.enclosure))
         return pair.lambda_p - target
 
+    # lambda1 increases toward the large-domain rate, so a root above lo
+    # exists exactly when that limit clears the target.  K - diag(j) has
+    # nonpositive row sums, so the discrete lambda1(lo) <= gammaA too, and
+    # testing this first never changes which refusal fires
+    if derived_constants(params).gammaA <= target:
+        raise ValueError("no threshold length: vanishing persists at every tested length")
     f_lo = lam(lo, num_cells)
     if f_lo >= 0:
         raise ValueError("no threshold length: spreading persists for every front position")
-    # lambda1 increases toward the large-domain rate, so a root above lo
-    # exists exactly when that limit clears the target
-    if derived_constants(params).gammaA <= target:
-        raise ValueError("no threshold length: vanishing persists at every tested length")
     hi = max(hi_start, 2 * lo)
     while (f_hi := lam(hi, num_cells)) <= 0:
         hi *= 2.0

@@ -1,6 +1,6 @@
 """Moving-boundary dynamics: time integration, outcome classification
-(eigenvalue, comparison-barrier and stall certificates), the pathwise front
-bound, and the even-extension flux diagnostic.
+(eigenvalue and comparison-barrier certificates), the pathwise front bound,
+and the even-extension flux diagnostic.
 
 The solver lives on a fixed master grid over [0, X_max) of cells of width
 dx; the front position h cuts the last covered cell, whose quadrature
@@ -28,7 +28,6 @@ from .grids import MAX_CELLS, Discretization, default_cells, stacked_convolution
 from .model import (
     ModelParams,
     NoPositiveEquilibrium,
-    derived_constants,
     equilibrium,
     initial_profile,
 )
@@ -51,9 +50,7 @@ __all__ = [
 ]
 
 NEGATIVITY_TOL = 1e-12
-STALL_WINDOW = 10.0
-STALL_TOL = 1e-6
-MASS_TOL = 1e-6
+BARRIER_WINDOW = 10.0
 DEFAULT_DX = 0.05
 DEFAULT_T_MAX = 500.0
 # far more Heun steps than any run needs (well over an hour of stepping); a
@@ -195,19 +192,16 @@ class Outcome:
 
     ``certificate`` names what decided it: ``eigenvalue`` (spreading: a
     positive principal eigenvalue at the front), ``barrier`` (vanishing: the
-    comparison barrier, recorded in ``barrier``), ``stall`` (vanishing: a
-    stalled front with vanishing mass) or ``none`` (undecided).
+    comparison barrier, recorded in ``barrier``) or ``none`` (undecided).
     ``lambda_enclosure`` encloses ``lambda_front`` (`eigen.Eigenpair`).
     """
 
     verdict: str
     certificate: str
     t_decided: float
-    horizon: float
     h_front: float
     lambda_front: float | None
     mass: float
-    stall_gap: float | None
     message: str = ""
     barrier: Barrier | None = None
     lambda_enclosure: tuple[float, float] | None = None
@@ -557,9 +551,9 @@ def _barrier(params: ModelParams, h: float, ell: float, x: np.ndarray | None,
              u, v, *, m_floor: float = 0.0) -> Barrier | None:
     """The comparison barrier from front position h, below the length ell.
 
-    With eps = min(0.05, (ell/h - 1)/2), h1 = h (1 + eps), (phi1, phi2) the
-    principal eigenpair on [0, h1] (sup-norm 1) and delta = -lambda1(h1) > 0,
-    the pair
+    With eps = min(0.05, (ell/h - 1)/2) (0.05 for ell = inf, where no length
+    caps it), h1 = h (1 + eps), (phi1, phi2) the principal eigenpair on
+    [0, h1] (sup-norm 1) and delta = -lambda1(h1) > 0, the pair
 
         ubar = M e^{-delta t} phi1,  vbar = M e^{-delta t} phi2,
         gbar(t) = h (1 + eps - eps e^{-delta t})
@@ -625,13 +619,15 @@ def classify(
     Spreading is certified as soon as the front reaches a length where the
     principal eigenvalue is >= +1e-6 (the eigenvalue is increasing in l, so
     once positive it stays positive and the front cannot stall).  Vanishing
-    is certified by the comparison barrier of `_barrier`, applied to the
-    current state once per STALL_WINDOW of model time below the length
-    where the spreading certificate starts, or else by a stalled front,
-    near-zero mass and a negative eigenvalue at the final length.  Anything
-    else is undecided.  The barrier rests on H and G being sublinear, which
-    both `Nonlinearity` families are for every positive rate by
-    construction; `Nonlinearity.check_hypotheses` does not sample it.
+    is certified only by the comparison barrier of `_barrier`, applied to
+    the current state once per BARRIER_WINDOW of model time, below the
+    length where the spreading certificate starts, or with eps = 0.05 where
+    no such length exists (the large-domain rate is <= 2e-6, R0 <= 1
+    included): the barrier's own check lambda1(h1) < 0 keeps h1 below the
+    critical length either way.  Anything else is undecided.  The barrier
+    rests on H and G being sublinear, which both `Nonlinearity` families
+    are for every positive rate by construction;
+    `Nonlinearity.check_hypotheses` does not sample it.
 
     The barrier's bound is eps delta h / (M m(h1)), with m(h1) =
     max_r ∫_0^h1 T_r the most kernel mass a unit field on [0, h1] can send
@@ -651,10 +647,9 @@ def classify(
 
 def _watch_length(params: ModelParams) -> float | None:
     """Length at which a positive-eigenvalue certificate becomes available;
-    None when the large-domain limit of the eigenvalue is <= 2e-6 or the
-    search fails.  It does not depend on mu1, mu2."""
-    if derived_constants(params).gammaA <= 2 * SIGN_BAND:
-        return None
+    None when the large-domain limit of the eigenvalue is <= 2e-6 (which
+    `eigen.critical_length` refuses before solving) or the search fails.
+    It does not depend on mu1, mu2."""
     try:
         return eigen.critical_length(params, target=2 * SIGN_BAND).value
     except (ValueError, RuntimeError):
@@ -675,28 +670,22 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
     pair = front(params.h0)
     if pair.lambda_p >= SIGN_BAND:
         return Outcome(verdict="spreading", certificate="eigenvalue", t_decided=0.0,
-                       horizon=0.0, h_front=params.h0, lambda_front=pair.lambda_p,
-                       mass=math.nan, stall_gap=None, lambda_enclosure=pair.enclosure,
+                       h_front=params.h0, lambda_front=pair.lambda_p, mass=math.nan,
+                       lambda_enclosure=pair.enclosure,
                        message="eigenvalue already positive at the initial length")
 
     watch = watch_length()
     eng = _start(params, dx)
-    per_window = max(1, int(round(STALL_WINDOW / (stride * dt))))
-
-    hist_h: list[float] = [eng.h]
+    per_window = max(1, int(round(BARRIER_WINDOW / (stride * dt))))
     offset = 1.0
 
     def decided(verdict: str, certificate: str, pair: eigen.Eigenpair, message: str,
-                stall_gap: float | None = None, barrier: Barrier | None = None) -> Outcome:
-        return Outcome(verdict=verdict, certificate=certificate, t_decided=eng.t, horizon=eng.t,
+                barrier: Barrier | None = None) -> Outcome:
+        return Outcome(verdict=verdict, certificate=certificate, t_decided=eng.t,
                        h_front=eng.h, lambda_front=pair.lambda_p, mass=eng.mass(), barrier=barrier,
-                       stall_gap=stall_gap, message=message, lambda_enclosure=pair.enclosure)
+                       message=message, lambda_enclosure=pair.enclosure)
 
     for samples, _ in enumerate(_march(eng, dt, n_steps, stride), start=1):
-        hist_h.append(eng.h)
-        if len(hist_h) > per_window + 1:
-            hist_h.pop(0)
-
         if watch is not None and eng.h >= watch * offset:
             pair = front(eng.h)
             if pair.lambda_p >= SIGN_BAND:
@@ -704,24 +693,15 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
                                "front crossed the positive-eigenvalue length")
             offset *= 1.02
 
-        if watch is not None and samples % per_window == 0:
+        if samples % per_window == 0:
             k = _active_count(eng.h, eng.dx)
-            bar = _barrier(params, eng.h, watch, eng.edges[:k], eng.u[:k], eng.v[:k])
+            bar = _barrier(params, eng.h, math.inf if watch is None else watch,
+                           eng.edges[:k], eng.u[:k], eng.v[:k])
             if bar is not None and params.mu1 + params.mu2 <= 0.5 * bar.bound:
                 return decided("vanishing", "barrier", front(eng.h),
                                "front held below the comparison barrier", barrier=bar)
 
-        if eng.t >= STALL_WINDOW and len(hist_h) > per_window:
-            gap = hist_h[-1] - hist_h[0]
-            if gap < STALL_TOL and eng.mass() < MASS_TOL:
-                pair = front(eng.h)
-                if pair.lambda_p < 0.0:
-                    return decided("vanishing", "stall", pair,
-                                   "front stalled with vanishing mass", stall_gap=gap)
-
-    gap = hist_h[-1] - hist_h[0] if len(hist_h) > 1 else 0.0
-    return decided("undecided", "none", front(eng.h),
-                   f"no certificate reached by t={t_max:g}", stall_gap=gap)
+    return decided("undecided", "none", front(eng.h), f"no certificate reached by t={t_max:g}")
 
 
 @dataclass(frozen=True)

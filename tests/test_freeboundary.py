@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import params_with
 from nlfront import eigen, freeboundary as fb, grids, steady
@@ -190,7 +190,7 @@ def test_barrier_verdicts_hold(families, d, frac, log_mu):
     t_max = 60.0
     out = fb.classify(p, t_max=t_max, dx=0.1)
     if out.certificate != "barrier":
-        assert (out.barrier is None) and out.certificate in ("eigenvalue", "stall", "none")
+        assert (out.barrier is None) and out.certificate in ("eigenvalue", "none")
         return
     bar = out.barrier
     assert out.verdict == "vanishing" and out.lambda_front < 0.0
@@ -427,10 +427,47 @@ def test_classify_spreading(p1):
 
 
 def test_classify_vanishing(vanish_params):
+    # R0 < 1: no spreading length exists, and the barrier (eps = 0.05)
+    # decides at its first window
     out = fb.classify(vanish_params, t_max=300.0)
-    assert out.verdict == "vanishing"
-    assert out.stall_gap is not None and out.stall_gap < 1e-6
+    assert (out.verdict, out.certificate) == ("vanishing", "barrier")
+    assert out.t_decided == pytest.approx(10.0)
     assert out.mass < 0.1
+
+
+def _assert_barrier_vanishing(p):
+    # with gammaA <= 2e-6 (R0 <= 1 included) no spreading length exists; the
+    # barrier alone decides, early, and the front never passes its h1
+    out = fb.classify(p, t_max=60.0, dx=0.1)
+    assert (out.verdict, out.certificate) == ("vanishing", "barrier")
+    assert out.t_decided <= 40.0
+    trace = fb.simulate(p, horizon=2.0 * out.t_decided, dx=0.1)
+    assert trace.h.max() < out.barrier.h1
+
+
+@pytest.mark.parametrize("over", [
+    {"a": 2.0, "b": 2.0, "nonlinearity": Nonlinearity("saturating", 1.0, 1.0)},
+    {"nonlinearity": Nonlinearity("saturating", 1.0, 1.0)},
+    {"nonlinearity": Nonlinearity("saturating", (1 + 1e-7) ** 2, 1.0)},
+    {"nonlinearity": Nonlinearity("saturating", (1 + 1e-6) ** 2, 1.0)},
+], ids=["vanish_params", "R0=1", "gammaA=1e-7", "gammaA=1e-6"])
+def test_barrier_decides_without_a_spreading_length(over):
+    _assert_barrier_vanishing(params_with(**over))
+
+
+_LIGHT_KERNELS = st.builds(Kernel, st.sampled_from(["laplace", "gaussian"]), st.floats(0.5, 2.0))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(a=st.floats(0.5, 3.0), b=st.floats(0.5, 3.0), hp=st.floats(0.2, 2.0),
+       gp=st.floats(0.2, 2.0), d=st.floats(0.2, 5.0), log_mu=st.floats(-2.0, 1.0),
+       h0=st.floats(0.5, 6.0), kernel1=_LIGHT_KERNELS, kernel2=_LIGHT_KERNELS)
+def test_barrier_decides_every_subcritical_run(a, b, hp, gp, d, log_mu, h0, kernel1, kernel2):
+    assume(hp * gp < a * b)  # R0 < 1
+    mu = 10.0 ** log_mu
+    _assert_barrier_vanishing(params_with(
+        a=a, b=b, nonlinearity=Nonlinearity("saturating", hp, gp), d1=d, d2=d,
+        mu1=mu, mu2=mu, h0=h0, kernel1=kernel1, kernel2=kernel2))
 
 
 def test_mass_bound_holds_pathwise(vanish_params, vanish_trace):
