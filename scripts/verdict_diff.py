@@ -11,7 +11,8 @@ temporary directory, so nothing is written under either tree.  The runs:
   t_max = 300;
 - bench-vanish, bench-spread: the threshold-search benchmark's probe pair
   at seed 0 (P1 at d = 6, mu = 0.02 and 0.25);
-- dichotomy-*: the 12 probes of the P1-dichotomy preset's mu1* search.
+- dichotomy-*: the P1-dichotomy preset's mu1* search, its 10 search
+  probes plus the former 0.9x/1.1x pair.
 
 One line per run, old -> new:
 
@@ -48,7 +49,8 @@ def _saturating(alpha: float, beta: float = 1.0) -> dict:
 
 
 _SHORT = {"t_max": 300.0, "dx": 0.1}
-# mu1 of every probe of P1-dichotomy's mu1* search (mu2 = mu1), in order
+# mu1 of P1-dichotomy's mu1* search (mu2 = mu1), in order: 10 search probes
+# plus the former 0.9x/1.1x pair
 _DICHOTOMY_MU = (0.004394091295083229, 1.0, 0.5021970456475416, 0.25329556847131246,
                  0.12884482988319784, 0.06661946058914053, 0.09773214523616919,
                  0.11328848755968352, 0.12106665872144068, 0.1171775731405621,

@@ -122,7 +122,9 @@ def _validate_link(link: Callable[[float], float] | None) -> Callable[[float], f
 def find_ell_star(params: ModelParams) -> ThresholdResult:
     """Critical initial length: the root of the principal eigenvalue in l.
 
-    Only defined in the squeeze regime (Rstar < 1 < R0); outside it the
+    ``below`` and ``above`` in the certificate are lambda1 at the ends of
+    the final bracket, and ``bracket_enclosures`` enclose it there.  Only
+    defined in the squeeze regime (Rstar < 1 < R0); outside it the
     eigenvalue has one sign for every length and the search refuses to run.
     """
     cons = derived_constants(params)
@@ -131,16 +133,13 @@ def find_ell_star(params: ModelParams) -> ThresholdResult:
     if cons.R0 <= 1.0:
         raise ValueError("no threshold, vanishing")
     crit = eigen.critical_length(params, lam_tol=5e-7)
-    below = eigen.lambda1(crit.value - 0.01, params, num_cells=crit.num_cells)
-    above = eigen.lambda1(crit.value + 0.01, params, num_cells=crit.num_cells)
     cert = {
         "kind": "eigenvalue",
         "quantity": "lambda1(l)",
         "at_value": crit.lam_at_value,
         "bracket_enclosures": crit.bracket_enclosures,
-        "below": below,
-        "above": above,
-        "probe_offset": 0.01,
+        "below": crit.bracket_lambdas[0],
+        "above": crit.bracket_lambdas[1],
         "num_cells": crit.num_cells,
     }
     return ThresholdResult("ell_star", crit.value, crit.bracket, cert)
@@ -186,6 +185,14 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
     are the only oracle; probes that stay undecided at t_max stop the
     shrink and leave the honest, wider bracket in the result.  The
     certificate lists every classification run in ``probes``, in order.
+
+    ``below``, ``above``, ``t_decided``, ``certificates`` and ``barriers``
+    describe the certified verdicts at the bracket ends lo (vanishing) and
+    hi (spreading), and no probe runs after the search.  They settle every
+    mu1 outside the bracket: by the comparison principle the solution,
+    front included, is monotone in the response rates (arXiv 2405.04268,
+    after Cao, Du, Li and Li, J. Funct. Anal. 2019), and the link
+    increases, so every mu1 <= lo vanishes and every mu1 >= hi spreads.
     """
     link = _validate_link(link)
     ell = find_ell_star(params)
@@ -237,31 +244,28 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
         mid = 0.5 * (lo + hi)
         out = verdict(mid)
         if out.verdict == "spreading":
-            hi = mid
+            hi, out_hi = mid, out
         elif out.verdict == "vanishing":
-            lo = mid
+            lo, out_lo = mid, out
         else:
             undecided = mid
             break
 
-    value = 0.5 * (lo + hi)
-    below = verdict(0.9 * value)
-    above = verdict(1.1 * value)
+    ends = (out_lo, out_hi)
     cert = {
         "kind": "verdicts",
-        "below": below.verdict,
-        "above": above.verdict,
-        "pair": (0.9 * value, 1.1 * value),
-        "t_decided": (below.t_decided, above.t_decided),
-        "certificates": (below.certificate, above.certificate),
+        "below": out_lo.verdict,
+        "above": out_hi.verdict,
+        "t_decided": tuple(out.t_decided for out in ends),
+        "certificates": tuple(out.certificate for out in ends),
         "barriers": tuple(None if out.barrier is None else asdict(out.barrier)
-                          for out in (below, above)),
+                          for out in ends),
         "probes": probes,
         "t_max": t_max,
     }
     if undecided is not None:
         cert["undecided_at"] = undecided
-    return ThresholdResult("mu1_star", value, (lo, hi), cert)
+    return ThresholdResult("mu1_star", 0.5 * (lo + hi), (lo, hi), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +419,8 @@ def find_d_thresholds(params: ModelParams, mode: str,
         return _d1_root_report(params, mode, "d1_hat", Lam, lambda _d: d2)
 
     # every other fixed-mode outcome, a mismatch included, needs d2_under
-    kappa = eigen.scalar_principal(1.0, 0.0, params.kernel2, params.h0)
-    under = _d2_under_threshold(params, kappa, Lam)
+    kappa = eigen.principal_eigenpair(eigen.scalar_spec(1.0, 0.0, params.kernel2, params.h0))
+    under = _d2_under_threshold(params, kappa.lambda_p, Lam)
     regime = ("fixed_d2_small" if d2 < Lam
               else "fixed_d2_mid" if d2 < under.value else "fixed_d2_large")
     if mode != regime:
@@ -424,7 +428,7 @@ def find_d_thresholds(params: ModelParams, mode: str,
                  "fixed_d2_mid": f"{Lam:.6g} <= d2 < {under.value:.6g}",
                  "fixed_d2_large": f"d2 >= {under.value:.6g}"}[mode]
         raise ValueError(f"mode {mode} needs {needs}, got d2 = {d2:g}; use {regime}")
-    extras = {"Lambda": Lam, "kappa1": kappa}
+    extras = {"Lambda": Lam, "kappa1": kappa.lambda_p, "kappa1_enclosure": kappa.enclosure}
     if mode == "fixed_d2_mid":
         lo = 1e-3
         while (lo_pair := _lambda2_pair(params, lo, d2)).lambda_p <= 0.0:

@@ -23,7 +23,9 @@ The solve stops at machine precision, or earlier: once the top Ritz
 residual is at most LOOSE_TOL relative, a pair whose certificate meets
 the residual bound and gives an enclosure narrower than WIDTH_TOL max(1,
 |lambda|) that excludes 0 is accepted, since that settles the
-eigenvalue's sign.  Roots of the eigenvalue in a parameter are found by
+eigenvalue's sign.  The scalar operator d (K - j) + a_diag is solved as
+the equal-species case of the pair (`scalar_spec`), so it is certified
+and enclosed alike.  Roots of the eigenvalue in a parameter are found by
 `model._brentq`, the one root finder of the package, to the absolute
 tolerance ROOT_XTOL.
 """
@@ -50,6 +52,7 @@ __all__ = [
     "lambda2",
     "lambda1_spec",
     "lambda2_spec",
+    "scalar_spec",
     "critical_length",
     "CriticalLength",
     "sweep",
@@ -262,27 +265,31 @@ def _lanczos(apply, dim: int, accept):
     return theta, y, False
 
 
-def _principal(matvec, scale: np.ndarray, label: str, enclose=None):
-    """Largest eigenvalue of L and its positive eigenvector, sup-norm 1.
+def principal_eigenpair(spec: OperatorSpec) -> Eigenpair:
+    """Principal eigenvalue and positive eigenfunction pair, sup-norm 1.
 
-    ``scale`` is the diagonal of D with D^-1 L D symmetric; the Lanczos
-    solve runs on that matrix and the pair is certified on L with one
-    product, from which ``enclose(x, L x, matvec)`` gives the enclosure of
-    lambda (`DiscreteOperator.enclosure`, which on an FFT grid takes one
-    more, extended-precision product); the enclosure is (-inf, inf)
-    without ``enclose`` or when x is not positive.  A Ritz pair the loose
-    Lanczos stop offers is accepted when its residual is below
-    RESIDUAL_TOL and its enclosure is narrower than WIDTH_TOL max(1,
-    |lambda|) and excludes 0; the enclosure is taken only when the
-    unwidened quotients already spread by less than that width.  Returns
-    (lambda, x, operator applications, residual, enclosure).
+    The Lanczos solve runs on D^-1 L D, D = diag(I, sqrt(a21/a12) I),
+    and the pair is certified on L with one product, from which
+    `DiscreteOperator.enclosure` gives the enclosure of lambda (on an FFT
+    grid with one more, extended-precision product); the enclosure is
+    (-inf, inf) when x is not positive.  A Ritz pair the loose Lanczos
+    stop offers is accepted when its residual is below RESIDUAL_TOL and
+    its enclosure is narrower than WIDTH_TOL max(1, |lambda|) and excludes
+    0; the enclosure is taken only when the unwidened quotients already
+    spread by less than that width.
+
+    Convergence contract: the sup-norm eigen-residual on the assembled
+    operator is below 1e-10; ``iterations`` counts operator applications.
     """
+    op = assemble(spec)
+    scale = np.ones(op.dim)
+    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
     count = 0
 
     def apply(w: np.ndarray, *conv) -> np.ndarray:
         nonlocal count
         count += 1
-        return matvec(w, *conv)
+        return op.matvec(w, *conv)
 
     def certify(lam: float, y: np.ndarray, width: float = math.inf):
         # (x, residual, enclosure) from one product; the enclosure is taken
@@ -290,8 +297,8 @@ def _principal(matvec, scale: np.ndarray, label: str, enclose=None):
         x = scale * y
         x = x / x[np.argmax(np.abs(x))]
         lx = apply(x)
-        wanted = enclose and x.min() > 0.0 and np.ptp(lx / x) < width
-        enclosure = enclose(x, lx, apply) if wanted else (-math.inf, math.inf)
+        wanted = x.min() > 0.0 and np.ptp(lx / x) < width
+        enclosure = op.enclosure(x, lx, apply) if wanted else (-math.inf, math.inf)
         return x, float(np.max(np.abs(lx - lam * x))), enclosure
 
     accepted = []
@@ -303,59 +310,36 @@ def _principal(matvec, scale: np.ndarray, label: str, enclose=None):
             accepted.append(found)
         return bool(accepted)  # the solve stops at the first pair accepted
 
-    lam, y, converged = _lanczos(lambda v: apply(scale * v) / scale, scale.size,
-                                 accept if enclose else lambda lam, y: False)
+    lam, y, converged = _lanczos(lambda v: apply(scale * v) / scale, op.dim, accept)
     if not converged:
         raise EigenConvergenceError(
-            f"{label}: Lanczos solve did not converge", lam, scale * y, count, math.inf,
+            "principal_eigenpair: Lanczos solve did not converge",
+            lam, scale * y, count, math.inf,
         )
     x, resid, enclosure = accepted[0] if accepted else certify(lam, y)
     if not resid < RESIDUAL_TOL:
         raise EigenConvergenceError(
-            f"{label}: eigen-residual {resid:.3e} above {RESIDUAL_TOL:g}",
+            f"principal_eigenpair: eigen-residual {resid:.3e} above {RESIDUAL_TOL:g}",
             lam, x, count, resid,
         )
     floor = float(x.min())
     if floor < -1e-10:
         raise EigenConvergenceError(
-            f"{label}: converged vector is not positive (min {floor:.3e})",
+            f"principal_eigenpair: converged vector is not positive (min {floor:.3e})",
             lam, x, count, resid,
         )
-    return lam, np.maximum(x, 1e-300), count, resid, enclosure
-
-
-def principal_eigenpair(spec: OperatorSpec) -> Eigenpair:
-    """Principal eigenvalue and positive eigenfunction pair, sup-norm 1.
-
-    Convergence contract: the sup-norm eigen-residual on the assembled
-    operator is below 1e-10; ``iterations`` counts operator applications.
-    """
-    op = assemble(spec)
-    scale = np.ones(op.dim)
-    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
-    lam, x, iters, resid, enclosure = _principal(op.matvec, scale, "principal_eigenpair",
-                                                 op.enclosure)
+    x = np.maximum(x, 1e-300)
     return Eigenpair(
         lambda_p=lam, phi1=x[: op.n], phi2=x[op.n:], x=op.x,
-        iterations=iters, residual=resid, enclosure=enclosure,
+        iterations=count, residual=resid, enclosure=enclosure,
     )
 
 
 def scalar_principal(d: float, a_diag: float, kernel: Kernel, l: float,
                      num_cells: int | None = None) -> float:
-    """Principal eigenvalue of the scalar operator d (K - j) + a_diag on [0, l]."""
-    if d <= 0:
-        raise EigenGridError("scalar problem needs d > 0")
-    n = num_cells if num_cells is not None else default_cells(l)
-    if n < 8:
-        raise EigenGridError(f"refusing to assemble: num_cells={n} is below the minimum of 8")
-    grid = Discretization((kernel,), l / n, n)
-    diag = -d * grid.j[0] + a_diag
-
-    def matvec(u):
-        return d * grid.convolve(u[None])[0] + diag * u
-
-    return _principal(matvec, np.ones(n), "scalar_principal")[0]
+    """Principal eigenvalue of the scalar operator d (K - j) + a_diag on
+    [0, l]: the equal-species case `scalar_spec` of `principal_eigenpair`."""
+    return principal_eigenpair(scalar_spec(d, a_diag, kernel, l, num_cells)).lambda_p
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +366,21 @@ def lambda2_spec(l: float, params: ModelParams, num_cells: int | None = None) ->
     )
 
 
+def scalar_spec(d: float, a_diag: float, kernel: Kernel, l: float,
+                num_cells: int | None = None) -> OperatorSpec:
+    """Both species d (K - j) + (a_diag - 1) with unit couplings.
+
+    With A = d (K - j) + (a_diag - 1) I and (kappa, phi) its principal
+    pair, [[A, I], [I, A]] (phi, phi) = (kappa + 1) (phi, phi), and (phi,
+    phi) > 0 is its principal eigenvector, so the principal eigenvalue of
+    this operator is kappa + 1, that of d (K - j) + a_diag.
+    """
+    return OperatorSpec(
+        l=l, d1=d, d2=d, a11=a_diag - 1.0, a22=a_diag - 1.0, a12=1.0, a21=1.0,
+        kernel1=kernel, kernel2=kernel, num_cells=num_cells,
+    )
+
+
 def lambda1(l: float, params: ModelParams, num_cells: int | None = None) -> float:
     """Principal eigenvalue of the linearization at zero on [0, l]."""
     return principal_eigenpair(lambda1_spec(l, params, num_cells)).lambda_p
@@ -398,15 +397,16 @@ def lambda2(l: float, params: ModelParams, num_cells: int | None = None) -> floa
 
 @dataclass(frozen=True)
 class CriticalLength:
-    """``bracket_enclosures`` enclose lambda1 at the two ends of
-    ``bracket`` (see `Eigenpair`); ``value`` is one of them unless lambda1
-    is exactly the target there."""
+    """``bracket_lambdas`` are lambda1 at the two ends of ``bracket`` and
+    ``bracket_enclosures`` enclose it there (see `Eigenpair`); ``value`` is
+    one of the ends unless lambda1 is exactly the target there."""
 
     value: float
     lam_at_value: float
     bracket: tuple[float, float]
     num_cells: int
     evaluations: int
+    bracket_lambdas: tuple[float, float]
     bracket_enclosures: tuple[tuple[float, float], tuple[float, float]]
 
 
@@ -454,8 +454,8 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
         f_lo = lam(lo, cells)
     if f_lo >= 0:
         raise RuntimeError("bracket lost after pinning the resolution")
-    value, f_value, bracket, _, _ = _brentq(lambda l: lam(l, cells), lo, hi, ROOT_XTOL,
-                                            fa=f_lo, fb=f_hi)
+    value, f_value, bracket, f_lo, f_hi = _brentq(lambda l: lam(l, cells), lo, hi, ROOT_XTOL,
+                                                  fa=f_lo, fb=f_hi)
     if not abs(f_value) < lam_tol:
         raise RuntimeError(
             f"critical length certificate out of tolerance: |lambda| = {abs(f_value):.3e}"
@@ -463,6 +463,7 @@ def critical_length(params: ModelParams, lo: float = 0.01, hi_start: float = 1.0
     enclosures = dict(solves)  # a solve at the pinned resolution replaces an earlier one
     return CriticalLength(value=value, lam_at_value=f_value + target, bracket=bracket,
                           num_cells=cells, evaluations=len(solves),
+                          bracket_lambdas=(f_lo + target, f_hi + target),
                           bracket_enclosures=(enclosures[bracket[0]], enclosures[bracket[1]]))
 
 

@@ -28,6 +28,13 @@ def test_ell_star_search(p1_d6):
     assert res.width_ok
     assert abs(res.certificate["at_value"]) < 1e-6
     assert res.certificate["below"] < 0.0 < res.certificate["above"]
+    assert "probe_offset" not in res.certificate
+    # below/above are lambda1 at the bracket ends, inside their enclosures
+    cells = res.certificate["num_cells"]
+    ends = [eigen.lambda1(l, p1_d6, num_cells=cells) for l in res.bracket]
+    assert ends == [res.certificate["below"], res.certificate["above"]]
+    for lam, (lo, hi) in zip(ends, res.certificate["bracket_enclosures"]):
+        assert lo <= lam <= hi
 
 
 def test_ell_star_refusals(p1, vanish_params):
@@ -69,23 +76,31 @@ def test_seed_mu_lower_value(p1_d6):
 
 
 def test_mu_star_lists_every_probe(p1_d6):
-    # a short horizon leaves the probe at 0.125 undecided, which ends the
-    # bisection early: seed, upper end, three bisection probes, final pair
+    # a short horizon leaves the first bisection probe (0.1288) undecided,
+    # which ends the search early: seed, upper end, two halvings of it, one
+    # bisection probe, and no probe after the search
     res = criteria.find_mu_star(p1_d6, t_max=30.0)
     cert = res.certificate
     probes = cert["probes"]
     mus = [p["mu1"] for p in probes]
     assert mus[0] == criteria._seed_mu_lower(p1_d6, criteria.find_ell_star(p1_d6).value,
                                              lambda s: s)
-    assert mus[-2:] == list(cert["pair"]) and len(probes) == 7
-    assert [p["verdict"] for p in probes[-2:]] == [cert["below"], cert["above"]]
-    assert [p["certificate"] for p in probes[-2:]] == list(cert["certificates"])
-    assert [p["t_decided"] for p in probes[-2:]] == list(cert["t_decided"])
-    assert cert["undecided_at"] == mus[-3]
+    assert len(probes) == 5 and cert["undecided_at"] == mus[-1] and "pair" not in cert
+    # below/above describe the probes at the bracket ends
+    ends = [probes[mus.index(mu)] for mu in res.bracket]
+    assert [p["verdict"] for p in ends] == [cert["below"], cert["above"]]
+    assert [cert["below"], cert["above"]] == ["vanishing", "spreading"]
+    assert [p["certificate"] for p in ends] == list(cert["certificates"])
+    assert [p["t_decided"] for p in ends] == list(cert["t_decided"])
     assert probes[0]["certificate"] == "barrier" and probes[1]["certificate"] == "eigenvalue"
-    for p, barrier in zip(probes[-2:], cert["barriers"]):
+    for p, barrier in zip(ends, cert["barriers"]):
         assert (barrier is not None) == (p["certificate"] == "barrier")
     assert res.to_dict()["certificate"]["probes"][0]["verdict"] == "vanishing"
+    # the certificate rests on the solution's monotonicity in mu: past the
+    # bracket ends the verdicts hold at the same horizon
+    lo, hi = res.bracket
+    for mu, verdict in ((0.9 * lo, "vanishing"), (1.1 * hi, "spreading")):
+        assert fb.classify(replace(p1_d6, mu1=mu, mu2=mu), t_max=30.0).verdict == verdict
 
 
 def test_mu_star_searches_the_watch_length_once(p1_d6, monkeypatch):
@@ -241,9 +256,9 @@ def test_decision_tree_schema(p1, p1_d6, vanish_params):
 def test_in_regime_small_d2_skips_the_kappa_solve(p1, monkeypatch):
     # below Lambda the regime needs neither kappa1 nor d2_under
     calls = []
-    solve = eigen.scalar_principal
-    monkeypatch.setattr(eigen, "scalar_principal",
-                        lambda *args: calls.append(args) or solve(*args))
+    spec = eigen.scalar_spec
+    monkeypatch.setattr(eigen, "scalar_spec",
+                        lambda *args: calls.append(args) or spec(*args))
     rep = criteria.find_d_thresholds(p1, "fixed_d2_small")
     assert [t.name for t in rep.thresholds] == ["d1_hat"] and calls == []
 

@@ -186,19 +186,48 @@ def test_solves_stop_once_the_enclosure_settles_the_sign(p1_d6, monkeypatch):
 
 def test_rejected_loose_stops_leave_the_solve_unchanged(p1_d6, monkeypatch):
     # with every loose stop rejected, the solve returns the pair of the EPS
-    # stop alone bit for bit, one product per rejected check later
+    # stop alone (LOOSE_TOL = 0 offers none) bit for bit, one product per
+    # rejected check later
     spec = eigen.lambda1_spec(1.0, p1_d6)
-    op = eigen.assemble(spec)
-    scale = np.ones(op.dim)
-    scale[op.n:] = math.sqrt(spec.a21 / spec.a12)
-    lam, x, count, _, enclosure = eigen._principal(op.matvec, scale, "EPS stop only")
-    assert enclosure == (-math.inf, math.inf)
+    with monkeypatch.context() as patch:
+        patch.setattr(eigen, "LOOSE_TOL", 0.0)
+        base = eigen.principal_eigenpair(spec)
     monkeypatch.setattr(eigen, "WIDTH_TOL", 0.0)
     pair = eigen.principal_eigenpair(spec)
-    assert pair.lambda_p == lam and np.array_equal(np.concatenate([pair.phi1, pair.phi2]), x)
-    assert pair.iterations > count
+    assert pair.lambda_p == base.lambda_p
+    assert np.array_equal(pair.phi1, base.phi1) and np.array_equal(pair.phi2, base.phi2)
+    assert pair.iterations > base.iterations
     lo, hi = pair.enclosure
-    assert lo <= lam <= hi < 0.0
+    assert lo <= base.lambda_p <= hi < 0.0
+
+
+@pytest.mark.parametrize("l, cells, kappa", [(2.0, 200, -0.18077862570694864),
+                                             (10.0, 400, -0.019806739279741404)],
+                         ids=["dense-200", "fft-400"])
+def test_scalar_reduction_has_an_enclosure(laplace, l, cells, kappa):
+    # kappa1 as the equal-species case of the pair, on the dense path (200
+    # cells) and the FFT path (400): its enclosure holds the dense top
+    # eigenvalue, and the value is that of the former scalar solve
+    spec = eigen.scalar_spec(1.0, 0.0, laplace, l, cells)
+    pair = eigen.principal_eigenpair(spec)
+    lo, hi = pair.enclosure
+    assert lo <= pair.lambda_p <= hi and hi - lo < 1e-11
+    sym = dense_operator(eigen.assemble(spec))
+    assert lo <= float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]) <= hi
+    assert abs(pair.lambda_p - kappa) < 1e-13
+    assert eigen.scalar_principal(1.0, 0.0, laplace, l, cells) == pair.lambda_p
+    assert np.max(np.abs(pair.phi1 - pair.phi2)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-300, 2.0), (2.0, 1e-300)])
+def test_near_uncoupled_eigenvalue_is_the_scalar_one(laplace, alpha, beta):
+    # H'(0) or G'(0) = 1e-300 once exited 3 (eigen-residual 4e284); the
+    # pair is then nearly two uncoupled scalar operators K - j - 1
+    params = params_with(nonlinearity=Nonlinearity("saturating", alpha, beta))
+    pair = eigen.principal_eigenpair(eigen.lambda1_spec(2.0, params))
+    assert abs(pair.lambda_p - eigen.scalar_principal(1.0, -1.0, laplace, 2.0)) < 1e-12
+    lo, hi = pair.enclosure
+    assert lo <= pair.lambda_p <= hi
 
 
 def test_critical_length_solve_stays_near_arpack_cost(p1_d6):
