@@ -84,7 +84,7 @@ def _points(value) -> tuple:
 _KERNEL = {"family": _string, "scale": float, "exponent": float, "points": _points}
 _PROFILE = {"kind": _string, "amplitude": float}
 _SCHEMA: dict = {
-    "command": _string, "preset": _string, "seed": _integer,
+    "command": _string, "preset": _string,
     "params": {
         "d1": float, "d2": float, "a": float, "b": float,
         "mu1": float, "mu2": float, "h0": float,
@@ -96,7 +96,7 @@ _SCHEMA: dict = {
         "N": _integer, "dx": float, "dt": float, "T": float, "L": float, "l": float,
         "sigma": float, "n": _integer, "sigmas": _floats, "ns": _list_of(_integer),
         "t_max": float, "sample_interval": float, "snapshot_times": _floats,
-        "c0": float, "multi_start": _integer,
+        "c0": float,
     },
     "output": {"directory": _string, "formats": _list_of(_string)},
     "threshold": {"name": _string, "mode": _string, "t_max": float, "dx": float,
@@ -157,7 +157,6 @@ class ScenarioConfig:
     sweep: dict | None
     report: dict | None
     front_compare: dict | None
-    seed: int | None
     preset: str | None
 
 
@@ -191,9 +190,6 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
     bad = sorted(set(output.get("formats", ["csv", "json"])) - {"csv", "json"})
     if bad:
         raise ConfigError(f"unknown output formats: {', '.join(bad)}")
-    seed = cfg.get("seed")
-    if seed is not None and seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
 
     return ScenarioConfig(
         command=resolved,
@@ -204,7 +200,6 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
         sweep=cfg.get("sweep"),
         report=cfg.get("report"),
         front_compare=cfg.get("front_compare"),
-        seed=seed,
         preset=cfg.get("preset"),
     )
 
@@ -353,8 +348,7 @@ def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _cmd_classify(cfg: ScenarioConfig, sink: _Sink) -> int:
-    outcome = freeboundary.classify(
-        cfg.params, **_given(cfg.numeric, "t_max", "dx", "dt", "sample_interval"))
+    outcome = freeboundary.classify(cfg.params, **_given(cfg.numeric, "t_max", "dx", "dt"))
     sink.json("outcome.json", asdict(outcome))
     return EXIT_UNDECIDED if outcome.verdict == "undecided" else EXIT_OK
 
@@ -396,16 +390,15 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         })
         return EXIT_OK
 
-    sigma = num.get("sigma", 0.0)
-    n = num.get("n")
-    if sigma == 0.0 and n is None:
-        predicted = semiwave.predicted_speed(cfg.params, **grid)
-        if predicted.accelerated:
-            sink.json("semiwave.json", {"accelerated": True, "c": None})
-            return EXIT_OK
-        prof = predicted.profile
-    else:
-        prof = semiwave.solve_semiwave(cfg.params, sigma=sigma, n=n, c0=num.get("c0"), **grid)
+    try:
+        prof = semiwave.solve_semiwave(cfg.params, sigma=num.get("sigma", 0.0), n=num.get("n"),
+                                       c0=num.get("c0"), **grid)
+    except semiwave.SpeedEscape as exc:
+        if math.isfinite(exc.c):
+            raise
+        # the far-field flux diverged: the finite-speed rule fails
+        sink.json("semiwave.json", {"accelerated": True, "c": None})
+        return EXIT_OK
     result = {
         "accelerated": False, "c": prof.c, "sigma": prof.sigma, "n": prof.n,
         "L": prof.L, "far_field": list(prof.far_field),
@@ -413,16 +406,6 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         "residual_speed": prof.residual_speed,
         "outer_iterations": prof.outer_iterations, "sweeps": prof.sweeps,
     }
-    starts = num.get("multi_start", 0)
-    if starts > 0:
-        rng = np.random.default_rng(cfg.seed or 0)
-        speeds = [prof.c]
-        for factor in rng.uniform(0.2, 3.0, size=starts):
-            speeds.append(semiwave.solve_semiwave(
-                cfg.params, sigma=sigma, n=n, c0=prof.c * float(factor), **grid).c)
-        result["multi_start"] = {
-            "speeds": speeds, "spread": max(speeds) - min(speeds),
-        }
     sink.csv("profile.csv", "x,p,q", zip(prof.x, prof.p, prof.q))
     sink.json("semiwave.json", result)
     if compare is not None:
@@ -617,14 +600,12 @@ def preset_config(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def run(config_path: str | Path, command: str | None = None,
-        out_dir: str | Path | None = None, seed: int | None = None) -> int:
+        out_dir: str | Path | None = None) -> int:
     """Execute one scenario; returns the exit status, artifacts on disk."""
     try:
         raw = json.loads(Path(config_path).read_text())
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        if seed is not None:
-            raw["seed"] = seed
         cfg = validate_config(raw, command)
         target = Path(out_dir if out_dir is not None else cfg.output.get("directory", "."))
         target.mkdir(parents=True, exist_ok=True)
@@ -656,9 +637,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON scenario config")
     parser.add_argument("--out", default=None, help="artifact directory")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     args = parser.parse_args(argv)
-    return run(args.config, command=args.command, out_dir=args.out, seed=args.seed)
+    return run(args.config, command=args.command, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -208,7 +208,7 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
 
     def verdict(mu1: float) -> freeboundary.Outcome:
         probe = _with_mu(params, mu1, link)
-        out = freeboundary._classify(probe, t_max, dx, None, 1.0, lambda: watch)
+        out = freeboundary.classify(probe, t_max, dx, watch=watch)
         probes.append({"mu1": mu1, "verdict": out.verdict,
                        "t_decided": out.t_decided, "certificate": out.certificate})
         return out

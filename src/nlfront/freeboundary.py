@@ -612,7 +612,8 @@ def classify(
     t_max: float = DEFAULT_T_MAX,
     dx: float = DEFAULT_DX,
     dt: float | None = None,
-    sample_interval: float = 1.0,
+    *,
+    watch: float | None = None,
 ) -> Outcome:
     """Decide spreading vs vanishing for one parameter set.
 
@@ -641,28 +642,14 @@ def classify(
     2 lets delta / M be off by up to half before a verdict could be wrong.
     On P1 at d = 6, with laplace or gaussian kernels, refining the eigen
     grid fourfold lowers the bound by 0.22-0.24%, nearly all of it through M.
+
+    The checks fall once per unit of model time.  ``watch`` is the length
+    where the spreading certificate starts (`_watch_length`); None searches
+    for it once the run gets past the initial eigenvalue check.  It does not
+    depend on mu1, mu2, so a search over mu passes it to every probe.
     """
-    return _classify(params, t_max, dx, dt, sample_interval, lambda: _watch_length(params))
-
-
-def _watch_length(params: ModelParams) -> float | None:
-    """Length at which a positive-eigenvalue certificate becomes available;
-    None when the large-domain limit of the eigenvalue is <= 2e-6 (which
-    `eigen.critical_length` refuses before solving) or the search fails.
-    It does not depend on mu1, mu2."""
-    try:
-        return eigen.critical_length(params, target=2 * SIGN_BAND).value
-    except (ValueError, RuntimeError):
-        return None
-
-
-def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
-              sample_interval: float, watch_length: Callable[[], float | None]) -> Outcome:
-    """`classify`, asking ``watch_length`` for the watch length only when the
-    run gets past the initial eigenvalue check; a search over mu computes it
-    once for all its probes."""
     _check_dx(dx)
-    dt, n_steps, stride = _schedule(params, t_max, dt, sample_interval, "t_max")
+    dt, n_steps, stride = _schedule(params, t_max, dt, 1.0, "t_max")
 
     def front(h: float) -> eigen.Eigenpair:
         return eigen.principal_eigenpair(eigen.lambda1_spec(h, params))
@@ -674,7 +661,8 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
                        lambda_enclosure=pair.enclosure,
                        message="eigenvalue already positive at the initial length")
 
-    watch = watch_length()
+    if watch is None:
+        watch = _watch_length(params)
     eng = _start(params, dx)
     per_window = max(1, int(round(BARRIER_WINDOW / (stride * dt))))
     offset = 1.0
@@ -686,7 +674,7 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
                        message=message, lambda_enclosure=pair.enclosure)
 
     for samples, _ in enumerate(_march(eng, dt, n_steps, stride), start=1):
-        if watch is not None and eng.h >= watch * offset:
+        if eng.h >= watch * offset:
             pair = front(eng.h)
             if pair.lambda_p >= SIGN_BAND:
                 return decided("spreading", "eigenvalue", pair,
@@ -695,13 +683,23 @@ def _classify(params: ModelParams, t_max: float, dx: float, dt: float | None,
 
         if samples % per_window == 0:
             k = _active_count(eng.h, eng.dx)
-            bar = _barrier(params, eng.h, math.inf if watch is None else watch,
-                           eng.edges[:k], eng.u[:k], eng.v[:k])
+            bar = _barrier(params, eng.h, watch, eng.edges[:k], eng.u[:k], eng.v[:k])
             if bar is not None and params.mu1 + params.mu2 <= 0.5 * bar.bound:
                 return decided("vanishing", "barrier", front(eng.h),
                                "front held below the comparison barrier", barrier=bar)
 
     return decided("undecided", "none", front(eng.h), f"no certificate reached by t={t_max:g}")
+
+
+def _watch_length(params: ModelParams) -> float:
+    """Length at which a positive-eigenvalue certificate becomes available;
+    inf when the large-domain limit of the eigenvalue is <= 2e-6 (which
+    `eigen.critical_length` refuses before solving) or the search fails.
+    It does not depend on mu1, mu2."""
+    try:
+        return eigen.critical_length(params, target=2 * SIGN_BAND).value
+    except (ValueError, RuntimeError):
+        return math.inf
 
 
 @dataclass(frozen=True)

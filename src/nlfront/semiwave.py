@@ -8,9 +8,17 @@ reproduced by the flux of mass crossing the front.  The solver discretizes
 (-L, 0] with the far field frozen at the positive equilibrium, relaxes the
 profiles at fixed c, and closes the loop with a secant on the speed gap
 g(c) = F(c) - c, F(c) being the flux quadrature of the profiles relaxed at
-c; where the secant is unusable the damped step c + g(c)/2 is taken.  When
-a kernel's first moment diverges no finite speed exists; the c-iteration
-escapes upward and the condition is reported rather than fought.
+c; where the secant is unusable the damped step c + g(c)/2 is taken.
+
+The far-field flux is the package's one finite-speed test.  arXiv 2405.04268
+proves that the spreading speed is finite if and only if a threshold
+condition on the kernels holds; in the form Du and Ni give for cooperative
+systems (J. Differential Equations 2022, as recalled), every kernel J_r whose
+front response mu_r is positive has a finite first moment ∫_0^∞ x J_r(x) dx.
+A kernel with mu_r = 0 sends no mass across the front, so its tail plays no
+part.  When the condition fails the flux of the frozen far field diverges and
+`solve_semiwave` raises `SpeedEscape` with c = inf before any relaxation; a
+finite c-iteration that passes C_CAP raises it with that c.
 
 Each relaxation is a monotone descent: one sweep T_c is monotone in the
 profiles, and its result is clamped below its input, so every iterate is a
@@ -48,8 +56,6 @@ __all__ = [
     "SpeedTable",
     "solve_semiwave",
     "speed_limits",
-    "predicted_speed",
-    "PredictedSpeed",
 ]
 
 C_CAP = 1e3
@@ -65,7 +71,8 @@ BLOCK = 32  # nodes per block of the backward recurrence's batched product
 
 
 class SpeedEscape(RuntimeError):
-    """Speed escape: the c-iteration grows past its cap (no finite speed)."""
+    """Speed escape: no finite speed.  ``c`` is inf when the far-field flux
+    diverges, else the speed at which the c-iteration passed C_CAP."""
 
     def __init__(self, message: str, c: float, sigma: float, n: int | None):
         super().__init__(message)
@@ -177,9 +184,10 @@ def solve_semiwave(
     far_field = _equilibrium(params.a + sigma + params.d1 * (1.0 - kernels[0].mass),
                              params.b + sigma + params.d2 * (1.0 - kernels[1].mass), nl)
 
-    # flux reach of the frozen far field past the grid; infinite reach means
-    # infinite flux and there is no finite speed to find.  A species with
-    # mu = 0 is left out, not multiplied in: 0 * inf would be nan
+    # flux reach of the frozen far field past the grid.  The finite-speed
+    # rule (module docstring): infinite reach of a species with mu > 0 means
+    # infinite flux and no finite speed.  A species with mu = 0 is left out,
+    # not multiplied in: its kernel's tail plays no part, and 0 * inf is nan
     mus = (params.mu1, params.mu2)
     s0 = L + dx / 2.0
     reach = [_far_tail_integral(k, s0) for k in kernels]
@@ -398,28 +406,3 @@ def speed_limits(
             accelerated = True
     return SpeedTable(rows=tuple(rows), accelerated=accelerated)
 
-
-@dataclass(frozen=True)
-class PredictedSpeed:
-    c: float | None
-    accelerated: bool
-    profile: SemiWaveProfile | None
-
-
-def predicted_speed(
-    params: ModelParams,
-    L: float = DEFAULT_L,
-    dx: float = DEFAULT_DX,
-) -> PredictedSpeed:
-    """Asymptotic front speed, or the accelerated-spreading flag.
-
-    A finite speed requires both kernels to have a finite first moment;
-    otherwise the front outruns every linear-in-time bound.
-    """
-    _check_grid(L, dx)
-    fm1 = first_moment(params.kernel1)
-    fm2 = first_moment(params.kernel2)
-    if math.isinf(fm1) or math.isinf(fm2):
-        return PredictedSpeed(c=None, accelerated=True, profile=None)
-    prof = solve_semiwave(params, sigma=0.0, n=None, L=L, dx=dx)
-    return PredictedSpeed(c=prof.c, accelerated=False, profile=prof)

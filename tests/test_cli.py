@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nlfront import cli, eigen, freeboundary
+from nlfront import cli, criteria, eigen, freeboundary, semiwave
 from nlfront.grids import default_cells
 
 
@@ -218,6 +218,46 @@ def test_semiwave_table_mode(tmp_path):
     assert json.loads((out / "semiwave.json").read_text())["accelerated"] is False
 
 
+HEAVY = {"family": "cauchy", "scale": 1.0, "exponent": 1.3}
+
+
+@pytest.mark.parametrize("params, numeric", [
+    ({}, {"L": 20.0, "dx": 0.1}),
+    # a kernel with mu1 = 0 sends nothing across the front, so its heavy tail
+    # leaves the speed finite
+    ({"kernel1": HEAVY, "mu1": 0.0}, {"L": 20.0}),
+], ids=["thin", "heavy-off-front"])
+def test_semiwave_matches_solve_semiwave(tmp_path, params, numeric):
+    code, out = run_into(tmp_path, {"command": "semiwave", "params": params, "numeric": numeric})
+    assert code == cli.EXIT_OK
+    payload = json.loads((out / "semiwave.json").read_text())
+    assert payload["accelerated"] is False
+    assert payload["c"] == semiwave.solve_semiwave(cli.build_params(params), **numeric).c
+
+
+@pytest.mark.parametrize("params, numeric", [
+    ({"kernel1": HEAVY, "kernel2": HEAVY}, {}),
+    ({"kernel2": HEAVY}, {}),
+    ({"kernel1": HEAVY, "kernel2": HEAVY}, {"sigma": 0.01}),
+], ids=["both-heavy", "mixed", "sigma"])
+def test_semiwave_accelerates_when_the_far_flux_diverges(tmp_path, params, numeric):
+    # a kernel with mu > 0 and an infinite first moment: the far-field flux
+    # diverges before any relaxation, with or without the extra decay sigma
+    code, out = run_into(tmp_path, {"command": "semiwave", "params": params, "numeric": numeric})
+    assert code == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["semiwave.json"]
+    assert json.loads((out / "semiwave.json").read_text()) == {"accelerated": True, "c": None}
+
+
+def test_semiwave_heavy_tail_without_equilibrium_exits_2(tmp_path, capsys):
+    # R0 = 4/9: nothing spreads, so there is no speed to find or to call infinite
+    code, out = run_into(tmp_path, {"command": "semiwave",
+                                    "params": {"kernel1": HEAVY, "a": 3.0, "b": 3.0}})
+    assert code == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NoPositiveEquilibrium"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_threshold_command(tmp_path):
     code, out = run_into(tmp_path, {
         "command": "threshold",
@@ -227,6 +267,26 @@ def test_threshold_command(tmp_path):
     assert code == 0
     payload = json.loads((out / "threshold.json").read_text())
     assert abs(payload["value"] - 2.187040) < 5e-6
+
+
+def test_threshold_link_from_the_config(tmp_path, capsys):
+    doc = {"command": "threshold", "params": {"d1": 6.0, "d2": 6.0},
+           "threshold": {"name": "d_thresholds", "mode": "linked",
+                         "link": {"type": "scale", "factor": 2.0}}}
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    direct = criteria.find_d_thresholds(cli.build_params(doc["params"]), "linked",
+                                        lambda s: 2 * s)
+    assert json.loads((out / "threshold.json").read_text()) == json.loads(
+        json.dumps(direct.to_dict()))
+    for link, message in (({"type": "scale", "factor": 0.0},
+                           "threshold.link.factor must be positive"),
+                          ({"type": "cubic"}, "unknown link type 'cubic'")):
+        doc["threshold"]["link"] = link
+        code, _ = run_into(tmp_path, doc, sub="bad")
+        assert code == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
 
 def test_lost_bracket_is_a_solver_failure(tmp_path, capsys, monkeypatch):
@@ -328,6 +388,8 @@ def test_config_rejections(tmp_path, capsys):
     cases = [
         ({"command": "eigen", "numeric": {"l": 2.0}, "bogus": 1}, "unknown keys"),
         ({"command": "eigen", "numeric": {"l": 2.0, "cells": 4}}, "unknown keys"),
+        ({"command": "eigen", "numeric": {"l": 2.0}, "seed": 0}, "unknown keys"),
+        ({"command": "semiwave", "numeric": {"multi_start": 2}}, "unknown keys"),
         ({"command": "eigen"}, "l"),
         ({"command": "simulate", "numeric": {"T": 5.0},
           "params": {"d1": 0.0, "d2": 0.0}}, "d1 + d2 must be positive"),
@@ -352,10 +414,13 @@ def test_command_mismatch_and_missing_file(tmp_path, capsys):
 
 def test_main_entry_point(tmp_path, capsys):
     cfg = write_config(tmp_path, {"command": "eigen", "numeric": {"l": 2.0}})
-    code = cli.main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "m"), "--seed", "7"])
+    code = cli.main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "m")])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
     assert (tmp_path / "m" / "eigen.json").exists()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["eigen", "--config", str(cfg), "--seed", "7"])
+    assert exit_.value.code == cli.EXIT_CONFIG
 
 
 def _schema_leaves(schema, path=()):
@@ -578,8 +643,8 @@ def test_overflowing_settings_exit_2(tmp_path, capsys, doc, message):
 
 
 @pytest.mark.parametrize("path", [
-    ("seed",), ("numeric", "N"), ("numeric", "n"), ("numeric", "ns"),
-    ("numeric", "multi_start"), ("report", "mismatch", "num_points"),
+    ("numeric", "N"), ("numeric", "n"), ("numeric", "ns"),
+    ("report", "mismatch", "num_points"),
 ], ids=".".join)
 @pytest.mark.parametrize("value", [200.7, 0.5])
 def test_integer_keys_refuse_a_fractional_part(tmp_path, capsys, path, value):
@@ -605,8 +670,7 @@ def test_integral_float_is_an_integer(tmp_path):
     ("simulate", {"T": 1.0, "sample_interval": 0.0}),
     ("simulate", {"T": 1.0, "sample_interval": -1.0}),
     ("evolve", {"l": 2.0, "T": 1.0, "sample_interval": 0.0}),
-    ("classify", {"t_max": 1.0, "sample_interval": -1.0}),
-], ids=["simulate-zero", "simulate-negative", "evolve-zero", "classify-negative"])
+], ids=["simulate-zero", "simulate-negative", "evolve-zero"])
 def test_rejects_a_nonpositive_sample_interval(tmp_path, capsys, command, numeric):
     code, out = run_into(tmp_path, {"command": command, "numeric": numeric})
     assert code == cli.EXIT_CONFIG

@@ -1,4 +1,5 @@
 """Moving-front simulator: front law, verdicts, bounds."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -391,7 +392,7 @@ def test_watch_length_falls_back_when_the_bracket_is_lost(monkeypatch):
         else replace(solve(spec), lambda_p=1.0)))
     with pytest.raises(RuntimeError, match="bracket lost"):
         eigen.critical_length(p, target=2e-6)
-    assert fb._watch_length(p) is None
+    assert fb._watch_length(p) == math.inf
 
 
 def test_snapshots_and_determinism(p1):
@@ -424,6 +425,24 @@ def test_classify_spreading(p1):
     again = fb.classify(p1, t_max=200.0)
     assert (again.verdict, again.t_decided, again.h_front) == (
         out.verdict, out.t_decided, out.h_front)
+
+
+def test_classify_retries_the_spreading_check(p1_d6, monkeypatch):
+    # watched from 0.9 ell*, below the length where lambda1 reaches 1e-6,
+    # the check fails and retries 2% further out each time until it holds
+    p = replace(p1_d6, mu1=0.25, mu2=0.25)
+    ell = eigen.critical_length(p).value
+    checks = []
+    spec = eigen.lambda1_spec
+    monkeypatch.setattr(eigen, "lambda1_spec", lambda l, params, *rest: (
+        checks.append(l) if not rest else None, spec(l, params, *rest))[1])
+    out = fb.classify(p, watch=0.9 * ell)
+    assert (out.verdict, out.certificate) == ("spreading", "eigenvalue")
+    assert out.lambda_front >= 1e-6 and out.h_front >= ell
+    # the initial check at h0, six failed front checks, the deciding one
+    assert len(checks) == 8 and checks[-1] == out.h_front
+    assert all(h >= 0.9 * ell * 1.02**k for k, h in enumerate(checks[1:]))
+    assert out.t_decided == pytest.approx(10.0)
 
 
 def test_classify_vanishing(vanish_params):

@@ -129,25 +129,11 @@ def test_truncation_table_thin_tail(p1):
     assert all(not row.escaped for row in table.rows)
 
 
-def test_predicted_speed_thin(p1, wave_p1):
-    pred = semiwave.predicted_speed(p1)
-    assert not pred.accelerated
-    assert pred.profile is not None
-    assert abs(pred.c - wave_p1.c) < 1e-9
-
-
-def test_predicted_speed_heavy_tail():
-    p = params_with(kernel1=HEAVY, kernel2=HEAVY)
-    pred = semiwave.predicted_speed(p)
-    assert pred.accelerated
-    assert pred.c is None
-    assert pred.profile is None
-
-
-def test_mixed_tails_still_accelerate(laplace):
-    # one heavy channel is enough to break the finite-moment requirement
-    pred = semiwave.predicted_speed(params_with(kernel2=HEAVY))
-    assert pred.accelerated
+def test_mixed_tails_still_accelerate():
+    # one heavy kernel with mu > 0 is enough: the far-field flux diverges
+    with pytest.raises(semiwave.SpeedEscape, match="far-field flux diverges") as escape:
+        semiwave.solve_semiwave(params_with(kernel2=HEAVY))
+    assert escape.value.c == math.inf
 
 
 def test_speed_closure_outer_iterations_on_cutoff_table():
