@@ -1,10 +1,11 @@
-"""Compare `classify` verdicts on a fixed list of runs under two nlfront source trees.
+"""Compare `classify` verdicts and `semiwave` acceleration answers on a fixed
+list of runs under two nlfront source trees.
 
     python3 scripts/verdict_diff.py OLD_SRC NEW_SRC
 
-Each tree runs every config below through `nlfront.cli.run` (command
-classify) in its own fresh interpreter (PYTHONPATH=<tree>), into a
-temporary directory, so nothing is written under either tree.  The runs:
+Each tree runs every config below through `nlfront.cli.run` in its own
+fresh interpreter (PYTHONPATH=<tree>), into a temporary directory, so
+nothing is written under either tree.  The `classify` runs:
 
 - vanish-P1, R0=1, gammaA=1e-7, gammaA=1e-6: the runs with no spreading
   length that `tests/test_freeboundary.py` checks, at dx = 0.1 and
@@ -14,12 +15,20 @@ temporary directory, so nothing is written under either tree.  The runs:
 - dichotomy-*: the P1-dichotomy preset's mu1* search, its 10 search
   probes plus the former 0.9x/1.1x pair.
 
+The `semiwave` runs ask "does it accelerate" of both of the command's
+paths, the cutoff table (`sigmas`, `ns`) and the single solve (`sigma`),
+on P1's laplace kernels (sigma = 0, n = 1, 2, 4, 8) and on cauchy kernels
+of exponent 1.3 (the accelerate preset), 1.8 and 1.95 on both species
+(sigma = 0.01, n = 20, 40, 80, 160).
+
 One line per run, old -> new:
 
     R0=1: vanishing stall t=113 -> vanishing barrier t=30
+    laplace table: accelerated -> not accelerated  FLIPPED
 
 Exits 1 when a verdict the old tree decided (spreading or vanishing)
-changes or becomes undecided, else 0.
+changes or becomes undecided, or when an acceleration answer changes or
+is lost, else 0.
 """
 import argparse
 import json
@@ -67,6 +76,24 @@ CONFIGS = {
        for i, mu in enumerate(_DICHOTOMY_MU)},
 }
 
+
+def _cauchy(exponent: float) -> dict:
+    return {"family": "cauchy", "scale": 1.0, "exponent": exponent}
+
+
+# params, sigma and cutoffs of each acceleration question; the table path
+# reads the cutoffs, the single solve only sigma
+_TAILS = {
+    "laplace": (_p1(), 0.0, [1, 2, 4, 8]),
+    **{f"cauchy-{g}": (_p1(kernel1=_cauchy(g), kernel2=_cauchy(g)), 0.01, [20, 40, 80, 160])
+       for g in (1.3, 1.8, 1.95)},
+}
+SEMIWAVE = {
+    f"{name} {path}": (params, numeric)
+    for name, (params, sigma, ns) in _TAILS.items()
+    for path, numeric in (("table", {"sigmas": [sigma], "ns": ns}), ("solve", {"sigma": sigma}))
+}
+
 # run in the child interpreter: argv[1] is the output root, holding configs.json
 _RUNNER = """
 import contextlib, io, json, sys
@@ -74,28 +101,42 @@ from pathlib import Path
 from nlfront import cli
 root = Path(sys.argv[1])
 results = {}
-for name, (params, numeric) in json.loads((root / "configs.json").read_text()).items():
-    cfg = root / f"{name}.json"
-    cfg.write_text(json.dumps({"command": "classify", "params": params, "numeric": numeric}))
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.run(cfg, out_dir=root / name)
-    out = root / name / "outcome.json"
-    results[name] = json.loads(out.read_text()) if out.exists() else {"exit_code": code}
+runs = json.loads((root / "configs.json").read_text())
+for command, artifact in (("classify", "outcome.json"), ("semiwave", "semiwave.json")):
+    for name, (params, numeric) in runs[command].items():
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps({"command": command, "params": params, "numeric": numeric}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(cfg, out_dir=root / name)
+        out = root / name / artifact
+        results[name] = json.loads(out.read_text()) if out.exists() else {"exit_code": code}
 (root / "results.json").write_text(json.dumps(results))
 """
 
 
 def _run(src: Path, root: Path) -> dict:
-    (root / "configs.json").write_text(json.dumps(CONFIGS))
+    (root / "configs.json").write_text(json.dumps({"classify": CONFIGS, "semiwave": SEMIWAVE}))
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", _RUNNER, str(root)], env=env, check=True)
     return json.loads((root / "results.json").read_text())
 
 
 def _describe(outcome: dict) -> str:
-    if "verdict" not in outcome:
-        return f"failed with exit code {outcome['exit_code']}"
-    return f"{outcome['verdict']} {outcome['certificate']} t={outcome['t_decided']:.4g}"
+    if "verdict" in outcome:
+        return f"{outcome['verdict']} {outcome['certificate']} t={outcome['t_decided']:.4g}"
+    if "accelerated" in outcome:
+        if outcome["accelerated"]:
+            return "accelerated"
+        c = outcome.get("c")
+        return "not accelerated" + ("" if c is None else f" c={c:.4g}")
+    return f"failed with exit code {outcome['exit_code']}"
+
+
+def _flipped(old: dict, new: dict) -> bool:
+    """A decided verdict changed or was lost, or an acceleration answer did."""
+    if old.get("verdict") in ("spreading", "vanishing"):
+        return new.get("verdict") != old["verdict"]
+    return "accelerated" in old and new.get("accelerated") != old["accelerated"]
 
 
 def main() -> int:
@@ -110,10 +151,9 @@ def main() -> int:
             root.mkdir()
             results.append(_run(src.resolve(), root))
     flipped = False
-    for name in CONFIGS:
+    for name in (*CONFIGS, *SEMIWAVE):
         old, new = results[0][name], results[1][name]
-        decided = old.get("verdict") in ("spreading", "vanishing")
-        flip = decided and new.get("verdict") != old["verdict"]
+        flip = _flipped(old, new)
         print(f"{name}: {_describe(old)} -> {_describe(new)}" + ("  FLIPPED" if flip else ""))
         flipped |= flip
     return int(flipped)

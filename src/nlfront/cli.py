@@ -32,10 +32,19 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_UNDECIDED = 4
 
-COMMANDS = (
-    "eigen", "steady", "evolve", "simulate", "classify",
-    "semiwave", "threshold", "sweep", "report",
-)
+# the numeric keys each command reads; validate_config refuses any other
+_NUMERIC_KEYS = {
+    "eigen": ("l", "N"),
+    "steady": ("l", "N"),
+    "evolve": ("l", "T", "N", "dt", "sample_interval"),
+    "simulate": ("T", "dx", "dt", "sample_interval", "snapshot_times"),
+    "classify": ("t_max", "dx", "dt"),
+    "semiwave": ("L", "dx", "sigma", "n", "c0", "sigmas", "ns"),
+    "threshold": (),
+    "sweep": ("l", "N"),
+    "report": (),
+}
+COMMANDS = tuple(_NUMERIC_KEYS)
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation ran."""
@@ -157,7 +166,6 @@ class ScenarioConfig:
     sweep: dict | None
     report: dict | None
     front_compare: dict | None
-    preset: str | None
 
 
 def _merge_preset(cfg: dict) -> dict:
@@ -173,7 +181,8 @@ def _merge_preset(cfg: dict) -> dict:
 
 
 def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
-    """Strict-key, typed validation of a raw config dict; merges its preset."""
+    """Strict-key, typed validation of a raw config dict; merges its preset,
+    then refuses the numeric keys the command does not read."""
     cfg = _merge_preset(_typed(cfg, _SCHEMA))
     declared = cfg.get("command")
     if declared is not None and declared not in COMMANDS:
@@ -185,6 +194,9 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
     resolved = command or declared
     if resolved is None:
         raise ConfigError("no command given on the command line or in the config")
+    unread = sorted(set(cfg.get("numeric", {})) - set(_NUMERIC_KEYS[resolved]))
+    if unread:
+        raise ConfigError(f"command {resolved!r} does not read numeric keys: {', '.join(unread)}")
 
     output = cfg.get("output", {})
     bad = sorted(set(output.get("formats", ["csv", "json"])) - {"csv", "json"})
@@ -200,7 +212,6 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
         sweep=cfg.get("sweep"),
         report=cfg.get("report"),
         front_compare=cfg.get("front_compare"),
-        preset=cfg.get("preset"),
     )
 
 

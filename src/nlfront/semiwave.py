@@ -10,15 +10,16 @@ profiles at fixed c, and closes the loop with a secant on the speed gap
 g(c) = F(c) - c, F(c) being the flux quadrature of the profiles relaxed at
 c; where the secant is unusable the damped step c + g(c)/2 is taken.
 
-The far-field flux is the package's one finite-speed test.  arXiv 2405.04268
+The package's one finite-speed rule is `_accelerates`.  arXiv 2405.04268
 proves that the spreading speed is finite if and only if a threshold
 condition on the kernels holds; in the form Du and Ni give for cooperative
 systems (J. Differential Equations 2022, as recalled), every kernel J_r whose
 front response mu_r is positive has a finite first moment ∫_0^∞ x J_r(x) dx.
 A kernel with mu_r = 0 sends no mass across the front, so its tail plays no
-part.  When the condition fails the flux of the frozen far field diverges and
-`solve_semiwave` raises `SpeedEscape` with c = inf before any relaxation; a
-finite c-iteration that passes C_CAP raises it with that c.
+part.  When the condition fails the flux of the frozen far field diverges:
+`solve_semiwave` raises `SpeedEscape` with c = inf before any relaxation, and
+`speed_limits` reports the table as accelerated.  A finite c-iteration that
+passes C_CAP raises `SpeedEscape` with that c.
 
 Each relaxation is a monotone descent: one sweep T_c is monotone in the
 profiles, and its result is clamped below its input, so every iterate is a
@@ -71,14 +72,13 @@ BLOCK = 32  # nodes per block of the backward recurrence's batched product
 
 
 class SpeedEscape(RuntimeError):
-    """Speed escape: no finite speed.  ``c`` is inf when the far-field flux
-    diverges, else the speed at which the c-iteration passed C_CAP."""
+    """Speed escape: no finite speed.  ``c`` is inf when the solve's kernels
+    break the finite-speed rule (`_accelerates`), else the speed at which the
+    c-iteration passed C_CAP."""
 
-    def __init__(self, message: str, c: float, sigma: float, n: int | None):
+    def __init__(self, message: str, c: float):
         super().__init__(message)
         self.c = c
-        self.sigma = sigma
-        self.n = n
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,19 @@ def _kernels(params: ModelParams, n: int | None) -> tuple[Kernel, Kernel]:
     return params.kernel1.truncate(n), params.kernel2.truncate(n)
 
 
+def _accelerates(kernels: Sequence[Kernel], mus: Sequence[float]) -> bool:
+    """The finite-speed rule (module docstring) fails: some kernel whose
+    front response mu is positive has an infinite first moment."""
+    return any(mu > 0.0 and math.isinf(first_moment(k)) for k, mu in zip(kernels, mus))
+
+
 def _far_tail_integral(kernel: Kernel, s0: float) -> float:
-    """∫_{s0}^∞ (mass − CDF(s)) ds, the far-field reach past distance s0."""
+    """∫_{s0}^∞ (mass − CDF(s)) ds, the far-field reach past distance s0, for
+    a kernel with a finite first moment."""
     if s0 >= kernel.support_radius:
         return 0.0  # nothing reaches past the support (skips the moments)
-    fm = first_moment(kernel)
-    if math.isinf(fm):
-        return math.inf
     tail_mass = float(kernel.mass - kernel.cdf(s0))
-    return fm - float(kernel.partial_first_moment(s0)) - s0 * tail_mass
+    return first_moment(kernel) - float(kernel.partial_first_moment(s0)) - s0 * tail_mass
 
 
 def _backward_recurrence(alpha: np.ndarray, n: int):
@@ -184,21 +188,17 @@ def solve_semiwave(
     far_field = _equilibrium(params.a + sigma + params.d1 * (1.0 - kernels[0].mass),
                              params.b + sigma + params.d2 * (1.0 - kernels[1].mass), nl)
 
-    # flux reach of the frozen far field past the grid.  The finite-speed
-    # rule (module docstring): infinite reach of a species with mu > 0 means
-    # infinite flux and no finite speed.  A species with mu = 0 is left out,
-    # not multiplied in: its kernel's tail plays no part, and 0 * inf is nan
+    # flux of the frozen far field past the grid.  It is finite exactly when
+    # the finite-speed rule holds for these kernels (truncated ones always
+    # have a finite first moment); a species with mu = 0 sends nothing
+    # across the front and is left out, its kernel's tail playing no part
     mus = (params.mu1, params.mu2)
+    if _accelerates(kernels, mus):
+        raise SpeedEscape("speed escape: far-field flux diverges (heavy-tailed kernel)",
+                          c=math.inf)
     s0 = L + dx / 2.0
-    reach = [_far_tail_integral(k, s0) for k in kernels]
-    far_flux = sum((mu * f * t for mu, f, t in zip(mus, far_field, reach) if mu > 0.0), 0.0)
-    if not math.isfinite(far_flux):
-        raise SpeedEscape(
-            "speed escape: far-field flux diverges (heavy-tailed kernel)",
-            c=math.inf,
-            sigma=sigma,
-            n=n,
-        )
+    far_flux = sum((mu * f * _far_tail_integral(k, s0)
+                    for mu, f, k in zip(mus, far_field, kernels) if mu > 0.0), 0.0)
 
     m = int(round(L / dx))
     L = m * dx
@@ -304,12 +304,7 @@ def solve_semiwave(
         c = c + step
         tol = max(RELAX_TOL, min(LOOSE_TOL, GAP_FORCING * gap))
         if c > C_CAP:
-            raise SpeedEscape(
-                f"speed escape: c exceeded {C_CAP:g} after {outer} updates",
-                c=c,
-                sigma=sigma,
-                n=n,
-            )
+            raise SpeedEscape(f"speed escape: c exceeded {C_CAP:g} after {outer} updates", c=c)
     else:
         raise RuntimeError(
             f"speed iteration failed: |Δc|={gap:.3e} after {MAX_OUTER} updates"
@@ -362,6 +357,10 @@ class SpeedRow:
 
 @dataclass(frozen=True)
 class SpeedTable:
+    """Truncated-kernel speeds, one row per (sigma, n), and the finite-speed
+    rule's answer for the untruncated kernels: ``accelerated`` is
+    `_accelerates` of them, whatever the rows read."""
+
     rows: tuple[SpeedRow, ...]
     accelerated: bool
 
@@ -378,15 +377,16 @@ def speed_limits(
 ) -> SpeedTable:
     """Tabulate truncated-kernel speeds over (sigma, n) schedules.
 
-    For thin-tailed kernels the column over n stabilizes below the
-    untruncated speed; a heavy tail shows up as growth without saturation,
-    flagged as acceleration when a column escapes the cap or more than
-    triples across the schedule.
+    Every row is solved; a row whose solve escapes past C_CAP records
+    c = inf.  For thin-tailed kernels the column over n stabilizes below the
+    untruncated speed, and for a heavy tail it grows with n; the table is
+    evidence only.  ``accelerated`` is the finite-speed rule (`_accelerates`)
+    applied to the untruncated kernels of params, the answer `solve_semiwave`
+    gives on them.
     """
     if not sigmas or not ns:
         raise ValueError("sigma and n schedules must be nonempty")
     rows: list[SpeedRow] = []
-    accelerated = False
     warm: float | None = None
     for sigma in sigmas:
         for n in ns:
@@ -398,11 +398,7 @@ def speed_limits(
                 rows.append(
                     SpeedRow(sigma=float(sigma), n=int(n), c=math.inf, escaped=True)
                 )
-                accelerated = True
                 warm = None
-    for sigma in sigmas:
-        col = [r.c for r in rows if r.sigma == sigma and math.isfinite(r.c)]
-        if len(col) >= 2 and col[0] > 0 and col[-1] / col[0] > 3.0:
-            accelerated = True
-    return SpeedTable(rows=tuple(rows), accelerated=accelerated)
+    return SpeedTable(rows=tuple(rows), accelerated=_accelerates(
+        (params.kernel1, params.kernel2), (params.mu1, params.mu2)))
 

@@ -125,8 +125,8 @@ def test_eigen_and_steady_reject_infinite_length(tmp_path, capsys, command, arti
 def test_rejects_nonpositive_or_infinite_horizon(tmp_path, capsys, command, artifact,
                                                  horizon):
     # json writes inf as Infinity, which the config reader accepts
-    code, out = run_into(
-        tmp_path, {"command": command, "numeric": {"l": 2.0, "T": horizon}})
+    numeric = {"l": 2.0, "T": horizon} if command == "evolve" else {"T": horizon}
+    code, out = run_into(tmp_path, {"command": command, "numeric": numeric})
     assert code == cli.EXIT_CONFIG
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "ValueError", "message": "horizon must be positive and finite",
@@ -215,6 +215,19 @@ def test_semiwave_table_mode(tmp_path):
     lines = (out / "convergence.csv").read_text().splitlines()
     assert lines[0] == "sigma,n,c"
     assert len(lines) == 3
+    assert json.loads((out / "semiwave.json").read_text())["accelerated"] is False
+
+
+def test_semiwave_table_acceleration_follows_the_rule(tmp_path):
+    # P1's column rises 3.1x over these cutoffs, but laplace kernels have a
+    # finite first moment: not accelerated, and both rows are written
+    code, out = run_into(tmp_path, {
+        "command": "semiwave",
+        "numeric": {"sigmas": [0.0], "ns": [1, 8], "L": 20.0, "dx": 0.1},
+    })
+    assert code == cli.EXIT_OK
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "sigma,n,c" and [line.split(",")[1] for line in lines[1:]] == ["1", "8"]
     assert json.loads((out / "semiwave.json").read_text())["accelerated"] is False
 
 
@@ -401,6 +414,20 @@ def test_config_rejections(tmp_path, capsys):
         err = json.loads(capsys.readouterr().out)["error"]
         assert needle in err["message"]
         assert err["exit_code"] == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, numeric, unread", [
+    ("classify", {"sample_interval": -1.0}, "sample_interval"),
+    ("eigen", {"l": 2.0, "c0": -5.0, "T": -1.0}, "T, c0"),
+], ids=["classify", "eigen"])
+def test_numeric_keys_a_command_does_not_read_exit_2(tmp_path, capsys, command, numeric,
+                                                      unread):
+    code, out = run_into(tmp_path, {"command": command, "numeric": numeric})
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {
+        "type": "ConfigError", "exit_code": cli.EXIT_CONFIG,
+        "message": f"command {command!r} does not read numeric keys: {unread}"}
+    assert not out.exists()
 
 
 def test_command_mismatch_and_missing_file(tmp_path, capsys):

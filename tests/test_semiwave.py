@@ -129,6 +129,45 @@ def test_truncation_table_thin_tail(p1):
     assert all(not row.escaped for row in table.rows)
 
 
+@pytest.mark.parametrize("params, sigma, ns, accelerated", [
+    # P1's column rises 3.1x (c = 0.1443, 0.4534), yet laplace kernels have
+    # a finite first moment
+    (params_with(), 0.0, [1, 8], False),
+    # a 1.7x rise (c = 0.5327, 0.8825), yet cauchy 1.8 has no first moment
+    (params_with(kernel1=Kernel("cauchy", 1.0, exponent=1.8),
+                 kernel2=Kernel("cauchy", 1.0, exponent=1.8)), 0.01, [5, 10], True),
+], ids=["laplace", "cauchy-1.8"])
+def test_table_acceleration_is_the_rule_not_the_speeds(params, sigma, ns, accelerated):
+    table = semiwave.speed_limits(params, sigmas=[sigma], ns=ns, L=20.0, dx=0.1)
+    assert table.accelerated is accelerated
+    assert len(table.rows) == 2 and all(math.isfinite(r.c) for r in table.rows)
+
+
+_TABLE = Kernel("table", points=((0.0, 1.0), (0.5, 0.8), (1.5, 0.2), (3.0, 0.0)))
+
+
+@pytest.mark.parametrize("mu1", [1.0, 0.0], ids=["mu-both", "mu1-zero"])
+@pytest.mark.parametrize("kernel", [
+    Kernel("laplace", 1.0), Kernel("gaussian", 1.0), _TABLE,
+    Kernel("cauchy", 1.0, exponent=1.3), Kernel("cauchy", 1.0, exponent=1.8),
+    Kernel("cauchy", 1.0, exponent=2.5),
+], ids=["laplace", "gaussian", "table", "cauchy-1.3", "cauchy-1.8", "cauchy-2.5"])
+def test_table_and_solve_agree_on_acceleration(kernel, mu1):
+    # kernel1 under test beside P1's laplace kernel2: the table accelerates
+    # exactly when the untruncated solve escapes with c = inf.  Cauchy 1.8
+    # with mu1 = 0 solves to c = 0.3098
+    params = params_with(kernel1=kernel, mu1=mu1)
+    table = semiwave.speed_limits(params, sigmas=[0.0], ns=[5], L=20.0, dx=0.1)
+    assert math.isfinite(table.rows[0].c)
+    try:
+        c = semiwave.solve_semiwave(params, L=20.0, dx=0.1).c
+    except semiwave.SpeedEscape as escape:
+        c = escape.c
+    assert table.accelerated is (c == math.inf)
+    assert table.accelerated is (kernel.family == "cauchy" and kernel.exponent <= 2.0
+                                 and mu1 > 0.0)
+
+
 def test_mixed_tails_still_accelerate():
     # one heavy kernel with mu > 0 is enough: the far-field flux diverges
     with pytest.raises(semiwave.SpeedEscape, match="far-field flux diverges") as escape:
