@@ -32,19 +32,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_UNDECIDED = 4
 
-# the numeric keys each command reads; validate_config refuses any other
-_NUMERIC_KEYS = {
-    "eigen": ("l", "N"),
-    "steady": ("l", "N"),
-    "evolve": ("l", "T", "N", "dt", "sample_interval"),
-    "simulate": ("T", "dx", "dt", "sample_interval", "snapshot_times"),
-    "classify": ("t_max", "dx", "dt"),
-    "semiwave": ("L", "dx", "sigma", "n", "c0", "sigmas", "ns"),
-    "threshold": (),
-    "sweep": ("l", "N"),
-    "report": (),
-}
-COMMANDS = tuple(_NUMERIC_KEYS)
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation ran."""
@@ -162,10 +149,7 @@ class ScenarioConfig:
     params: ModelParams
     numeric: dict
     output: dict
-    threshold: dict | None
-    sweep: dict | None
-    report: dict | None
-    front_compare: dict | None
+    block: dict | None  # the one block the command reads
 
 
 def _merge_preset(cfg: dict) -> dict:
@@ -182,11 +166,13 @@ def _merge_preset(cfg: dict) -> dict:
 
 def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
     """Strict-key, typed validation of a raw config dict; merges its preset,
-    then refuses the numeric keys the command does not read."""
+    then makes every refusal of the command table, so that a ConfigError
+    always comes before any output is written."""
     cfg = _merge_preset(_typed(cfg, _SCHEMA))
     declared = cfg.get("command")
-    if declared is not None and declared not in COMMANDS:
-        raise ConfigError(f"unknown command {declared!r}; choose one of {', '.join(COMMANDS)}")
+    for name in (declared, command):
+        if name is not None and name not in _COMMANDS:
+            raise ConfigError(f"unknown command {name!r}; choose one of {', '.join(COMMANDS)}")
     if command is not None and declared is not None and command != declared:
         raise ConfigError(
             f"command line says {command!r} but the config declares {declared!r}"
@@ -194,31 +180,65 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
     resolved = command or declared
     if resolved is None:
         raise ConfigError("no command given on the command line or in the config")
-    unread = sorted(set(cfg.get("numeric", {})) - set(_NUMERIC_KEYS[resolved]))
+    reads = _COMMANDS[resolved]
+    numeric = cfg.get("numeric", {})
+    unread = sorted(set(numeric) - set(reads.numeric))
     if unread:
         raise ConfigError(f"command {resolved!r} does not read numeric keys: {', '.join(unread)}")
+    unread = sorted(set(cfg) & ({c.block for c in _COMMANDS.values()} - {reads.block}))
+    if unread:
+        raise ConfigError(f"command {resolved!r} does not read blocks: {', '.join(unread)}")
+    for key in reads.needs:
+        if key not in numeric:
+            raise ConfigError(f"command {resolved!r} needs numeric.{key}")
+    block = cfg.get(reads.block) if reads.block else None
+    if reads.block:
+        reads.check(block)
 
     output = cfg.get("output", {})
     bad = sorted(set(output.get("formats", ["csv", "json"])) - {"csv", "json"})
     if bad:
         raise ConfigError(f"unknown output formats: {', '.join(bad)}")
 
-    return ScenarioConfig(
-        command=resolved,
-        params=build_params(cfg.get("params", {})),
-        numeric=cfg.get("numeric", {}),
-        output=output,
-        threshold=cfg.get("threshold"),
-        sweep=cfg.get("sweep"),
-        report=cfg.get("report"),
-        front_compare=cfg.get("front_compare"),
-    )
+    return ScenarioConfig(command=resolved, params=build_params(cfg.get("params", {})),
+                          numeric=numeric, output=output, block=block)
 
 
-def _require(numeric: dict, key: str, command: str) -> float:
-    if key not in numeric:
-        raise ConfigError(f"command {command!r} needs numeric.{key}")
-    return numeric[key]
+def _check_front_compare(block: dict | None) -> None:
+    # a window that is not positive never advances; the default is positive
+    if block is not None and "window" in block and not block["window"] > 0.0:
+        raise ConfigError("front_compare.window must be positive")
+
+
+def _check_threshold(block: dict | None) -> None:
+    if block is None or "name" not in block:
+        raise ConfigError("command 'threshold' needs a threshold block with a name")
+    link = block.get("link", {})
+    kind = link.get("type", "identity")
+    if kind == "scale" and link.get("factor", 1.0) <= 0:
+        raise ConfigError("threshold.link.factor must be positive")
+    if kind not in ("identity", "scale"):
+        raise ConfigError(f"unknown link type {kind!r}")
+    name = block["name"]
+    if name not in ("ell_star", "mu1_star", "d_thresholds", "dichotomy"):
+        raise ConfigError(f"unknown threshold name {name!r}; choose ell_star, mu1_star, "
+                          "d_thresholds, or dichotomy")
+    if name == "d_thresholds" and "mode" not in block:
+        raise ConfigError("threshold name 'd_thresholds' needs a mode")
+
+
+def _check_sweep(block: dict | None) -> None:
+    if block is None or "variable" not in block or "values" not in block:
+        raise ConfigError("command 'sweep' needs a sweep block with variable and values")
+
+
+def _check_report(block: dict | None) -> None:
+    if not block:
+        raise ConfigError("command 'report' needs a report block")
+    if "decay_rates" in block and "lengths" not in block["decay_rates"]:
+        raise ConfigError("report.decay_rates needs lengths")
+    if not ("mismatch" in block or block.get("decision_tree") or "decay_rates" in block):
+        raise ConfigError("report block names no known section")
 
 
 def _given(block: dict, *keys: str) -> dict:
@@ -230,12 +250,8 @@ def _build_link(block: dict | None) -> Callable[[float], float] | None:
     """The configured link; None stands for the identity."""
     if block is None or block.get("type", "identity") == "identity":
         return None
-    if block["type"] == "scale":
-        factor = block.get("factor", 1.0)
-        if factor <= 0:
-            raise ConfigError("threshold.link.factor must be positive")
-        return lambda s: factor * s
-    raise ConfigError(f"unknown link type {block['type']!r}")
+    factor = block.get("factor", 1.0)
+    return lambda s: factor * s
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +317,7 @@ class _Sink:
 # ---------------------------------------------------------------------------
 
 def _cmd_eigen(cfg: ScenarioConfig, sink: _Sink) -> int:
-    l = _require(cfg.numeric, "l", "eigen")
+    l = cfg.numeric["l"]
     spec = eigen.lambda1_spec(l, cfg.params, cfg.numeric.get("N"))
     pair = eigen.principal_eigenpair(spec)
     lam2 = eigen.lambda2(l, cfg.params, num_cells=spec.num_cells)
@@ -317,8 +333,7 @@ def _cmd_eigen(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _cmd_steady(cfg: ScenarioConfig, sink: _Sink) -> int:
-    l = _require(cfg.numeric, "l", "steady")
-    st = steady.solve_steady(l, cfg.params, cfg.numeric.get("N"))
+    st = steady.solve_steady(cfg.numeric["l"], cfg.params, cfg.numeric.get("N"))
     sink.csv("steady_state.csv", "x,u,v", zip(st.x, st.u, st.v))
     sink.json("steady.json", {
         "l": st.l, "lambda1": st.lambda1, "residual": st.residual,
@@ -328,10 +343,8 @@ def _cmd_steady(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _cmd_evolve(cfg: ScenarioConfig, sink: _Sink) -> int:
-    l = _require(cfg.numeric, "l", "evolve")
-    horizon = _require(cfg.numeric, "T", "evolve")
     trace, decay = steady.evolve_fixed(
-        l, cfg.params, cfg.params.u0, cfg.params.v0, horizon,
+        cfg.numeric["l"], cfg.params, cfg.params.u0, cfg.params.v0, cfg.numeric["T"],
         num_cells=cfg.numeric.get("N"), dt=cfg.numeric.get("dt"),
         sample_interval=cfg.numeric.get("sample_interval"),
     )
@@ -343,9 +356,8 @@ def _cmd_evolve(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _cmd_simulate(cfg: ScenarioConfig, sink: _Sink) -> int:
-    horizon = _require(cfg.numeric, "T", "simulate")
     trace = freeboundary.simulate(
-        cfg.params, horizon,
+        cfg.params, cfg.numeric["T"],
         **_given(cfg.numeric, "dx", "dt", "sample_interval", "snapshot_times"))
     sink.csv("trace.csv", "t,h,sup_u,sup_v,mass",
              zip(trace.t, trace.h, trace.sup_u, trace.sup_v, trace.mass))
@@ -385,9 +397,6 @@ def _front_compare_rows(params: ModelParams, block: dict, c_ref: float):
 def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
     num = cfg.numeric
     grid = _given(num, "L", "dx")
-    compare = None if cfg.front_compare is None else {**_FRONT_COMPARE, **cfg.front_compare}
-    if compare is not None and not compare["window"] > 0.0:
-        raise ConfigError("front_compare.window must be positive")
 
     if "sigmas" in num or "ns" in num:
         table = semiwave.speed_limits(
@@ -419,46 +428,35 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
     }
     sink.csv("profile.csv", "x,p,q", zip(prof.x, prof.p, prof.q))
     sink.json("semiwave.json", result)
-    if compare is not None:
+    if cfg.block is not None:
         sink.csv("front_compare.csv", "t_start,t_end,front_speed,c_tilde",
-                 _front_compare_rows(cfg.params, compare, prof.c))
+                 _front_compare_rows(cfg.params, {**_FRONT_COMPARE, **cfg.block}, prof.c))
     return EXIT_OK
 
 
 def _cmd_threshold(cfg: ScenarioConfig, sink: _Sink) -> int:
-    block = cfg.threshold
-    if block is None or "name" not in block:
-        raise ConfigError("command 'threshold' needs a threshold block with a name")
+    block = cfg.block
     name = block["name"]
     link = _build_link(block.get("link"))
     if name == "ell_star":
         payload = criteria.find_ell_star(cfg.params).to_dict()
-    elif name in ("mu1_star", "dichotomy"):
-        payload = criteria.find_mu_star(cfg.params, link, **_given(block, "t_max", "dx")).to_dict()
-        if name == "dichotomy":
-            payload = {"ell_star": criteria.find_ell_star(cfg.params).to_dict(),
-                       "mu1_star": payload}
     elif name == "d_thresholds":
-        mode = block.get("mode")
-        if mode is None:
-            raise ConfigError("threshold name 'd_thresholds' needs a mode")
-        payload = criteria.find_d_thresholds(cfg.params, mode, link).to_dict()
+        payload = criteria.find_d_thresholds(cfg.params, block["mode"], link).to_dict()
     else:
-        raise ConfigError(
-            f"unknown threshold name {name!r}; choose ell_star, mu1_star, "
-            "d_thresholds, or dichotomy"
-        )
+        # the dichotomy reports the critical length its mu1* search needs
+        ell = criteria.find_ell_star(cfg.params) if name == "dichotomy" else None
+        payload = criteria.find_mu_star(cfg.params, link, ell=ell,
+                                        **_given(block, "t_max", "dx")).to_dict()
+        if ell is not None:
+            payload = {"ell_star": ell.to_dict(), "mu1_star": payload}
     sink.json("threshold.json", payload)
     return EXIT_OK
 
 
 def _cmd_sweep(cfg: ScenarioConfig, sink: _Sink) -> int:
-    block = cfg.sweep
-    if block is None or "variable" not in block or "values" not in block:
-        raise ConfigError("command 'sweep' needs a sweep block with variable and values")
     spec = eigen.lambda1_spec(cfg.numeric.get("l", cfg.params.h0), cfg.params,
                               cfg.numeric.get("N"))
-    result = eigen.sweep(spec, block["variable"], block["values"])
+    result = eigen.sweep(spec, cfg.block["variable"], cfg.block["values"])
     sink.csv("sweep.csv", "variable,value,lambda_p,iterations,residual",
              ((p.variable, p.value, p.lambda_p, p.iterations, p.residual)
               for p in result.points))
@@ -471,9 +469,7 @@ def _cmd_sweep(cfg: ScenarioConfig, sink: _Sink) -> int:
 
 
 def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
-    block = cfg.report
-    if not block:
-        raise ConfigError("command 'report' needs a report block")
+    block = cfg.block
     summary = {}
     if "mismatch" in block:
         sub = block["mismatch"]
@@ -491,31 +487,44 @@ def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
         summary["decision_tree"] = tree["verdict"]
     if "decay_rates" in block:
         sub = block["decay_rates"]
-        if "lengths" not in sub:
-            raise ConfigError("report.decay_rates needs lengths")
         lengths = sub["lengths"]
         runs = steady.evolve_lengths(lengths, cfg.params, sub.get("horizon", 150.0))
         sink.csv("decay_rates.csv", "l,lambda1,mode,k,r_squared",
                  ((l, est.lambda1, est.mode, est.k, est.r_squared)
                   for l, (_, est) in zip(lengths, runs)))
         summary["decay_rates"] = {"rows": len(runs)}
-    if not summary:
-        raise ConfigError("report block names no known section")
     sink.json("report.json", summary)
     return EXIT_OK
 
 
-_HANDLERS = {
-    "eigen": _cmd_eigen,
-    "steady": _cmd_steady,
-    "evolve": _cmd_evolve,
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "semiwave": _cmd_semiwave,
-    "threshold": _cmd_threshold,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
+@dataclass(frozen=True)
+class _Command:
+    """What one command reads: its ``numeric`` keys, of which it ``needs``
+    some, and at most one ``block``.  ``check`` refuses an unusable block; it
+    is passed None for an absent one, which it refuses when the block is
+    required.  validate_config refuses every other key and block."""
+    handler: Callable[[ScenarioConfig, _Sink], int]
+    numeric: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
+    block: str | None = None
+    check: Callable[[dict | None], None] | None = None
+
+
+_COMMANDS = {
+    "eigen": _Command(_cmd_eigen, ("l", "N"), needs=("l",)),
+    "steady": _Command(_cmd_steady, ("l", "N"), needs=("l",)),
+    "evolve": _Command(_cmd_evolve, ("l", "T", "N", "dt", "sample_interval"),
+                       needs=("l", "T")),
+    "simulate": _Command(_cmd_simulate, ("T", "dx", "dt", "sample_interval", "snapshot_times"),
+                         needs=("T",)),
+    "classify": _Command(_cmd_classify, ("t_max", "dx", "dt")),
+    "semiwave": _Command(_cmd_semiwave, ("L", "dx", "sigma", "n", "c0", "sigmas", "ns"),
+                         block="front_compare", check=_check_front_compare),
+    "threshold": _Command(_cmd_threshold, block="threshold", check=_check_threshold),
+    "sweep": _Command(_cmd_sweep, ("l", "N"), block="sweep", check=_check_sweep),
+    "report": _Command(_cmd_report, block="report", check=_check_report),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +630,7 @@ def run(config_path: str | Path, command: str | None = None,
         target = Path(out_dir if out_dir is not None else cfg.output.get("directory", "."))
         target.mkdir(parents=True, exist_ok=True)
         sink = _Sink(target, cfg.output.get("formats", ["csv", "json"]))
-        code = _HANDLERS[cfg.command](cfg, sink)
+        code = _COMMANDS[cfg.command].handler(cfg, sink)
     except (FileNotFoundError, ValueError) as exc:  # ConfigError and ModelError too
         return _fail(EXIT_CONFIG, exc)
     except RuntimeError as exc:  # the base of every solver failure type

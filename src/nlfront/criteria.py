@@ -177,7 +177,8 @@ def _seed_mu_lower(params: ModelParams, ell: float, link: Callable[[float], floa
 
 def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = None,
                  *, t_max: float = freeboundary.DEFAULT_T_MAX,
-                 dx: float = freeboundary.DEFAULT_DX) -> ThresholdResult:
+                 dx: float = freeboundary.DEFAULT_DX,
+                 ell: ThresholdResult | None = None) -> ThresholdResult:
     """Critical front response along mu2 = link(mu1), by verdict bisection.
 
     Requires h0 below the critical length (otherwise spreading happens for
@@ -193,9 +194,13 @@ def find_mu_star(params: ModelParams, link: Callable[[float], float] | None = No
     front included, is monotone in the response rates (arXiv 2405.04268,
     after Cao, Du, Li and Li, J. Funct. Anal. 2019), and the link
     increases, so every mu1 <= lo vanishes and every mu1 >= hi spreads.
+
+    ``ell`` is ``find_ell_star(params)`` when the caller has it already;
+    None locates it here.
     """
     link = _validate_link(link)
-    ell = find_ell_star(params)
+    if ell is None:
+        ell = find_ell_star(params)
     if params.h0 >= ell.value:
         raise ValueError(
             "threshold undefined: h0 at or above the critical length, "

@@ -1,6 +1,8 @@
 """Config handling, command dispatch, artifacts, exit codes."""
+import importlib.util
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -775,3 +777,122 @@ def test_well_typed_extreme_values_exit_cleanly(tmp_path, capfd, case):
     else:
         assert code in (cli.EXIT_CONFIG, cli.EXIT_SOLVER, cli.EXIT_UNDECIDED)
         assert reply["error"]["exit_code"] == code
+
+
+def test_unknown_command_through_the_api_exits_2(tmp_path, capsys):
+    code, out = run_into(tmp_path, {"numeric": {}}, command="warp")
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {
+        "type": "ConfigError", "exit_code": 2,
+        "message": f"unknown command 'warp'; choose one of {', '.join(cli.COMMANDS)}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, unread", [
+    ({"command": "eigen", "numeric": {"l": 2.0},
+      "sweep": {"variable": "l", "values": [1.0]}}, "sweep"),
+    ({"command": "semiwave", "threshold": {"name": "ell_star"},
+      "report": {"decision_tree": True}}, "report, threshold"),
+    ({"command": "threshold", "threshold": {"name": "ell_star"},
+      "front_compare": {"horizon": 2.0}}, "front_compare"),
+], ids=["eigen-sweep", "semiwave-two", "threshold-front_compare"])
+def test_blocks_a_command_does_not_read_exit_2(tmp_path, capsys, doc, unread):
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {
+        "type": "ConfigError", "exit_code": 2,
+        "message": f"command {doc['command']!r} does not read blocks: {unread}"}
+    assert not out.exists()
+
+
+def test_report_refuses_decay_rates_without_lengths_before_any_section_runs(
+        tmp_path, capsys, monkeypatch):
+    def no_mismatch(*args, **kwargs):
+        raise AssertionError("symmetrization_mismatch ran")
+
+    monkeypatch.setattr(freeboundary, "symmetrization_mismatch", no_mismatch)
+    code, out = run_into(tmp_path, {"command": "report", "report": {
+        "mismatch": {"h0_values": [1.0], "num_points": 200},
+        "decay_rates": {"horizon": 3.0}}})
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "ConfigError", "exit_code": 2,
+                                       "message": "report.decay_rates needs lengths"}
+    assert not out.exists()
+
+
+def test_eigen_without_a_length_creates_no_output_directory(tmp_path, capsys):
+    code, out = run_into(tmp_path, {"command": "eigen"})
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "ConfigError", "exit_code": 2,
+                                       "message": "command 'eigen' needs numeric.l"}
+    assert not out.exists()
+
+
+_THRESHOLD = {"command": "threshold", "params": {"d1": 6.0, "d2": 6.0}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"command": "evolve", "numeric": {"l": 2.0}}, "command 'evolve' needs numeric.T"),
+    ({"command": "simulate"}, "command 'simulate' needs numeric.T"),
+    ({"command": "threshold"}, "command 'threshold' needs a threshold block with a name"),
+    ({**_THRESHOLD, "threshold": {"name": "mu_star"}},
+     "unknown threshold name 'mu_star'; choose ell_star, mu1_star, d_thresholds, or dichotomy"),
+    ({**_THRESHOLD, "threshold": {"name": "d_thresholds"}},
+     "threshold name 'd_thresholds' needs a mode"),
+    ({**_THRESHOLD, "threshold": {"name": "mu1_star", "link": {"type": "scale",
+                                                               "factor": -1.0}}},
+     "threshold.link.factor must be positive"),
+    ({**_THRESHOLD, "threshold": {"name": "ell_star", "link": {"type": "cubic"}}},
+     "unknown link type 'cubic'"),
+    ({"command": "sweep", "sweep": {"variable": "l"}},
+     "command 'sweep' needs a sweep block with variable and values"),
+    ({"command": "report", "report": {}}, "command 'report' needs a report block"),
+    ({"command": "report", "report": {"decision_tree": False}},
+     "report block names no known section"),
+    ({"command": "semiwave", "front_compare": {"window": 0.0}},
+     "front_compare.window must be positive"),
+    ({"command": "eigen", "numeric": {"l": 2.0}, "output": {"formats": ["xml"]}},
+     "unknown output formats: xml"),
+], ids=["evolve-T", "simulate-T", "threshold-block", "threshold-name", "d_thresholds-mode",
+        "link-factor", "link-type", "sweep-values", "report-empty", "report-no-section",
+        "front_compare-window", "formats"])
+def test_every_config_refusal_comes_before_the_output_directory(tmp_path, capsys, doc,
+                                                                 message):
+    with pytest.raises(cli.ConfigError) as refused:
+        cli.validate_config(doc)
+    assert str(refused.value) == message
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_CONFIG
+    assert _one_line_error(capsys) == {"type": "ConfigError", "exit_code": 2,
+                                       "message": message}
+    assert not out.exists()
+
+
+def test_dichotomy_locates_the_critical_length_once(tmp_path, monkeypatch):
+    calls = []
+    find = criteria.find_ell_star
+
+    def counted(params):
+        calls.append(params)
+        return find(params)
+
+    monkeypatch.setattr(criteria, "find_ell_star", counted)
+    code, out = run_into(tmp_path, {**_THRESHOLD,
+                                    "threshold": {"name": "dichotomy", "t_max": 10.0}})
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+    payload = json.loads((out / "threshold.json").read_text())
+    assert payload["ell_star"] == json.loads(json.dumps(find(calls[0]).to_dict()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_benchmark_config_validates(monkeypatch, seed):
+    # benchmark/workloads.py, imported from its file; generating runs nothing
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    for workload in ("threshold-search", "fixed-habitat", "front-dynamics"):
+        for scenario in workloads.generate(workload, seed):
+            cli.validate_config(scenario.config)
