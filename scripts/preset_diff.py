@@ -1,27 +1,33 @@
-"""Compare every built-in preset's artifacts under two nlfront source trees.
+"""Compare the artifacts of every command under two nlfront source trees.
 
     python3 scripts/preset_diff.py OLD_SRC NEW_SRC
 
-Each tree runs every preset through `nlfront.cli.run` in its own fresh
-interpreter (PYTHONPATH=<tree>), into a temporary directory, so nothing is
-written under either tree.  One line per artifact:
+Each tree runs, through `nlfront.cli.run`, every built-in preset, every
+benchmark scenario at seed 0 (`benchmark/workloads.generate`, named
+workload.scenario) and the configs of `EXTRA` (named extra.<name>), which
+write what no preset writes: `eigen`, `evolve`, a zero steady state, a
+squeeze-regime decision tree and `d_thresholds` in its three fixed modes.
+Each tree runs in its own fresh interpreter (PYTHONPATH=<tree>), into a
+temporary directory, so nothing is written under either tree.  One line per
+artifact:
 
-    preset file: identical
-    preset file: max rel diff 1.5e-14 at lambda_p[3]
-    preset file: max rel diff 2e-13 at c; by field: c 2e-13, x 1e-16
-    preset file: max rel diff 1e-15 at u[4]; non-numeric changed: verdict
-    preset file: only in old
+    name file: identical
+    name file: max rel diff 1.5e-14 at lambda_p[3]
+    name file: max rel diff 2e-13 at c; by field: c 2e-13, x 1e-16
+    name file: max rel diff 1e-15 at u[4]; non-numeric changed: verdict
+    name file: only in old
 
 The relative difference of two numbers a, b is |a - b| / max(|a|, |b|).
 JSON artifacts are compared leaf by leaf and CSV artifacts cell by cell;
 a field is a JSON path or a CSV column, with list and row indices dropped.
 A changed string, flag, null or shape counts as a non-numeric change.
 
-Exits 1 when a preset's exit code changes, an artifact is only in one
+Exits 1 when a config's exit code changes, an artifact is only in one
 tree or a non-numeric field changes (a verdict or a flag), else 0: numeric
 differences alone are printed, not judged.
 """
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -30,25 +36,57 @@ import sys
 import tempfile
 from pathlib import Path
 
-# run in the child interpreter: argv[1] is the output root
+_ROOT = Path(__file__).resolve().parents[1]
+
+_D6 = {"d1": 6.0, "d2": 6.0}
+EXTRA = {
+    "eigen": {"command": "eigen", "numeric": {"l": 3.0}},
+    "evolve": {"command": "evolve", "params": _D6, "numeric": {"l": 2.0, "T": 10.0}},
+    "steady-zero": {"command": "steady", "params": _D6, "numeric": {"l": 0.5}},
+    "decision_tree": {"command": "report", "params": _D6, "report": {"decision_tree": True}},
+    **{f"d_thresholds-{mode}": {"command": "threshold", "params": {"d1": 6.0, "d2": d2},
+                                "threshold": {"name": "d_thresholds", "mode": mode}}
+       for mode, d2 in (("fixed_d2_small", 1.0), ("fixed_d2_mid", 10.0),
+                        ("fixed_d2_large", 20.0))},
+}
+
+# run in the child interpreter: argv[1] is the output root, argv[2] a JSON
+# file of the configs to run besides the presets
 _RUNNER = """
 import contextlib, io, json, sys
 from pathlib import Path
 from nlfront import cli
 root = Path(sys.argv[1])
+docs = {name: {"preset": name} for name in cli.presets()}
+docs.update(json.loads(Path(sys.argv[2]).read_text()))
 codes = {}
-for name in cli.presets():
+for name, doc in docs.items():
     cfg = root / f"{name}.json"
-    cfg.write_text(json.dumps({"preset": name}))
+    cfg.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()):
         codes[name] = cli.run(cfg, out_dir=root / name)
 (root / "exit_codes.json").write_text(json.dumps(codes))
 """
 
 
-def _run_presets(src: Path, root: Path) -> dict:
+def _configs() -> dict:
+    """The benchmark's seed-0 scenario configs and EXTRA, by name."""
+    path = _ROOT / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    docs = {f"{w}.{sc.name}": sc.config
+            for w in ("threshold-search", "fixed-habitat", "front-dynamics")
+            for sc in workloads.generate(w, 0)}
+    docs.update({f"extra.{name}": doc for name, doc in EXTRA.items()})
+    return docs
+
+
+def _run_configs(src: Path, root: Path, configs: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", _RUNNER, str(root)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", _RUNNER, str(root), str(configs)], env=env,
+                   check=True)
     return json.loads((root / "exit_codes.json").read_text())
 
 
@@ -135,10 +173,12 @@ def main() -> int:
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         roots = Path(tmp) / "old", Path(tmp) / "new"
+        configs = Path(tmp) / "configs.json"
+        configs.write_text(json.dumps(_configs()))
         codes = []
         for src, root in zip((args.old, args.new), roots):
             root.mkdir()
-            codes.append(_run_presets(src.resolve(), root))
+            codes.append(_run_configs(src.resolve(), root, configs))
         changed = False
         for name in sorted(set(codes[0]) | set(codes[1])):
             if codes[0].get(name) != codes[1].get(name):

@@ -94,7 +94,7 @@ _SCHEMA: dict = {
         "t_max": float, "sample_interval": float, "snapshot_times": _floats,
         "c0": float,
     },
-    "output": {"directory": _string, "formats": _list_of(_string)},
+    "output": {"directory": _string},
     "threshold": {"name": _string, "mode": _string, "t_max": float, "dx": float,
                   "link": {"type": _string, "factor": float}},
     "sweep": {"variable": _string, "values": _floats},
@@ -193,24 +193,34 @@ def validate_config(cfg: dict, command: str | None = None) -> ScenarioConfig:
             raise ConfigError(f"command {resolved!r} needs numeric.{key}")
     block = cfg.get(reads.block) if reads.block else None
     if reads.block:
-        reads.check(block)
-
-    output = cfg.get("output", {})
-    bad = sorted(set(output.get("formats", ["csv", "json"])) - {"csv", "json"})
-    if bad:
-        raise ConfigError(f"unknown output formats: {', '.join(bad)}")
-
+        reads.check(numeric, block)
     return ScenarioConfig(command=resolved, params=build_params(cfg.get("params", {})),
-                          numeric=numeric, output=output, block=block)
+                          numeric=numeric, output=cfg.get("output", {}), block=block)
 
 
-def _check_front_compare(block: dict | None) -> None:
+def _check_semiwave(numeric: dict, block: dict | None) -> None:
+    if "sigmas" in numeric or "ns" in numeric:
+        unread = sorted(set(numeric) & {"sigma", "n", "c0"})
+        if block is not None:
+            unread.append("front_compare")
+        if unread:
+            raise ConfigError("the semiwave table (sigmas, ns) does not read: "
+                              + ", ".join(unread))
     # a window that is not positive never advances; the default is positive
     if block is not None and "window" in block and not block["window"] > 0.0:
         raise ConfigError("front_compare.window must be positive")
 
 
-def _check_threshold(block: dict | None) -> None:
+# the threshold block's keys that each search reads
+_THRESHOLD_READS = {
+    "ell_star": ("name",),
+    "mu1_star": ("name", "link", "t_max", "dx"),
+    "dichotomy": ("name", "link", "t_max", "dx"),
+    "d_thresholds": ("name", "mode", "link"),
+}
+
+
+def _check_threshold(_numeric: dict, block: dict | None) -> None:
     if block is None or "name" not in block:
         raise ConfigError("command 'threshold' needs a threshold block with a name")
     link = block.get("link", {})
@@ -220,19 +230,22 @@ def _check_threshold(block: dict | None) -> None:
     if kind not in ("identity", "scale"):
         raise ConfigError(f"unknown link type {kind!r}")
     name = block["name"]
-    if name not in ("ell_star", "mu1_star", "d_thresholds", "dichotomy"):
+    if name not in _THRESHOLD_READS:
         raise ConfigError(f"unknown threshold name {name!r}; choose ell_star, mu1_star, "
                           "d_thresholds, or dichotomy")
+    unread = sorted(set(block) - set(_THRESHOLD_READS[name]))
+    if unread:
+        raise ConfigError(f"threshold {name!r} does not read: {', '.join(unread)}")
     if name == "d_thresholds" and "mode" not in block:
         raise ConfigError("threshold name 'd_thresholds' needs a mode")
 
 
-def _check_sweep(block: dict | None) -> None:
+def _check_sweep(_numeric: dict, block: dict | None) -> None:
     if block is None or "variable" not in block or "values" not in block:
         raise ConfigError("command 'sweep' needs a sweep block with variable and values")
 
 
-def _check_report(block: dict | None) -> None:
+def _check_report(_numeric: dict, block: dict | None) -> None:
     if not block:
         raise ConfigError("command 'report' needs a report block")
     if "decay_rates" in block and "lengths" not in block["decay_rates"]:
@@ -293,23 +306,25 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
-class _Sink:
-    """Format-filtered artifact writer rooted at the output directory."""
+def _scalars(record) -> dict:
+    """A result record's fields without its arrays (vars: no copy is made)."""
+    return {k: v for k, v in vars(record).items() if not isinstance(v, np.ndarray)}
 
-    def __init__(self, out_dir: Path, formats):
+
+class _Sink:
+    """Artifact writer rooted at the output directory."""
+
+    def __init__(self, out_dir: Path):
         self.dir = out_dir
-        self.formats = set(formats)
         self.written: list[str] = []
 
     def csv(self, name: str, header: str, rows) -> None:
-        if "csv" in self.formats:
-            _write_csv(self.dir / name, header, rows)
-            self.written.append(name)
+        _write_csv(self.dir / name, header, rows)
+        self.written.append(name)
 
     def json(self, name: str, obj) -> None:
-        if "json" in self.formats:
-            _write_json(self.dir / name, obj)
-            self.written.append(name)
+        _write_json(self.dir / name, obj)
+        self.written.append(name)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +350,7 @@ def _cmd_eigen(cfg: ScenarioConfig, sink: _Sink) -> int:
 def _cmd_steady(cfg: ScenarioConfig, sink: _Sink) -> int:
     st = steady.solve_steady(cfg.numeric["l"], cfg.params, cfg.numeric.get("N"))
     sink.csv("steady_state.csv", "x,u,v", zip(st.x, st.u, st.v))
-    sink.json("steady.json", {
-        "l": st.l, "lambda1": st.lambda1, "residual": st.residual,
-        "iterations": st.iterations, "is_zero": st.is_zero,
-    })
+    sink.json("steady.json", {**_scalars(st), "is_zero": st.is_zero})
     return EXIT_OK
 
 
@@ -403,11 +415,8 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
             cfg.params, sigmas=num.get("sigmas", [0.0]), ns=num.get("ns", []), **grid)
         sink.csv("convergence.csv", "sigma,n,c",
                  ((r.sigma, r.n, r.c) for r in table.rows))
-        sink.json("semiwave.json", {
-            "accelerated": table.accelerated,
-            "rows": [{"sigma": r.sigma, "n": r.n, "c": r.c, "escaped": r.escaped}
-                     for r in table.rows],
-        })
+        sink.json("semiwave.json", {"accelerated": table.accelerated,
+                                    "rows": [asdict(r) for r in table.rows]})
         return EXIT_OK
 
     try:
@@ -419,15 +428,8 @@ def _cmd_semiwave(cfg: ScenarioConfig, sink: _Sink) -> int:
         # the far-field flux diverged: the finite-speed rule fails
         sink.json("semiwave.json", {"accelerated": True, "c": None})
         return EXIT_OK
-    result = {
-        "accelerated": False, "c": prof.c, "sigma": prof.sigma, "n": prof.n,
-        "L": prof.L, "far_field": list(prof.far_field),
-        "residual_profile": prof.residual_profile,
-        "residual_speed": prof.residual_speed,
-        "outer_iterations": prof.outer_iterations, "sweeps": prof.sweeps,
-    }
     sink.csv("profile.csv", "x,p,q", zip(prof.x, prof.p, prof.q))
-    sink.json("semiwave.json", result)
+    sink.json("semiwave.json", {"accelerated": False, **_scalars(prof)})
     if cfg.block is not None:
         sink.csv("front_compare.csv", "t_start,t_end,front_speed,c_tilde",
                  _front_compare_rows(cfg.params, {**_FRONT_COMPARE, **cfg.block}, prof.c))
@@ -500,14 +502,15 @@ def _cmd_report(cfg: ScenarioConfig, sink: _Sink) -> int:
 @dataclass(frozen=True)
 class _Command:
     """What one command reads: its ``numeric`` keys, of which it ``needs``
-    some, and at most one ``block``.  ``check`` refuses an unusable block; it
-    is passed None for an absent one, which it refuses when the block is
-    required.  validate_config refuses every other key and block."""
+    some, and at most one ``block``.  ``check`` is passed the numeric block
+    and the command's own block, None when absent; it refuses an unusable or
+    missing required block, and any key the block's mode does not read.
+    validate_config refuses every other key and block."""
     handler: Callable[[ScenarioConfig, _Sink], int]
     numeric: tuple[str, ...] = ()
     needs: tuple[str, ...] = ()
     block: str | None = None
-    check: Callable[[dict | None], None] | None = None
+    check: Callable[[dict, dict | None], None] | None = None
 
 
 _COMMANDS = {
@@ -519,7 +522,7 @@ _COMMANDS = {
                          needs=("T",)),
     "classify": _Command(_cmd_classify, ("t_max", "dx", "dt")),
     "semiwave": _Command(_cmd_semiwave, ("L", "dx", "sigma", "n", "c0", "sigmas", "ns"),
-                         block="front_compare", check=_check_front_compare),
+                         block="front_compare", check=_check_semiwave),
     "threshold": _Command(_cmd_threshold, block="threshold", check=_check_threshold),
     "sweep": _Command(_cmd_sweep, ("l", "N"), block="sweep", check=_check_sweep),
     "report": _Command(_cmd_report, block="report", check=_check_report),
@@ -629,7 +632,7 @@ def run(config_path: str | Path, command: str | None = None,
         cfg = validate_config(raw, command)
         target = Path(out_dir if out_dir is not None else cfg.output.get("directory", "."))
         target.mkdir(parents=True, exist_ok=True)
-        sink = _Sink(target, cfg.output.get("formats", ["csv", "json"]))
+        sink = _Sink(target)
         code = _COMMANDS[cfg.command].handler(cfg, sink)
     except (FileNotFoundError, ValueError) as exc:  # ConfigError and ModelError too
         return _fail(EXIT_CONFIG, exc)

@@ -58,13 +58,7 @@ class ThresholdResult:
         return (hi - lo) <= WIDTH_FRAC * max(1.0, abs(self.value))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": float(self.value),
-            "bracket": [float(self.bracket[0]), float(self.bracket[1])],
-            "width_ok": self.width_ok,
-            "certificate": _jsonable(self.certificate),
-        }
+        return {**asdict(self), "bracket": list(self.bracket), "width_ok": self.width_ok}
 
 
 @dataclass(frozen=True)
@@ -78,25 +72,7 @@ class DThresholdReport:
     samples: tuple[tuple[float, float], ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "thresholds": [t.to_dict() for t in self.thresholds],
-            "extras": _jsonable(self.extras),
-            "note": self.note,
-            "samples": [[float(d), float(lam)] for d, lam in self.samples],
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return {**asdict(self), "thresholds": [t.to_dict() for t in self.thresholds]}
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +471,7 @@ def decision_tree(params: ModelParams) -> dict:
     }
     if cons.R0 <= 1.0:
         report["verdict"] = "vanishing"
-        report["certificates"].append(_jsonable(_front_bound(params)))
+        report["certificates"].append(_front_bound(params))
         return report
     if cons.Rstar >= 1.0:
         report["verdict"] = "spreading"

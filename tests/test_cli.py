@@ -304,6 +304,24 @@ def test_threshold_link_from_the_config(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
 
+@pytest.mark.parametrize("d2, mode, num_samples", [
+    (10.0, "fixed_d2_mid", 0),
+    (20.0, "fixed_d2_large", 3),
+])
+def test_fixed_mode_d_thresholds_through_the_cli(tmp_path, d2, mode, num_samples):
+    doc = {"command": "threshold", "params": {"d1": 6.0, "d2": d2},
+           "threshold": {"name": "d_thresholds", "mode": mode}}
+    code, out = run_into(tmp_path, doc)
+    assert code == cli.EXIT_OK
+    payload = json.loads((out / "threshold.json").read_text())
+    direct = criteria.find_d_thresholds(cli.build_params(doc["params"]), mode)
+    assert payload == json.loads(json.dumps(direct.to_dict()))
+    assert len(payload["samples"]) == num_samples
+    assert all(isinstance(s, list) and len(s) == 2 for s in payload["samples"])
+    lo, hi = payload["extras"]["kappa1_enclosure"]
+    assert lo <= payload["extras"]["kappa1"] <= hi
+
+
 def test_lost_bracket_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     # at d = 20 the doubling ends at l = 8, pinned to 320 cells, so the lower
     # end (200 cells) is solved again; that re-solve loses the sign change
@@ -852,10 +870,20 @@ _THRESHOLD = {"command": "threshold", "params": {"d1": 6.0, "d2": 6.0}}
     ({"command": "semiwave", "front_compare": {"window": 0.0}},
      "front_compare.window must be positive"),
     ({"command": "eigen", "numeric": {"l": 2.0}, "output": {"formats": ["xml"]}},
-     "unknown output formats: xml"),
+     "unknown keys in output: formats"),
+    ({"command": "semiwave", "numeric": {"sigmas": [0.0], "ns": [1], "L": 20.0, "dx": 0.1,
+                                         "c0": -5.0, "sigma": 3.0},
+      "front_compare": {"horizon": 5.0, "window": 1.0}},
+     "the semiwave table (sigmas, ns) does not read: c0, sigma, front_compare"),
+    ({**_THRESHOLD, "threshold": {"name": "ell_star", "mode": "bogus", "t_max": -1.0,
+                                  "link": {"type": "scale", "factor": 2.0}}},
+     "threshold 'ell_star' does not read: link, mode, t_max"),
+    ({**_THRESHOLD, "threshold": {"name": "d_thresholds", "mode": "linked", "dx": 0.1}},
+     "threshold 'd_thresholds' does not read: dx"),
 ], ids=["evolve-T", "simulate-T", "threshold-block", "threshold-name", "d_thresholds-mode",
         "link-factor", "link-type", "sweep-values", "report-empty", "report-no-section",
-        "front_compare-window", "formats"])
+        "front_compare-window", "formats", "semiwave-table-unread", "ell_star-unread",
+        "d_thresholds-unread"])
 def test_every_config_refusal_comes_before_the_output_directory(tmp_path, capsys, doc,
                                                                  message):
     with pytest.raises(cli.ConfigError) as refused:
