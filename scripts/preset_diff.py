@@ -6,7 +6,8 @@ Each tree runs, through `nlfront.cli.run`, every built-in preset, every
 benchmark scenario at seed 0 (`benchmark/workloads.generate`, named
 workload.scenario) and the configs of `EXTRA` (named extra.<name>), which
 write what no preset writes: `eigen`, `evolve`, a zero steady state, a
-squeeze-regime decision tree and `d_thresholds` in its three fixed modes.
+squeeze-regime decision tree, `d_thresholds` in its three fixed modes and
+decay reports with lengths whose fit the eigenvalue alone decides.
 Each tree runs in its own fresh interpreter (PYTHONPATH=<tree>), into a
 temporary directory, so nothing is written under either tree.  One line per
 artifact:
@@ -44,6 +45,12 @@ EXTRA = {
     "evolve": {"command": "evolve", "params": _D6, "numeric": {"l": 2.0, "T": 10.0}},
     "steady-zero": {"command": "steady", "params": _D6, "numeric": {"l": 0.5}},
     "decision_tree": {"command": "report", "params": _D6, "report": {"decision_tree": True}},
+    # the 200-cell group steps l = 1 only; the 240- and 320-cell ones step nothing
+    "decay-mixed": {"command": "report", "params": _D6,
+                    "report": {"decay_rates": {"lengths": [1.0, 4.0, 6.0, 8.0],
+                                               "horizon": 10.0}}},
+    "decay-settled": {"command": "report", "params": _D6,
+                      "report": {"decay_rates": {"lengths": [4.0, 6.0], "horizon": 10.0}}},
     **{f"d_thresholds-{mode}": {"command": "threshold", "params": {"d1": 6.0, "d2": d2},
                                 "threshold": {"name": "d_thresholds", "mode": mode}}
        for mode, d2 in (("fixed_d2_small", 1.0), ("fixed_d2_mid", 10.0),

@@ -28,6 +28,7 @@ from .grids import MAX_CELLS, Discretization, default_cells, stacked_convolution
 from .model import (
     ModelParams,
     NoPositiveEquilibrium,
+    derived_constants,
     equilibrium,
     initial_profile,
 )
@@ -693,9 +694,21 @@ def classify(
 
 def _watch_length(params: ModelParams) -> float:
     """Length at which a positive-eigenvalue certificate becomes available;
-    inf when the large-domain limit of the eigenvalue is <= 2e-6 (which
-    `eigen.critical_length` refuses before solving) or the search fails.
-    It does not depend on mu1, mu2."""
+    inf when the large-domain limit gammaA of the eigenvalue clears the
+    2e-6 target by at most RESIDUAL_TOL, or the search fails.
+    It does not depend on mu1, mu2.
+
+    The discrete lambda1(l) <= gammaA at every length, so within that
+    margin lambda1 - 2e-6 is nowhere above what an eigen solve (residual
+    below RESIDUAL_TOL) resolves, and the root lies where no grid reaches:
+    for a margin of 6e-17 on P1 at d = 6, lambda1's approach to gammaA
+    puts it near l = 5e8, and the search would double toward l = 4096
+    first.  The test reads gammaA's closed form, so it adds no solve.  inf
+    is sound: `classify` then forgoes only the eigenvalue certificate of
+    spreading, and its barrier needs no watch length.
+    """
+    if derived_constants(params).gammaA - 2 * SIGN_BAND <= eigen.RESIDUAL_TOL:
+        return math.inf
     try:
         return eigen.critical_length(params, target=2 * SIGN_BAND).value
     except (ValueError, RuntimeError):

@@ -6,7 +6,8 @@ equilibrium) and below (a small multiple of the principal eigenfunction).
 The time-dependent problem on the same domain runs on the moving-front
 engine of `freeboundary` with the front pinned (mu1 = mu2 = 0, h = l) and
 is classified by its decay behaviour against the sign of the principal
-eigenvalue.
+eigenvalue; where that eigenvalue is positive the run settles on the
+steady state, so a decay report (`decay_rates`) does not step it.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "solve_steady",
     "evolve_fixed",
     "evolve_lengths",
+    "decay_rates",
     "stability_timestep",
 ]
 
@@ -207,19 +209,54 @@ def evolve_lengths(lengths, params: ModelParams, horizon: float, initial=_tents,
     ``initial(l)`` gives the initial fields (u0, v0) on [0, l], by default
     tents of amplitude 1 and 1/2.  Every length is checked, its principal
     eigenvalue computed and its initial fields sampled before any stepping.
-    Lengths with the same cell count then step together as one batch of the
+    Every length is stepped, since each trace is returned.  That includes
+    the lengths with lambda1 > SIGN_BAND, whose run settles on the unique,
+    stable positive steady state (the paper's steady-state result), so
+    that their fit is ``none`` from the eigenvalue alone; `decay_rates`,
+    which returns fits only, does not step them.
+    Lengths with the same cell count step together as one batch of the
     pinned engine, whose Heun stages convolve every member through one
     `grids.stacked_convolution` operator; all share the schedule, which
     does not depend on the length.
     A SchemeError or BlowUpError names the length it arose at.
     """
+    return _fixed_runs(lengths, params, horizon, initial, num_cells, dt, sample_interval,
+                       step_settled=True)
+
+
+def decay_rates(lengths, params: ModelParams, horizon: float) -> list[DecayEstimate]:
+    """The decay fit of `evolve_lengths` from tents on every length, in
+    input order, stepping only the lengths whose fit needs a run.
+
+    On a length with lambda1 > SIGN_BAND the positive steady state exists,
+    is unique and is stable (the paper's steady-state result; `solve_steady`
+    finds it), so the run settles on it and the fit is ``none`` whatever
+    the trace: that estimate comes from the eigenvalue and the sampling
+    schedule alone, equal to `evolve_lengths`' own, and the length is not
+    stepped.  It can then raise no SchemeError or BlowUpError.  The other
+    lengths step as in `evolve_lengths`, and batch members equal their
+    one-member runs bit for bit, so every estimate is unchanged.
+    """
+    return [est for _, est in _fixed_runs(lengths, params, horizon, _tents, None, None, None,
+                                          step_settled=False)]
+
+
+def _fixed_runs(lengths, params, horizon, initial, num_cells, dt, sample_interval, *,
+                step_settled: bool) -> list[tuple[EvolutionTrace | None, DecayEstimate]]:
+    """(trace, fit) per length for `evolve_lengths` and `decay_rates`.  A
+    length with lambda1 > SIGN_BAND is settled: its fit is ``none``, and it
+    is stepped only with ``step_settled`` (its trace is None otherwise)."""
     for l in lengths:
         if not 0.0 < l < math.inf:
             raise ValueError("domain length must be positive and finite")
     step, n_steps, stride = freeboundary._schedule(params, horizon, dt, sample_interval,
                                                    equal=True)
+    # t = 0 and the times of the steps `freeboundary._march` samples: every
+    # stride-th and the last
+    t_arr = step * np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
+    half = t_arr >= horizon / 2.0
     groups: dict[int, list[int]] = {}
-    lams, starts = [], []
+    lams, starts, results = [], [], []
     for i, l in enumerate(lengths):
         n = num_cells if num_cells is not None else default_cells(l)
         # the eigen grid refuses too few cells
@@ -230,36 +267,32 @@ def evolve_lengths(lengths, params: ModelParams, horizon: float, initial=_tents,
         if np.any(u < 0) or np.any(v < 0):
             raise ValueError("initial fields must be nonnegative")
         starts.append((x, u, v))
-        groups.setdefault(n, []).append(i)
+        settled = lams[-1] > SIGN_BAND
+        results.append((None, DecayEstimate(
+            mode="none", k=math.nan, window=(float(t_arr[half][0]), float(t_arr[-1])),
+            r_squared=math.nan, lambda1=lams[-1])) if settled else None)
+        if step_settled or not settled:
+            groups.setdefault(n, []).append(i)
 
     pinned = replace(params, mu1=0.0, mu2=0.0)
-    results: list = [None] * len(lengths)
     for n, members in groups.items():
         ls = [float(lengths[i]) for i in members]
         eng = freeboundary._Master(pinned, [l / n for l in ls], n + 64, ls)
         for b, i in enumerate(members):
             eng.uv[b, :, :n] = starts[i][1:]
-        ts, sups = [0.0], [eng.sups()]
+        sups = [eng.sups()]
         try:
-            for k, row in freeboundary._march(eng, step, n_steps, stride):
-                ts.append(k * step)
-                sups.append(row)
+            sups += [row for _, row in freeboundary._march(eng, step, n_steps, stride)]
         except (SchemeError, BlowUpError) as exc:
             raise type(exc)(f"l = {ls[exc.member]:g}: {exc}") from exc
-        t_arr, norms = np.array(ts), np.array(sups)
-        half = t_arr >= horizon / 2.0
+        norms = np.array(sups)
         for b, i in enumerate(members):
             nu_arr, nv_arr = norms[:, b, 0].copy(), norms[:, b, 1].copy()
             trace = EvolutionTrace(t=t_arr, norm_u=nu_arr, norm_v=nv_arr,
                                    norm_sum=nu_arr + nv_arr, x=starts[i][0],
                                    u=eng.uv[b, 0, :n].copy(), v=eng.uv[b, 1, :n].copy(),
                                    dt=step, num_cells=n)
-            lam = lams[i]
-            if lam > SIGN_BAND:
-                est = DecayEstimate(mode="none", k=math.nan,
-                                    window=(float(t_arr[half][0]), float(t_arr[-1])),
-                                    r_squared=math.nan, lambda1=lam)
-            else:
-                est = freeboundary._decay_fit(t_arr[half], np.log(trace.norm_sum[half]), lam)
+            est = results[i][1] if results[i] else freeboundary._decay_fit(
+                t_arr[half], np.log(trace.norm_sum[half]), lams[i])
             results[i] = (trace, est)
     return results

@@ -1,5 +1,6 @@
 """Moving-front simulator: front law, verdicts, bounds."""
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import params_with
 from nlfront import eigen, freeboundary as fb, grids, steady
-from nlfront.model import Kernel, NoPositiveEquilibrium, Nonlinearity, equilibrium
+from nlfront.model import (Kernel, NoPositiveEquilibrium, Nonlinearity, derived_constants,
+                           equilibrium)
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +394,27 @@ def test_watch_length_falls_back_when_the_bracket_is_lost(monkeypatch):
         else replace(solve(spec), lambda_p=1.0)))
     with pytest.raises(RuntimeError, match="bracket lost"):
         eigen.critical_length(p, target=2e-6)
+    assert fb._watch_length(p) == math.inf
+
+
+def test_classify_answers_when_gamma_a_barely_clears_the_watch_target(p1_d6):
+    # gammaA clears 2e-6 by 6e-17, so the watch length's root lies near
+    # l = 5e8; searching for it doubled toward l = 4096 and did not finish
+    # in 25 s.  One process, under a 2 s wall-clock cap
+    p = replace(p1_d6, nonlinearity=Nonlinearity("saturating", (1 + 2e-6) ** 2, 1.0))
+    assert 0.0 < derived_constants(p).gammaA - 2e-6 < eigen.RESIDUAL_TOL
+
+    def expire(signum, frame):
+        raise TimeoutError("classify ran past its 2 s cap")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        out = fb.classify(p, t_max=300.0, dx=0.1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert out.verdict in ("vanishing", "spreading", "undecided")
     assert fb._watch_length(p) == math.inf
 
 

@@ -147,6 +147,14 @@ def test_evolve_rejects_unstable_timestep(p1, factor):
                             dt=factor * steady.stability_timestep(p1))
 
 
+def _recording_engines(monkeypatch) -> list:
+    built = []
+    master = freeboundary._Master
+    monkeypatch.setattr(freeboundary, "_Master",
+                        lambda *a, **kw: built.append(master(*a, **kw)) or built[-1])
+    return built
+
+
 @pytest.mark.parametrize("lengths, kernel2, batches", [
     ([2.0, 10.0, 3.0], Kernel("laplace", 1.0), [2, 1]),
     ([2.0, 9.99, 3.0, 9.995], Kernel("gaussian", 1.0), [2, 2]),
@@ -158,10 +166,7 @@ def test_batched_lengths_match_one_length_runs(monkeypatch, lengths, kernel2, ba
     alone = [steady.evolve_fixed(l, p, initial_profile("tent", 1.0, l),
                                  initial_profile("tent", 0.5, l), horizon=2.0)
              for l in lengths]
-    built = []
-    master = freeboundary._Master
-    monkeypatch.setattr(freeboundary, "_Master",
-                        lambda *a, **kw: built.append(master(*a, **kw)) or built[-1])
+    built = _recording_engines(monkeypatch)
     together = steady.evolve_lengths(lengths, p, horizon=2.0)
     assert [eng.B for eng in built] == batches
     for (trace, fit), (ref, ref_fit) in zip(together, alone, strict=True):
@@ -169,6 +174,34 @@ def test_batched_lengths_match_one_length_runs(monkeypatch, lengths, kernel2, ba
             assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
         assert (trace.dt, trace.num_cells) == (ref.dt, ref.num_cells)
         assert repr(fit) == repr(ref_fit)
+
+
+@pytest.mark.parametrize("d, lengths, batches", [
+    (6.0, [1.0, 4.0, 6.0, 2.0], [2]),
+    (40.0, [2.0, 12.0, 6.0, 4.0], [2, 1]),
+], ids=["settled-member-and-group", "settled-group"])
+def test_decay_rates_step_only_open_lengths(monkeypatch, d, lengths, batches):
+    # lengths on both sides of l* (2.19 at d = 6, 8.75 at d = 40) over 200
+    # and 240 cells (and 480 at d = 40): only lambda1 <= SIGN_BAND steps, and
+    # every fit equals the length's own evolve_fixed fit
+    p = params_with(d1=d, d2=d)
+    alone = [steady.evolve_fixed(l, p, initial_profile("tent", 1.0, l),
+                                 initial_profile("tent", 0.5, l), horizon=2.0)[1]
+             for l in lengths]
+    built = _recording_engines(monkeypatch)
+    fits = steady.decay_rates(lengths, p, horizon=2.0)
+    assert [eng.B for eng in built] == batches
+    assert sum(fit.lambda1 <= eigen.SIGN_BAND for fit in fits) == sum(batches)
+    assert [repr(fit) for fit in fits] == [repr(ref) for ref in alone]
+
+
+def test_decay_rates_build_no_engine_when_every_length_is_settled(p1_d6, monkeypatch):
+    stepped = steady.evolve_lengths([4.0, 6.0], p1_d6, horizon=2.0)
+    built = _recording_engines(monkeypatch)
+    fits = steady.decay_rates([4.0, 6.0], p1_d6, horizon=2.0)
+    assert built == []
+    assert [fit.mode for fit in fits] == ["none", "none"]
+    assert [repr(fit) for fit in fits] == [repr(est) for _, est in stepped]
 
 
 def test_batch_failure_names_its_length(p1, monkeypatch):
